@@ -7,9 +7,17 @@ Usage:
                 [--inputs N] [--delta X] [--bound-D X] [--tau X]
                 [--flip-mode MODE]
 
-Flags override config-file keys of the same name. Exit codes: 0 on
-success (all checks passing), 1 on a check failure, 2 on a
-configuration error.
+Flags override config-file keys of the same name. Exit codes:
+
+0   success (for diagnostics: every check passed).
+1   a failure during the run: a failed diagnostic, a theory relation
+    violated by a trial (CheckFailure), or an eigensolve that missed its
+    residual tolerance (ArithmeticError). The message goes to stderr.
+2   a configuration or input error: an unknown or malformed key, an
+    unreadable config file, an unwritable output path, or a config whose
+    bound is undefined (for example real n = 1, where the spectral gap
+    is zero). Errors in the config itself are raised before any trial
+    runs.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .experiments import (
     ConfigError,
     DiagnosticsReport,
     EXPERIMENTS,
+    _CONFIG_KEYS,
     load_config,
     run_diagnostics,
     run_experiment,
@@ -40,8 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed (overrides master_seed)")
-    parser.add_argument("--out", help="output CSV path (overrides output_path)")
+    parser.add_argument(
+        "--seed", dest="master_seed", metavar="SEED", type=int,
+        help="master seed (overrides master_seed)",
+    )
+    parser.add_argument(
+        "--out", dest="output_path", metavar="OUT",
+        help="output CSV path (overrides output_path)",
+    )
     parser.add_argument("--threads", type=int, default=1, help="worker threads for trials")
     parser.add_argument("--field", help="real or complex")
     parser.add_argument("--n", type=int, help="half-dimension n (signals live in F^(2n))")
@@ -53,23 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tau", type=float)
     parser.add_argument("--flip-mode", dest="flip_mode", choices=["random", "greedy"])
     return parser
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "field": args.field,
-        "n": args.n,
-        "m_grid": args.m_grid,
-        "trials": args.trials,
-        "inputs": args.inputs,
-        "delta": args.delta,
-        "bound_D": args.bound_D,
-        "tau": args.tau,
-        "flip_mode": args.flip_mode,
-        "master_seed": args.seed,
-        "output_path": args.out,
-    }
-    return {key: value for key, value in mapping.items() if value is not None}
 
 
 def _print_diagnostics(report: DiagnosticsReport) -> None:
@@ -84,7 +82,8 @@ def _print_diagnostics(report: DiagnosticsReport) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, experiment=args.experiment, overrides=_overrides(args))
+        overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
+        cfg = load_config(args.config, overrides=overrides)
         if cfg.experiment == "theory":
             for line in theory_lines(cfg.field, cfg.n, cfg.delta, cfg.bound_D, cfg.tau):
                 print(line)
@@ -112,6 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

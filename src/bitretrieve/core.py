@@ -305,4 +305,13 @@ def rank_one_distance(x: RankOneProjection, y: RankOneProjection) -> float:
     sqrt(max(0, 1 - tr(XY))).
     """
     _check_same_space(x, y)
-    return float(np.sqrt(max(0.0, 1.0 - x.trace_with(y))))
+    return _vector_distance(x.vector.entries, y.vector.entries)
+
+
+def _vector_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """rank_one_distance from unit representatives: sqrt(max(0, 1 - |<x, y>|^2)).
+
+    The arrays are used as given; copying a strided view can change how
+    np.vdot rounds, and with it the last digits of the distance.
+    """
+    return float(np.sqrt(max(0.0, 1.0 - abs(np.vdot(x, y)) ** 2)))

@@ -9,9 +9,11 @@ pointwise    one fixed signal, fresh ensembles per (trial, m); records the
 uniform      one ensemble per m, many random signals recovered against it;
              records per-signal errors, the running maximum, and the
              inverted uniform accuracy bound.
-noise        the pointwise protocol with a fraction of measurement bits
-             flipped (uniformly at random or greedily); records clean and
-             noisy errors against the robustness bound.
+noise        the pointwise protocol plus a corruption stage: after the
+             clean recovery, a fraction of the measurement bits is flipped
+             (uniformly at random or greedily) and the signal recovered
+             again; records clean and noisy errors against the robustness
+             bound.
 diagnostics  distributional spot checks (trace law, expected-average
              eigenstructure, Hamming-vs-operator-norm margin, separation
              probability, eigenvalue-pair density fit, soft-distance
@@ -38,7 +40,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,8 @@ from .core import (
     InvalidInput,
     RankOneProjection,
     UnitVector,
+    _vector_distance,
+    rank_one_distance,
 )
 from .measurement import corrupt_bits, measure, trace_table, trace_values, soft_hamming
 from .recovery import (
@@ -61,6 +65,7 @@ from .recovery import (
 )
 from .sampler import SeedStream, sample_ensemble, sample_unit_vector
 from .theory import (
+    TheoryConstants,
     eigen_density,
     eigen_density_grid,
     dsep_probability,
@@ -294,22 +299,7 @@ def _fmt(value) -> str:
 
 def emit_csv(records: list[TrialRecord], path: str) -> None:
     """Write records with the exact header trial,m,error,qdev,hamming_gap,degenerate,seed_path."""
-    try:
-        with open(path, "w", newline="", encoding="ascii") as handle:
-            handle.write(",".join(CSV_HEADER) + "\n")
-            for rec in records:
-                row = (
-                    _fmt(rec.trial),
-                    _fmt(rec.m),
-                    _fmt(rec.error),
-                    _fmt(rec.qdev),
-                    _fmt(rec.hamming_gap),
-                    _fmt(rec.degenerate),
-                    rec.seed_path,
-                )
-                handle.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
+    _emit_table(CSV_HEADER, [astuple(rec) for rec in records], path)
 
 
 def parse_csv(path: str) -> list[TrialRecord]:
@@ -335,14 +325,14 @@ def parse_csv(path: str) -> list[TrialRecord]:
     return records
 
 
-def _emit_table(table: AuxTable, path: str) -> None:
+def _emit_table(header: tuple[str, ...], rows: list[tuple], path: str) -> None:
     try:
         with open(path, "w", newline="", encoding="ascii") as handle:
-            handle.write(",".join(table.header) + "\n")
-            for row in table.rows:
+            handle.write(",".join(header) + "\n")
+            for row in rows:
                 handle.write(",".join(_fmt(v) for v in row) + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write table to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
 
 
 def write_result(result: ExperimentResult, path: str) -> list[str]:
@@ -352,7 +342,7 @@ def write_result(result: ExperimentResult, path: str) -> list[str]:
     stem = path[:-4] if path.endswith(".csv") else path
     for table in result.tables:
         aux_path = f"{stem}.{table.name}.csv"
-        _emit_table(table, aux_path)
+        _emit_table(table.header, table.rows, aux_path)
         written.append(aux_path)
     return written
 
@@ -368,12 +358,6 @@ def _pool_map(worker, units, threads: int) -> list:
         return list(pool.map(worker, units))
 
 
-def _overlap_error(x_entries: np.ndarray, v_entries: np.ndarray) -> float:
-    """Rank-one distance from the vector representatives: sqrt(1 - |<x, v>|^2)."""
-    ov = abs(np.vdot(x_entries, v_entries)) ** 2
-    return float(math.sqrt(max(0.0, 1.0 - min(1.0, ov))))
-
-
 def _qdev(qmat: np.ndarray, x: RankOneProjection, mu1: float, mu2: float) -> float:
     expect = expected_average(x, mu1, mu2).matrix
     vals = np.linalg.eigvalsh(qmat - expect)
@@ -386,40 +370,66 @@ def _require_experiment(cfg: ExperimentConfig, expected: str) -> None:
         raise ConfigError("experiment", f"expected {expected!r}, got {cfg.experiment!r}")
 
 
+def _bounds_table(cfg: ExperimentConfig, level) -> AuxTable:
+    """The accuracy level `level(field, n, m, D)` at every m of the grid."""
+    rows = [(m, level(cfg.field, cfg.n, m, cfg.bound_D)) for m in cfg.m_grid]
+    return AuxTable("bounds", ("m", "delta_bound"), rows)
+
+
 # ---------------------------------------------------------------------------
 # Experiment runners
+
+
+def _run_fixed_signal(
+    cfg: ExperimentConfig, consts: TheoryConstants, threads: int
+) -> list[tuple[TrialRecord, tuple]]:
+    """The pointwise pipeline, shared by the pointwise and noise protocols.
+
+    Each (trial, m) unit samples its ensemble, measures the fixed signal,
+    averages, recovers and scores the estimate by (error, qdev). The noise
+    protocol then flips bits and recovers again from the corrupted string.
+    Returns, per unit in (trial, m) order, the record of the last recovery
+    and the clean (error, qdev).
+    """
+    root = SeedStream(cfg.master_seed)
+    x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0)))
+    noisy = cfg.experiment == "noise"
+
+    def recover(ens, bits):
+        qhat = empirical_average(ens, bits)
+        rec = recover_from_average(qhat)
+        error = rank_one_distance(x, rec.estimate)
+        return error, _qdev(qhat.matrix, x, consts.mu1, consts.mu2), rec.degenerate
+
+    def worker(unit: tuple[int, int]) -> tuple[TrialRecord, tuple]:
+        t, m = unit
+        ens = sample_ensemble(cfg.field, cfg.n, m, root.child(t, m))
+        bits = measure(ens, x)
+        error, qdev, degenerate = recover(ens, bits)
+        clean, path = (error, qdev), f"ens={t}/{m};x=0"
+        if noisy:
+            corrupted = corrupt_bits(bits, cfg.tau, cfg.flip_mode, root.child(t, m, m), (ens, x))
+            error, qdev, degenerate = recover(ens, corrupted)
+            path += f";flip={t}/{m}/{m}"
+        return TrialRecord(t, m, error, qdev, None, degenerate, path), clean
+
+    units = [(t, m) for t in range(cfg.trials) for m in cfg.m_grid]
+    return _pool_map(worker, units, threads)
 
 
 def run_pointwise(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """One fixed signal; fresh ensembles per (trial, m); errors vs the bound."""
     _require_experiment(cfg, "pointwise")
-    consts = theory_constants(cfg.field, cfg.n)
-    root = SeedStream(cfg.master_seed)
-    x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0)))
-
-    def worker(unit: tuple[int, int]) -> TrialRecord:
-        t, m = unit
-        ens = sample_ensemble(cfg.field, cfg.n, m, root.child(t, m))
-        bits = measure(ens, x)
-        qhat = empirical_average(ens, bits)
-        rec = recover_from_average(qhat)
-        error = _overlap_error(x.vector.entries, rec.estimate.vector.entries)
-        qdev = _qdev(qhat.matrix, x, consts.mu1, consts.mu2)
-        return TrialRecord(t, m, error, qdev, None, rec.degenerate, f"ens={t}/{m};x=0")
-
-    units = [(t, m) for t in range(cfg.trials) for m in cfg.m_grid]
-    records = sorted(_pool_map(worker, units, threads), key=lambda r: (r.trial, r.m))
-    bounds = AuxTable(
-        "bounds",
-        ("m", "delta_bound"),
-        [(m, pointwise_error_level(cfg.field, cfg.n, m, cfg.bound_D)) for m in cfg.m_grid],
-    )
+    bounds = _bounds_table(cfg, pointwise_error_level)
+    outputs = _run_fixed_signal(cfg, theory_constants(cfg.field, cfg.n), threads)
+    records = [rec for rec, _ in outputs]
     return ExperimentResult(cfg, records, [bounds])
 
 
 def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """One ensemble per m; `inputs` random signals recovered against it."""
     _require_experiment(cfg, "uniform")
+    bounds = _bounds_table(cfg, invert_uniform_delta)
     consts = theory_constants(cfg.field, cfg.n)
     root = SeedStream(cfg.master_seed)
     d = 2 * cfg.n
@@ -448,7 +458,7 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             qdevs = np.max(np.abs(np.linalg.eigvalsh(qhats - expects)), axis=1)
             for i in range(stop - start):
                 idx = start + i
-                error = _overlap_error(block[i], estimates[i])
+                error = _vector_distance(block[i], estimates[i])
                 running_max = max(running_max, error)
                 recs.append(
                     TrialRecord(
@@ -469,62 +479,31 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         (rec for recs, _ in outputs for rec in recs), key=lambda r: (r.trial, r.m)
     )
     max_rows = [row for _, rows in outputs for row in rows]
-    tables = [
-        AuxTable(
-            "bounds",
-            ("m", "delta_bound"),
-            [
-                (m, invert_uniform_delta(cfg.field, cfg.n, m, cfg.bound_D))
-                for m in cfg.m_grid
-            ],
-        ),
-        AuxTable("max", ("trial", "m", "max_error"), max_rows),
-    ]
-    return ExperimentResult(cfg, records, tables)
+    max_table = AuxTable("max", ("trial", "m", "max_error"), max_rows)
+    return ExperimentResult(cfg, records, [bounds, max_table])
 
 
 def run_noise(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Pointwise protocol with floor(tau*m) measurement bits flipped."""
     _require_experiment(cfg, "noise")
-    consts = theory_constants(cfg.field, cfg.n)
-    root = SeedStream(cfg.master_seed)
-    x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0)))
     bound = noisy_error_bound(cfg.field, cfg.n, cfg.delta, cfg.tau)
+    consts = theory_constants(cfg.field, cfg.n)
     gate = 0.5 * consts.gap * cfg.delta
-
-    def worker(unit: tuple[int, int]) -> tuple[TrialRecord, tuple]:
-        t, m = unit
-        ens = sample_ensemble(cfg.field, cfg.n, m, root.child(t, m))
-        bits = measure(ens, x)
-        qhat_clean = empirical_average(ens, bits)
-        rec_clean = recover_from_average(qhat_clean)
-        clean_error = _overlap_error(x.vector.entries, rec_clean.estimate.vector.entries)
-        clean_qdev = _qdev(qhat_clean.matrix, x, consts.mu1, consts.mu2)
-        corrupted = corrupt_bits(bits, cfg.tau, cfg.flip_mode, root.child(t, m, m), (ens, x))
-        qhat_noisy = empirical_average(ens, corrupted)
-        rec_noisy = recover_from_average(qhat_noisy)
-        noisy_error = _overlap_error(x.vector.entries, rec_noisy.estimate.vector.entries)
-        noisy_qdev = _qdev(qhat_noisy.matrix, x, consts.mu1, consts.mu2)
-        if clean_qdev <= gate and noisy_error > bound + 1e-12:
+    outputs = _run_fixed_signal(cfg, consts, threads)
+    details = []
+    for rec, (clean_error, clean_qdev) in outputs:
+        if clean_qdev <= gate and rec.error > bound + 1e-12:
             raise CheckFailure(
-                f"trial {t}, m={m}: noisy error {noisy_error} exceeds bound {bound}"
+                f"trial {rec.trial}, m={rec.m}: noisy error {rec.error} exceeds bound {bound}"
                 f" although the clean average was within its gate"
             )
-        path = f"ens={t}/{m};x=0;flip={t}/{m}/{m}"
-        record = TrialRecord(t, m, noisy_error, noisy_qdev, None, rec_noisy.degenerate, path)
-        detail = (t, m, clean_error, noisy_error, bound, clean_qdev, cfg.flip_mode)
-        return record, detail
-
-    units = [(t, m) for t in range(cfg.trials) for m in cfg.m_grid]
-    outputs = _pool_map(worker, units, threads)
-    records = sorted((rec for rec, _ in outputs), key=lambda r: (r.trial, r.m))
-    details = sorted((det for _, det in outputs), key=lambda row: (row[0], row[1]))
+        details.append((rec.trial, rec.m, clean_error, rec.error, bound, clean_qdev, cfg.flip_mode))
     noise_table = AuxTable(
         "noise",
         ("trial", "m", "clean_error", "noisy_error", "bound", "clean_qdev", "flip_mode"),
         details,
     )
-    return ExperimentResult(cfg, records, [noise_table])
+    return ExperimentResult(cfg, [rec for rec, _ in outputs], [noise_table])
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -688,13 +667,7 @@ def _check_soft_sandwich(cfg: ExperimentConfig, root: SeedStream) -> CheckResult
         x0, y0 = RankOneProjection(x0v), RankOneProjection(y0v)
         x1 = RankOneProjection(UnitVector(cfg.field, x0v.entries + 0.03 * bump_x.entries))
         y1 = RankOneProjection(UnitVector(cfg.field, y0v.entries + 0.03 * bump_y.entries))
-        eps = (
-            max(
-                _overlap_error(x0v.entries, x1.vector.entries),
-                _overlap_error(y0v.entries, y1.vector.entries),
-            )
-            + 1e-12
-        )
+        eps = max(rank_one_distance(x0, x1), rank_one_distance(y0, y1)) + 1e-12
         t = (-0.05, 0.0, 0.05)[i % 3]
         mid = soft_hamming(ens, x0, y0, t)
         left = soft_hamming(ens, x1, y1, t + eps)

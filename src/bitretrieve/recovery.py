@@ -8,9 +8,10 @@ with tr(Y) <= 1 is solved exactly by the projection onto that
 eigenspace, so the semidefinite program reduces to one dense
 eigendecomposition.
 
-Averages are accumulated from the ensemble frames in a fixed chunk
-order, which keeps memory O(d^2) independent of m and makes the result
-bit-stable across any scheduling of the surrounding work.
+Averages are accumulated in a fixed chunk order, which makes the result
+bit-stable across any scheduling of the surrounding work. One bit string
+is averaged from the ensemble frames in O(d^2) memory; a stack of them
+from the ensemble's (m, d^2) projection table.
 """
 
 from __future__ import annotations
@@ -95,13 +96,12 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != ens.m:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
     d = ens.dim
+    table = ens.projection_table
     signs = (2.0 * rows.astype(np.float64) - 1.0).astype(ens.field.dtype)
     acc = np.zeros((rows.shape[0], d * d), dtype=ens.field.dtype)
     for start in range(0, ens.m, _ACC_CHUNK):
-        stop = min(start + _ACC_CHUNK, ens.m)
-        block = ens.frames[start:stop]
-        flat_projs = np.einsum("mka,mkb->mab", block.conj(), block).reshape(stop - start, d * d)
-        acc += signs[:, start:stop] @ flat_projs
+        stop = start + _ACC_CHUNK
+        acc += signs[:, start:stop] @ table[start:stop]
     zeros = ens.m - rows.sum(axis=1)
     eye = np.eye(d, dtype=ens.field.dtype).reshape(1, d * d)
     mats = (acc + zeros[:, None] * eye).reshape(rows.shape[0], d, d) / ens.m

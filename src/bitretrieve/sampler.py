@@ -29,6 +29,7 @@ rank-k projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -249,10 +250,18 @@ class MeasurementEnsemble:
     def projection(self, j: int) -> OrthogonalProjection:
         return OrthogonalProjection(self.field, self.n, self.matrix(j))
 
-    def matrix_block(self, start: int, stop: int) -> np.ndarray:
-        """Materialized projection matrices for elements start..stop-1."""
-        block = self.frames[start:stop]
-        return np.einsum("mka,mkb->mab", block.conj(), block)
+    @cached_property
+    def projection_table(self) -> np.ndarray:
+        """Read-only (m, d^2) table whose row j is vec(P_j), built on first use.
+
+        The stacked kernels (many signals or bit strings against one
+        ensemble) run on this table; it costs m * d^2 scalars, so the
+        one-signal kernels stay on the frames.
+        """
+        table = np.einsum("mka,mkb->mab", self.frames.conj(), self.frames)
+        table = table.reshape(self.m, self.dim * self.dim)
+        table.setflags(write=False)
+        return table
 
     def compression(self, size: int) -> np.ndarray:
         """Top-left size x size blocks of every projection, shape (m, size, size)."""

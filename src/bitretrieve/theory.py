@@ -229,26 +229,11 @@ def eigen_density_eval(den: EigenDensity, x: float, y: float) -> float:
 
     p(x, y) = M^-1 (x - y)^(2 beta) [x(1-x) y(1-y)]^(beta(n-1) - 1).
     """
-    x, y = float(x), float(y)
-    if not (0.0 <= y <= x <= 1.0):
-        return 0.0
-    beta = den.field.beta
-    expo = beta * (den.n - 1) - 1.0
-    if x == y:
-        return 0.0
-    edge = x * (1.0 - x) * y * (1.0 - y)
-    if edge == 0.0:
-        if expo > 0.0:
-            return 0.0
-        if expo == 0.0:
-            return math.exp(-den.log_norm + 2.0 * beta * math.log(x - y))
-        return math.inf
-    log_val = -den.log_norm + 2.0 * beta * math.log(x - y) + expo * math.log(edge)
-    return math.exp(log_val)
+    return float(eigen_density_grid(den, float(x), float(y)))
 
 
 def eigen_density_grid(den: EigenDensity, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized eigen_density_eval over same-shaped arrays."""
+    """eigen_density_eval over same-shaped arrays."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     beta = den.field.beta

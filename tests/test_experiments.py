@@ -4,10 +4,13 @@ import sys
 import numpy as np
 import pytest
 
-from bitretrieve.core import FieldKind
+from bitretrieve import cli, experiments, recovery
+from bitretrieve.cli import main
+from bitretrieve.core import FieldKind, InvalidInput
 from bitretrieve.experiments import (
     AuxTable,
     CSV_HEADER,
+    CheckFailure,
     ConfigError,
     ExperimentConfig,
     TrialRecord,
@@ -340,3 +343,57 @@ class TestCli:
     def test_invalid_cli_value_exits_two(self):
         proc = self.run_cli("theory", "--n", "1", "--field", "real")
         assert proc.returncode == 2  # the gap degenerates at real n = 1
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if any ensemble is drawn."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sample_ensemble ran although the bound is undefined")
+
+    monkeypatch.setattr(experiments, "sample_ensemble", forbidden)
+
+
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "runner, experiment",
+        [(run_pointwise, "pointwise"), (run_uniform, "uniform"), (run_noise, "noise")],
+    )
+    def test_undefined_bound_raises_before_sampling(self, no_sampling, runner, experiment):
+        cfg = make_cfg(experiment=experiment, n=1, m_grid="50", trials=2, inputs=2)
+        with pytest.raises(InvalidInput, match="gap is zero"):
+            runner(cfg)
+
+
+class TestExitCodes:
+    ARGV = ["pointwise", "--field", "real", "--n", "2", "--m-grid", "40", "--trials", "1"]
+
+    def test_success_exits_zero(self, tmp_path):
+        out = tmp_path / "ok.csv"
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_check_failure_exits_one(self, monkeypatch, tmp_path, capsys):
+        def failing(cfg, threads=1):
+            raise CheckFailure("noisy error exceeds bound")
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        assert main([*self.ARGV, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "check failure: noisy error exceeds bound" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exits_one(self, monkeypatch, tmp_path, capsys):
+        def failing(h):
+            raise ArithmeticError("eigendecomposition residual 1.0e-03 exceeds tolerance")
+
+        monkeypatch.setattr(recovery, "principal_eigenpair", failing)
+        assert main([*self.ARGV, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "eigendecomposition residual" in err
+        assert "Traceback" not in err
+
+    def test_undefined_bound_exits_two_before_sampling(self, no_sampling, tmp_path, capsys):
+        argv = ["pointwise", "--field", "real", "--n", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert "gap is zero" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

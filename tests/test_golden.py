@@ -83,5 +83,5 @@ def csv_digests(argv: tuple[str, ...], threads: int, directory: Path) -> dict[st
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_csv_digests(name, threads, tmp_path, capsys):
+def test_csv_digests(name, threads, tmp_path):
     assert csv_digests(CONFIGS[name], threads, tmp_path) == GOLDEN[name]
