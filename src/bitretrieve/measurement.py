@@ -153,13 +153,17 @@ def corrupt_bits(
     (each flip moves tr(Q X) by (1 - 2 tr(P_j X))/m, so these are the
     most damaging bits for the recovery functional) and requires
     context=(ensemble, X). Exact-count flipping guarantees the Hamming
-    distance to the original is floor(tau*m)/m <= tau.
+    distance to the original is flips/m <= tau.
     """
     tau = float(tau)
     if not 0.0 <= tau < 1.0:
         raise InvalidInput(f"corrupt_bits: tau must lie in [0, 1), got {tau}")
     m = len(bits)
+    # the 1e-9 absorbs float dust (0.1 * 30 = 2.9999...), but must not push
+    # the count above tau * m when tau * m sits just below an integer
     flips = int(math.floor(tau * m + 1e-9))
+    while flips / m > tau:
+        flips -= 1
     if flips == 0:
         return BitString(bits.bits.copy())
     if mode == "random":

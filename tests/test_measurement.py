@@ -277,6 +277,17 @@ class TestCorruptBits:
         out = corrupt_bits(bits, 0.1, "random", SeedStream(3))
         assert int(out.bits.sum()) == 3
 
+    def test_flip_count_never_exceeds_tau(self):
+        # tau * m = 2.9999999999 must flip 2 bits, not 3: Hamming 0.03 > tau
+        tau = 0.03 - 1e-12
+        bits = BitString([0] * 100)
+        out = corrupt_bits(bits, tau, "random", SeedStream(10))
+        assert int(out.bits.sum()) == 2
+        assert hamming_distance(bits, out) <= tau
+        # decimal taus still flip their exact count
+        out = corrupt_bits(bits, 0.29, "random", SeedStream(11))
+        assert int(out.bits.sum()) == 29
+
     def test_hamming_distance_is_flip_fraction(self):
         tau = 0.3
         out = corrupt_bits(self.bits, tau, "random", SeedStream(4))
