@@ -22,11 +22,11 @@ theory       prints the closed-form constants and sample-size bounds.
 
 Seed-path layout: the signal of the pointwise and noise protocols comes
 from path [0]; the ensemble of trial t at size m from path [t, m] (its
-elements from [t, m, j]); the bit-corruption subset from [t, m, m]. The
-uniform protocol draws the ensemble for size m from [0, m] and signal i
-from [1, i]. Records for trial t therefore depend only on per-trial
-streams plus the shared signal, so prefixes of a run are stable when
-`trials` or `inputs` grow.
+8192-element blocks from [t, m, b]; b < m, so no block collides with the
+bit-corruption subset, drawn from [t, m, m]). The uniform protocol draws
+the ensemble for size m from [0, m] and signal i from [1, i]. Records for
+trial t therefore depend only on per-trial streams plus the shared
+signal, so prefixes of a run are stable when `trials` or `inputs` grow.
 
 Output: the primary CSV has exactly the columns
 trial,m,error,qdev,hamming_gap,degenerate,seed_path; auxiliary tables

@@ -16,14 +16,22 @@ Gaussian variates come from numpy's Generator.standard_normal
 (ziggurat transform of the PCG64 bit stream); together with the hash
 above this pins the exact sequence of every stream for a given numpy
 version, which is the reproducibility contract of the experiment
-harness. Each stream is consumed by exactly one draw call.
+harness. Each stream is consumed by exactly one draw call; complex
+draws take real parts from the first half of that call and imaginary
+parts from the second.
 
 Projections are generated by orthonormalizing a d x k Gaussian matrix
-(a QR factorization in which the phase of each R diagonal entry is
-absorbed into Q, here realized by two passes of classical
-Gram-Schmidt, which produces exactly the positive-diagonal Q factor);
-the projection onto the column span is then Haar-uniform on the set of
-rank-k projections.
+with a QR factorization; the projection onto the column span of a
+Gaussian matrix is Haar-uniform on the set of rank-k projections. No
+phase fix is applied to Q (the step that makes Q itself Haar): a
+projection F* F and the norms ||F x|| depend only on the span, which
+is all the library reads from Q.
+
+An ensemble of m projections is sampled in blocks of _CHUNK = 8192
+elements: block b (elements [b * 8192, (b + 1) * 8192)) is one
+Gaussian draw of shape (count, d, k) from `path + (b,)`, orthonormalized
+by one batched QR call. The block size is therefore part of the
+reproducibility contract.
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ _SALT_S1 = 0xE7037ED1A0B428DB
 _SALT_I0 = 0x8EBC6AF09C88C6E3
 _SALT_I1 = 0x589965CC75374CC3
 
-_ORTHO_PASSES = 2
 _FRAME_TOL = 1e-12
 _CHUNK = 8192
 
@@ -83,23 +90,6 @@ def _pcg_state_inc(h: int, g: int) -> tuple[int, int]:
     state = (_mix64(h ^ _SALT_S0) << 64) | _mix64(g ^ _SALT_S1)
     inc = ((_mix64((h + _SALT_I0) & _MASK) << 64) | _mix64((g + _SALT_I1) & _MASK)) | 1
     return state, inc
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _child_words_vector(h: int, g: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    idx = indices.astype(np.uint64, copy=False)
-    hs = _mix64_array(np.uint64(h) ^ _mix64_array(idx * np.uint64(_GAMMA) + np.uint64(_SALT_H)))
-    gs = _mix64_array(np.uint64(g) + _mix64_array(idx * np.uint64(_GAMMA) + np.uint64(_SALT_G)))
-    return hs, gs
 
 
 @dataclass(frozen=True)
@@ -133,12 +123,12 @@ class SeedStream:
         return "/".join(str(i) for i in self.path) if self.path else "-"
 
 
-def _gaussian(field: FieldKind, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """A d x k matrix of i.i.d. standard Gaussians; for C, real and
-    imaginary parts are each standard Gaussian."""
+def _gaussian(field: FieldKind, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """An array of i.i.d. standard Gaussians; for C, real and imaginary
+    parts are each standard Gaussian, drawn in one call of shape (2, *shape)."""
     if field is FieldKind.REAL:
-        return rng.standard_normal((d, k))
-    parts = rng.standard_normal((2, d, k))
+        return rng.standard_normal(shape)
+    parts = rng.standard_normal((2, *shape))
     return parts[0] + 1j * parts[1]
 
 
@@ -146,34 +136,18 @@ def sample_unit_vector(field: FieldKind, d: int, stream: SeedStream) -> UnitVect
     """A uniformly distributed unit vector: g/||g|| with Gaussian g."""
     if d < 1:
         raise InvalidInput(f"sample_unit_vector: dimension must be >= 1, got {d}")
-    rng = stream.generator()
-    if field is FieldKind.REAL:
-        g = rng.standard_normal(d)
-    else:
-        parts = rng.standard_normal((2, d))
-        g = parts[0] + 1j * parts[1]
-    return UnitVector(field, g)
+    return UnitVector(field, _gaussian(field, (d,), stream.generator()))
 
 
 def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of each matrix in a (m, d, k) stack.
 
-    Two passes of classical Gram-Schmidt; equivalent to the thin QR
-    factor normalized to a positive-diagonal R.
+    The thin Q factor of one batched QR call; Q spans the same columns
+    as the input, with no phase fix (see the module docstring).
     """
-    q = np.array(g)
-    k = q.shape[2]
-    for _ in range(_ORTHO_PASSES):
-        for i in range(k):
-            v = q[:, :, i]
-            if i:
-                prev = q[:, :, :i]
-                coef = np.einsum("mdi,md->mi", prev.conj(), v)
-                v -= np.einsum("mdi,mi->md", prev, coef)
-            norms = np.linalg.norm(v, axis=1)
-            if float(norms.min(initial=np.inf)) == 0.0:
-                raise InvalidInput("orthonormalization hit a rank-deficient Gaussian draw")
-            v /= norms[:, None]
+    q, r = np.linalg.qr(g)
+    if not np.all(np.diagonal(r, axis1=1, axis2=2)):
+        raise InvalidInput("orthonormalization hit a rank-deficient Gaussian draw")
     return q
 
 
@@ -186,7 +160,7 @@ def sample_haar_projection(
     """
     if k < 1 or k > d:
         raise InvalidInput(f"sample_haar_projection: need 1 <= k <= d, got k={k}, d={d}")
-    g = _gaussian(field, d, k, stream.generator())
+    g = _gaussian(field, (d, k), stream.generator())
     q = _orthonormalize_batch(g[None, :, :])[0]
     mat = q @ q.conj().T
     mat = (mat + mat.conj().T) / 2.0
@@ -272,45 +246,21 @@ class MeasurementEnsemble:
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
     """m independent Haar-uniform rank-n projections in dimension 2n.
 
-    Element j is drawn from the sub-stream `stream.child(j)`, so each
-    element can be replayed independently and the ensemble is identical
-    no matter how the generation work is scheduled.
+    Block b of _CHUNK = 8192 elements (elements [b * 8192, (b + 1) * 8192),
+    the last block holding the remainder) is one Gaussian draw of shape
+    (count, 2n, n) from the sub-stream `stream.child(b)`, orthonormalized
+    by one batched QR; the frames are the conjugate transposes of the Q
+    factors. Each block can be replayed independently, and the ensemble
+    is identical no matter how the generation work is scheduled.
     """
     if n < 1:
         raise InvalidInput(f"sample_ensemble: n must be >= 1, got {n}")
     if m < 1:
         raise InvalidInput(f"sample_ensemble: m must be >= 1, got {m}")
     d, k = 2 * n, n
-    h, g = stream._words()
-    hs, gs = _child_words_vector(h, g, np.arange(m, dtype=np.uint64))
-    s_hi = _mix64_array(hs ^ np.uint64(_SALT_S0))
-    s_lo = _mix64_array(gs ^ np.uint64(_SALT_S1))
-    i_hi = _mix64_array(hs + np.uint64(_SALT_I0))
-    i_lo = _mix64_array(gs + np.uint64(_SALT_I1))
-
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
-    template = bitgen.state
-    template["has_uint32"] = 0
-    template["uinteger"] = 0
-
-    gauss = np.empty((m, d, k), dtype=field.dtype)
-    complex_field = field is FieldKind.COMPLEX
-    for j in range(m):
-        template["state"] = {
-            "state": (int(s_hi[j]) << 64) | int(s_lo[j]),
-            "inc": ((int(i_hi[j]) << 64) | int(i_lo[j])) | 1,
-        }
-        bitgen.state = template
-        if complex_field:
-            parts = rng.standard_normal((2, d, k))
-            gauss[j] = parts[0] + 1j * parts[1]
-        else:
-            gauss[j] = rng.standard_normal((d, k))
-
     frames = np.empty((m, k, d), dtype=field.dtype)
-    for start in range(0, m, _CHUNK):
+    for b, start in enumerate(range(0, m, _CHUNK)):
         stop = min(start + _CHUNK, m)
-        q = _orthonormalize_batch(gauss[start:stop])
-        frames[start:stop] = np.conjugate(np.swapaxes(q, 1, 2))
+        g = _gaussian(field, (stop - start, d, k), stream.child(b).generator())
+        frames[start:stop] = np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2))
     return MeasurementEnsemble(field, n, frames)

@@ -7,9 +7,10 @@ them unchanged, and a change that moves any output byte must re-pin them and
 say why.
 
 Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
-0.3.31 (scipy-openblas, DYNAMIC_ARCH). The Gaussian streams depend on the
-numpy version and the reductions on the BLAS, so another stack may need a
-fresh capture.
+0.3.31 (scipy-openblas, DYNAMIC_ARCH), with ensembles sampled as one
+Gaussian draw per 8192-element block and one batched QR. The Gaussian
+streams depend on the numpy version and the reductions on the BLAS, so
+another stack may need a fresh capture.
 """
 
 import hashlib
@@ -46,26 +47,26 @@ CONFIGS = {
 
 GOLDEN = {
     "noise-complex-greedy": {
-        ".csv": "5d1b4d398c20e1ab7f91e2604756f57d0f5d307bc1973561f59e16e9259ceb7c",
-        ".noise.csv": "0868e3fa4b64f0a776c46a604132467b87a25a1ee5e6b8bb024d69d8945f9400",
+        ".csv": "3d9fee17cb05773d3c9365bb766df41bb82cafca4c4cbc3d3baf490d57e98427",
+        ".noise.csv": "19c5c456eae9ff6027d8a99b8c30d6c06426e848d90a93c2956a2575dde50cca",
     },
     "noise-real-random": {
-        ".csv": "6705e3ed726934acd7d9b4fa487b405bb069f54ca3804826810c4658494fca20",
-        ".noise.csv": "c2b5600dcc8c38c863a46656f4d6821186c606e79d2322935dfbf6c1981b1b0f",
+        ".csv": "ccb515d76daa32c7ec1d5bb8509f409034c6fdfbf236fccde7af728379ca9881",
+        ".noise.csv": "5a64df232e76d362ade48942308e63fb2feda81225f6194d3e151456f6e74b88",
     },
     "pointwise-real": {
         ".bounds.csv": "7d796736596498493efb8e7549006d5ed9bf9df68292c64f588de6889600f603",
-        ".csv": "62fd81afa4069a061875a82845a7c0593d4635fa098a3b5c206f652f4fb5723a",
+        ".csv": "05599fd63a075223874f9cb3f0c55d0a1a76ac40f2ac448d41ca85f64717e5c5",
     },
     "uniform-complex": {
         ".bounds.csv": "de7141d2f23b8030ebb47bd2f676d821ebaafa6edd626a3869573ad46601da71",
-        ".csv": "9a50b7cebab75957ba0475f80746000f219f8664ad64032076fbe9a664243f8a",
-        ".max.csv": "41ff7c35a9be0ca58054e283426a3cf6668ad1cfa4277eabf31c4ca3bc5eede0",
+        ".csv": "5c22941b8a62ab15036c81ce27dca06637b6bf96c71e991487f323b6ef656545",
+        ".max.csv": "07948480cd274d96b579fe947d4bc3c58a8d31531a6208cd08dbb1c5c668acca",
     },
     "uniform-real": {
         ".bounds.csv": "d4e353997c92d16820ffef45c27ff2883668f1fcd50f52499044173a72cbd1c3",
-        ".csv": "3abe725534b763adb5dca73d05444c2067d0b6388fc988d9cf8581f53403f14e",
-        ".max.csv": "f3f472ac4d74293bc14b118f92120cd8afad622b99d7ba2914924c0a90b33c4a",
+        ".csv": "f4adb39288ee9b342dcab7eb03daec410a4e3871be0f434cd8c5df2f6591b61d",
+        ".max.csv": "b2c6249ee23bf60264b4a123d50ee4ff94ae0ab7fb56899d455d4f6f6eaca0d5",
     },
 }
 

@@ -125,14 +125,34 @@ class TestOrthonormalize:
             p = q[j] @ q[j].T
             assert np.max(np.abs(p @ g[j] - g[j])) <= 1e-10
 
+    @pytest.mark.parametrize("field", [R, C])
+    def test_rejects_zero_column(self, field):
+        g = np.random.default_rng(5).standard_normal((3, 6, 2)).astype(field.dtype)
+        g[1, :, 1] = 0.0
+        with pytest.raises(InvalidInput):
+            _orthonormalize_batch(g)
+
 
 class TestSampleEnsemble:
-    def test_elements_match_child_streams(self):
-        stream = SeedStream(99, (3, 500))
-        ens = sample_ensemble(R, 4, 20, stream)
-        for j in (0, 7, 19):
-            standalone = sample_haar_projection(R, 4, 8, stream.child(j))
-            assert np.max(np.abs(ens.matrix(j) - standalone.matrix)) <= 1e-13
+    @pytest.mark.parametrize("field", [R, C])
+    def test_blocks_match_child_streams(self, field):
+        # block b of 8192 elements is one Gaussian draw from stream.child(b)
+        # (complex: real parts, then imaginary parts, in one call) and one QR
+        n, block = 2, 8192
+        m = 2 * block + 17
+        stream = SeedStream(99, (3, m))
+        ens = sample_ensemble(field, n, m, stream)
+        for b, start in enumerate(range(0, m, block)):
+            count = min(block, m - start)
+            rng = stream.child(b).generator()
+            if field is R:
+                g = rng.standard_normal((count, 2 * n, n))
+            else:
+                parts = rng.standard_normal((2, count, 2 * n, n))
+                g = parts[0] + 1j * parts[1]
+            q = np.linalg.qr(g)[0]
+            frames = np.conjugate(np.swapaxes(q, 1, 2))
+            assert np.array_equal(ens.frames[start : start + count], frames)
 
     def test_replay_identical(self):
         a = sample_ensemble(C, 2, 50, SeedStream(1, (0, 50)))
@@ -149,6 +169,14 @@ class TestSampleEnsemble:
         for j in range(0, 25, 5):
             p = ens.projection(j)
             assert p.rank == 3 and p.dim == 6
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_large_dimension(self, field):
+        # frames at d = 1024 pass the ensemble's orthonormality check
+        ens = sample_ensemble(field, 512, 2, SeedStream(13))
+        assert ens.frames.shape == (2, 512, 1024)
+        p = ens.projection(0)
+        assert p.rank == 512 and p.dim == 1024
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(InvalidInput):
