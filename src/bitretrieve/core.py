@@ -146,11 +146,6 @@ class RankOneProjection:
         x = self.vector.entries
         return np.outer(x, x.conj())
 
-    def trace_with(self, other: "RankOneProjection") -> float:
-        """tr(X Y) = |<x, y>|^2 for rank-one projections X, Y."""
-        _check_same_space(self, other)
-        return float(abs(np.vdot(self.vector.entries, other.vector.entries)) ** 2)
-
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalProjection:

@@ -61,6 +61,7 @@ from .recovery import (
     average_stack,
     empirical_average,
     expected_average,
+    principal_eigenpairs,
     recover_from_average,
 )
 from .sampler import SeedStream, sample_ensemble, sample_unit_vector
@@ -447,9 +448,7 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             block = signals[start:stop]
             bits = (trace_table(ens, block) >= 0.5).astype(np.uint8)
             qhats = average_stack(ens, bits)
-            vals, vecs = np.linalg.eigh(qhats)
-            margins = vals[:, -1] - vals[:, -2]
-            estimates = vecs[:, :, -1]
+            _, estimates, margins = principal_eigenpairs(qhats)
             est_bits = (trace_table(ens, estimates) >= 0.5).astype(np.uint8)
             hamming = np.mean(bits != est_bits, axis=1)
             expects = consts.mu2 * np.eye(d, dtype=cfg.field.dtype)[None] + (

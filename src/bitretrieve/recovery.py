@@ -38,6 +38,7 @@ __all__ = [
     "empirical_average",
     "average_stack",
     "principal_eigenpair",
+    "principal_eigenpairs",
     "recover_from_average",
     "pep_recover",
     "expected_average",
@@ -109,21 +110,33 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
     return (mats + swapped) / 2.0
 
 
-def principal_eigenpair(h: HermitianMatrix) -> tuple[float, UnitVector, float]:
-    """Top eigenvalue, a unit eigenvector for it, and the margin to the second.
+def principal_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top eigenvalues, unit eigenvectors for them, and the margins to the
+    second, for a stack of Hermitian matrices; (N, d, d) -> (N,), (N, d), (N,).
 
-    Uses a full self-adjoint eigendecomposition; the returned vector
-    satisfies ||Hv - lambda v|| <= 1e-10 * max(1, ||H||).
+    Uses one batched self-adjoint eigendecomposition; raises ArithmeticError
+    unless every returned vector satisfies ||Hv - lambda v|| <= 1e-10 * max(1, ||H||).
     """
-    vals, vecs = np.linalg.eigh(h.matrix)
-    top = float(vals[-1])
-    vec = vecs[:, -1]
-    margin = float(vals[-1] - vals[-2]) if h.dim > 1 else math.inf
-    residual = float(np.linalg.norm(h.matrix @ vec - top * vec))
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if residual > 1e-10 * scale:
-        raise ArithmeticError(f"eigendecomposition residual {residual:.2e} exceeds tolerance")
-    return top, UnitVector(h.field, vec), margin
+    vals, vecs = np.linalg.eigh(mats)
+    top = vals[:, -1]
+    vectors = vecs[:, :, -1]
+    margins = vals[:, -1] - vals[:, -2] if vals.shape[1] > 1 else np.full(len(vals), math.inf)
+    images = np.einsum("nab,nb->na", mats, vectors)
+    residuals = np.linalg.norm(images - top[:, None] * vectors, axis=1)
+    scales = np.maximum(1.0, np.max(np.abs(vals), axis=1))
+    worst = int(np.argmax(residuals / scales))
+    if residuals[worst] > 1e-10 * scales[worst]:
+        raise ArithmeticError(
+            f"eigendecomposition residual {residuals[worst]:.2e} exceeds tolerance"
+        )
+    return top, vectors, margins
+
+
+def principal_eigenpair(h: HermitianMatrix) -> tuple[float, UnitVector, float]:
+    """Top eigenvalue, a unit eigenvector for it, and the margin to the second;
+    a one-element call into principal_eigenpairs."""
+    top, vectors, margins = principal_eigenpairs(h.matrix[None])
+    return float(top[0]), UnitVector(h.field, vectors[0]), float(margins[0])
 
 
 def recover_from_average(avg: HermitianMatrix) -> RecoveryResult:

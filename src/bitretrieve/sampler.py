@@ -194,7 +194,7 @@ class MeasurementEnsemble:
         eye = np.eye(self.n)
         for start in range(0, frames.shape[0], _CHUNK):
             block = frames[start : start + _CHUNK]
-            gram = np.einsum("mkd,mld->mkl", block, block.conj())
+            gram = block @ block.conj().swapaxes(1, 2)
             dev = float(np.max(np.abs(gram - eye), initial=0.0))
             if dev > _FRAME_TOL:
                 raise InvalidInput(f"ensemble frame not orthonormal (deviation {dev:.2e})")

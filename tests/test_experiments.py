@@ -392,6 +392,20 @@ class TestExitCodes:
         assert "eigendecomposition residual" in err
         assert "Traceback" not in err
 
+    def test_uniform_eigensolver_residual_exits_one(self, monkeypatch, tmp_path, capsys):
+        eigh = np.linalg.eigh
+
+        def perturbed(mats):
+            vals, vecs = eigh(mats)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        argv = ["uniform", "--field", "real", "--n", "2", "--m-grid", "40", "--inputs", "3"]
+        with pytest.raises(ArithmeticError, match="eigendecomposition residual"):
+            run_uniform(make_cfg(experiment="uniform", n=2, m_grid="40", inputs=3))
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "eigendecomposition residual" in capsys.readouterr().err
+
     def test_undefined_bound_exits_two_before_sampling(self, no_sampling, tmp_path, capsys):
         argv = ["pointwise", "--field", "real", "--n", "1", "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
