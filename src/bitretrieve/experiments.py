@@ -20,13 +20,15 @@ diagnostics  distributional spot checks (trace law, expected-average
              sandwich); nonzero exit on any failure.
 theory       prints the closed-form constants and sample-size bounds.
 
-Seed-path layout: the signal of the pointwise and noise protocols comes
-from path [0]; the ensemble of trial t at size m from path [t, m] (its
-8192-element blocks from [t, m, b]; b < m, so no block collides with the
-bit-corruption subset, drawn from [t, m, m]). The uniform protocol draws
-the ensemble for size m from [0, m] and signal i from [1, i]. Records for
-trial t therefore depend only on per-trial streams plus the shared
-signal, so prefixes of a run are stable when `trials` or `inputs` grow.
+Seed-path layout: each path is the spawn key of a numpy SeedSequence under
+the master seed, so every index must lie in [0, 2^32). The signal of the
+pointwise and noise protocols comes from path [0]; the ensemble of trial t
+at size m from path [t, m] (its 8192-element blocks from [t, m, b]; b < m,
+so no block collides with the bit-corruption subset, drawn from [t, m, m]).
+The uniform protocol draws the ensemble for size m from [0, m] and signal i
+from [1, i]. Records for trial t therefore depend only on per-trial streams
+plus the shared signal, so prefixes of a run are stable when `trials` or
+`inputs` grow.
 
 Output: the primary CSV has exactly the columns
 trial,m,error,qdev,hamming_gap,degenerate,seed_path; auxiliary tables
@@ -60,7 +62,6 @@ from .recovery import (
     DEGENERACY_TOL,
     average_stack,
     empirical_average,
-    expected_average,
     principal_eigenpairs,
     recover_from_average,
 )
@@ -359,10 +360,12 @@ def _pool_map(worker, units, threads: int) -> list:
         return list(pool.map(worker, units))
 
 
-def _qdev(qmat: np.ndarray, x: RankOneProjection, mu1: float, mu2: float) -> float:
-    expect = expected_average(x, mu1, mu2).matrix
-    vals = np.linalg.eigvalsh(qmat - expect)
-    return float(np.max(np.abs(vals)))
+def _qdevs(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants) -> np.ndarray:
+    """||Q_i - (mu1 X_i + mu2 (I - X_i))|| for stacked averages and signals."""
+    outer = signals[:, :, None] * signals[:, None, :].conj()
+    eye = np.eye(signals.shape[1], dtype=signals.dtype)
+    expects = consts.mu2 * eye + (consts.mu1 - consts.mu2) * outer
+    return np.max(np.abs(np.linalg.eigvalsh(qhats - expects)), axis=1)
 
 
 def _require_experiment(cfg: ExperimentConfig, expected: str) -> None:
@@ -400,7 +403,8 @@ def _run_fixed_signal(
         qhat = empirical_average(ens, bits)
         rec = recover_from_average(qhat)
         error = rank_one_distance(x, rec.estimate)
-        return error, _qdev(qhat.matrix, x, consts.mu1, consts.mu2), rec.degenerate
+        qdev = float(_qdevs(qhat.matrix[None], x.vector.entries[None], consts)[0])
+        return error, qdev, rec.degenerate
 
     def worker(unit: tuple[int, int]) -> tuple[TrialRecord, tuple]:
         t, m = unit
@@ -451,10 +455,7 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             _, estimates, margins = principal_eigenpairs(qhats)
             est_bits = (trace_table(ens, estimates) >= 0.5).astype(np.uint8)
             hamming = np.mean(bits != est_bits, axis=1)
-            expects = consts.mu2 * np.eye(d, dtype=cfg.field.dtype)[None] + (
-                consts.mu1 - consts.mu2
-            ) * np.einsum("ia,ib->iab", block, block.conj())
-            qdevs = np.max(np.abs(np.linalg.eigvalsh(qhats - expects)), axis=1)
+            qdevs = _qdevs(qhats, block, consts)
             for i in range(stop - start):
                 idx = start + i
                 error = _vector_distance(block[i], estimates[i])

@@ -2,18 +2,17 @@
 
 Randomness model
 ----------------
-Every draw is keyed by a SeedStream, a (master_seed, path) pair. A
-stream maps to an independently parameterized PCG64 generator whose
-128-bit state and odd increment are derived from a splitmix64-chained
-hash of the master seed and the path components, so
-
-* distinct paths under one master seed give statistically independent
-  streams (distinct increments select distinct PCG64 sequences), and
-* a fixed (master_seed, path) replays the exact same scalar sequence
-  regardless of thread count or evaluation order.
+Every draw is keyed by a SeedStream, a (master_seed, path) pair whose
+generator is numpy's PCG64 seeded from SeedSequence(master_seed mod
+2^64, spawn_key=path), numpy's construction for independent streams
+keyed by a path. Distinct paths under one master seed therefore give
+statistically independent streams, and a fixed (master_seed, path)
+replays the same sequence whatever the thread count or evaluation
+order. Path indices must lie in [0, 2^32): SeedSequence splits a larger
+int into 32-bit words, which would make (2^32,) the stream (0, 1).
 
 Gaussian variates come from numpy's Generator.standard_normal
-(ziggurat transform of the PCG64 bit stream); together with the hash
+(ziggurat transform of the PCG64 bit stream); together with the seeding
 above this pins the exact sequence of every stream for a given numpy
 version, which is the reproducibility contract of the experiment
 harness. Each stream is consumed by exactly one draw call; complex
@@ -52,44 +51,9 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_GAMMA = 0x9E3779B97F4A7C15
-_SALT_H = 0xD1B54A32D192ED03
-_SALT_G = 0x8CB92BA72F3D8DD7
-_SALT_S0 = 0xA0761D6478BD642F
-_SALT_S1 = 0xE7037ED1A0B428DB
-_SALT_I0 = 0x8EBC6AF09C88C6E3
-_SALT_I1 = 0x589965CC75374CC3
 
 _FRAME_TOL = 1e-12
 _CHUNK = 8192
-
-
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer on python ints, wrapping at 64 bits."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def _child_words(h: int, g: int, index: int) -> tuple[int, int]:
-    index &= _MASK
-    h2 = _mix64(h ^ _mix64((index * _GAMMA + _SALT_H) & _MASK))
-    g2 = _mix64((g + _mix64((index * _GAMMA + _SALT_G) & _MASK)) & _MASK)
-    return h2, g2
-
-
-def _root_words(master_seed: int) -> tuple[int, int]:
-    master_seed &= _MASK
-    return _mix64(master_seed + _SALT_H), _mix64((master_seed * _GAMMA + _SALT_G) & _MASK)
-
-
-def _pcg_state_inc(h: int, g: int) -> tuple[int, int]:
-    state = (_mix64(h ^ _SALT_S0) << 64) | _mix64(g ^ _SALT_S1)
-    inc = ((_mix64((h + _SALT_I0) & _MASK) << 64) | _mix64((g + _SALT_I1) & _MASK)) | 1
-    return state, inc
 
 
 @dataclass(frozen=True)
@@ -99,25 +63,19 @@ class SeedStream:
     master_seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        path = tuple(int(i) for i in self.path)
+        if not all(0 <= i < 1 << 32 for i in path):
+            raise InvalidInput(f"SeedStream: path indices must lie in [0, 2^32), got {path}")
+        object.__setattr__(self, "path", path)
+
     def child(self, *indices: int) -> "SeedStream":
         """The sub-stream at this path extended by the given indices."""
-        return SeedStream(self.master_seed, self.path + tuple(int(i) for i in indices))
-
-    def _words(self) -> tuple[int, int]:
-        h, g = _root_words(int(self.master_seed))
-        for comp in self.path:
-            h, g = _child_words(h, g, int(comp))
-        return h, g
+        return SeedStream(self.master_seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
-        state, inc = _pcg_state_inc(*self._words())
-        bitgen = np.random.PCG64()
-        full = bitgen.state
-        full["state"] = {"state": state, "inc": inc}
-        full["has_uint32"] = 0
-        full["uinteger"] = 0
-        bitgen.state = full
-        return np.random.Generator(bitgen)
+        seq = np.random.SeedSequence(int(self.master_seed) & _MASK, spawn_key=self.path)
+        return np.random.default_rng(seq)
 
     def label(self) -> str:
         return "/".join(str(i) for i in self.path) if self.path else "-"

@@ -7,10 +7,11 @@ them unchanged, and a change that moves any output byte must re-pin them and
 say why.
 
 Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
-0.3.31 (scipy-openblas, DYNAMIC_ARCH), with ensembles sampled as one
-Gaussian draw per 8192-element block and one batched QR. The Gaussian
-streams depend on the numpy version and the reductions on the BLAS, so
-another stack may need a fresh capture.
+0.3.31 (scipy-openblas, DYNAMIC_ARCH), with streams seeded through numpy's
+SeedSequence and ensembles sampled as one Gaussian draw per 8192-element
+block and one batched QR. The Gaussian streams depend on the numpy version
+and the reductions on the BLAS, so another stack may need a fresh capture;
+run this file as a script to print one.
 """
 
 import hashlib
@@ -47,26 +48,26 @@ CONFIGS = {
 
 GOLDEN = {
     "noise-complex-greedy": {
-        ".csv": "3d9fee17cb05773d3c9365bb766df41bb82cafca4c4cbc3d3baf490d57e98427",
-        ".noise.csv": "19c5c456eae9ff6027d8a99b8c30d6c06426e848d90a93c2956a2575dde50cca",
+        ".csv": "670e99937aee9b31607312eda9591ff885a58e24e0f583f439ca9e60b0d6f5ad",
+        ".noise.csv": "1bf2f502975f2dac6fee7ca485203d7b03cd0c8945fd6eee4f5ed828b138d993",
     },
     "noise-real-random": {
-        ".csv": "ccb515d76daa32c7ec1d5bb8509f409034c6fdfbf236fccde7af728379ca9881",
-        ".noise.csv": "5a64df232e76d362ade48942308e63fb2feda81225f6194d3e151456f6e74b88",
+        ".csv": "e3d03b72c67d7d48ac8fcf1a6f499d13eb714327bbfba2afec6e12f97459cd9c",
+        ".noise.csv": "60c639883df50fdac57f9275dff91ba45cab9fe914662e0e9c9e217420759954",
     },
     "pointwise-real": {
         ".bounds.csv": "7d796736596498493efb8e7549006d5ed9bf9df68292c64f588de6889600f603",
-        ".csv": "05599fd63a075223874f9cb3f0c55d0a1a76ac40f2ac448d41ca85f64717e5c5",
+        ".csv": "6b0bb8b0e86619cdfdcd71dfd31591e572cb5cc774994ba378be20b9feefeb65",
     },
     "uniform-complex": {
         ".bounds.csv": "de7141d2f23b8030ebb47bd2f676d821ebaafa6edd626a3869573ad46601da71",
-        ".csv": "5c22941b8a62ab15036c81ce27dca06637b6bf96c71e991487f323b6ef656545",
-        ".max.csv": "07948480cd274d96b579fe947d4bc3c58a8d31531a6208cd08dbb1c5c668acca",
+        ".csv": "6fa4eb3c57d5d0fd7a894b77b47110bcb52741bce40d447644981012c901f196",
+        ".max.csv": "13b523957a60907446fd0d1ac5c4d876bfd3ebaf4c53aa53e69ffafb5da405ab",
     },
     "uniform-real": {
         ".bounds.csv": "d4e353997c92d16820ffef45c27ff2883668f1fcd50f52499044173a72cbd1c3",
-        ".csv": "f4adb39288ee9b342dcab7eb03daec410a4e3871be0f434cd8c5df2f6591b61d",
-        ".max.csv": "b2c6249ee23bf60264b4a123d50ee4ff94ae0ab7fb56899d455d4f6f6eaca0d5",
+        ".csv": "09fb58c7f58cdcb9689af9f33f5fd3367c4fddad1e35801602603cfce293fb41",
+        ".max.csv": "a70726004876eacfe2a776c4ad44c97eff9630429b8ebcd0110e3e468b0df52f",
     },
 }
 
@@ -86,3 +87,26 @@ def csv_digests(argv: tuple[str, ...], threads: int, directory: Path) -> dict[st
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests(name, threads, tmp_path):
     assert csv_digests(CONFIGS[name], threads, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    # Print a fresh GOLDEN mapping to paste above, after checking that
+    # threads 1 and 2 write the same bytes. Run from the repository root:
+    #   PYTHONPATH=src python tests/test_golden.py
+    import contextlib
+    import sys
+    import tempfile
+
+    print("GOLDEN = {")
+    for name in sorted(CONFIGS):
+        runs = []
+        for threads in (1, 2):
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+                runs.append(csv_digests(CONFIGS[name], threads, Path(tmp)))
+        if runs[0] != runs[1]:
+            raise SystemExit(f"{name}: threads 1 and 2 wrote different bytes")
+        print(f'    "{name}": {{')
+        for suffix, digest in runs[0].items():
+            print(f'        "{suffix}": "{digest}",')
+        print("    },")
+    print("}")

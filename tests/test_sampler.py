@@ -54,6 +54,12 @@ class TestSeedStream:
         assert s.label() == "-"
         assert s.child(3, 7).label() == "3/7"
 
+    def test_rejects_indices_outside_32_bits(self):
+        # SeedSequence would split 2**32 into the words (0, 1), aliasing that path.
+        for index in (-1, 2**32):
+            with pytest.raises(InvalidInput):
+                SeedStream(5).child(index)
+
 
 class TestSampleUnitVector:
     def test_real_one_dimensional(self):
