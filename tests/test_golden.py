@@ -1,10 +1,12 @@
-"""Golden SHA-256 digests of every CSV the trial-producing subcommands write.
+"""Golden SHA-256 digests of every CSV the trial-producing subcommands write,
+and the exact results of the diagnostics checks.
 
 The reproducibility contract is that a fixed config writes the same bytes
 on every rerun and at every thread count. The digests below pin those bytes
 across code changes: a refactor that is meant to be byte-identical must leave
 them unchanged, and a change that moves any output byte must re-pin them and
-say why.
+say why. `DIAGNOSTICS` pins every check of `diagnostics --n 3` for both
+fields at the default seed, floats compared exactly through their repr.
 
 Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
 0.3.31 (scipy-openblas, DYNAMIC_ARCH), with streams seeded through numpy's
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from bitretrieve.cli import main
+from bitretrieve.experiments import load_config, run_diagnostics
 
 CONFIGS = {
     "pointwise-real": (
@@ -71,6 +74,25 @@ GOLDEN = {
     },
 }
 
+DIAGNOSTICS = {
+    "complex": (
+        ('beta_trace_law_ks', True, '0.009497202037344388', '0.014616652224137047', ''),
+        ('expected_average_eigenstructure', True, '0.0032813180407973985', '0.01', 'alignment=0.9999'),
+        ('hamming_vs_opnorm_margin', True, '-0.19610780611042727', '0.05', ''),
+        ('separation_probability_mc', True, '0.00010250000000044945', '0.003372883450912212', 'estimate=0.85146 closed=0.85156'),
+        ('eigen_pair_density_chi2', True, '0.3674789040328089', '0.01', 'chi2=18.3 dof=17'),
+        ('soft_hamming_sandwich', True, '-0.050000000000000044', '0.0', ''),
+    ),
+    "real": (
+        ('beta_trace_law_ks', True, '0.009469676670103067', '0.014616652224137047', ''),
+        ('expected_average_eigenstructure', True, '0.002996698816580712', '0.01', 'alignment=0.9998'),
+        ('hamming_vs_opnorm_margin', True, '-0.11681579557610959', '0.05', ''),
+        ('separation_probability_mc', True, '5.9999999999504894e-05', '0.004107919181288743', 'estimate=0.75006 closed=0.75000'),
+        ('eigen_pair_density_chi2', True, '0.2407147486164133', '0.01', 'chi2=25.2 dof=21'),
+        ('soft_hamming_sandwich', True, '-0.026000000000000023', '0.0', ''),
+    ),
+}
+
 
 def csv_digests(argv: tuple[str, ...], threads: int, directory: Path) -> dict[str, str]:
     """Run one config through the CLI and hash every CSV it wrote, keyed by
@@ -89,9 +111,25 @@ def test_csv_digests(name, threads, tmp_path):
     assert csv_digests(CONFIGS[name], threads, tmp_path) == GOLDEN[name]
 
 
+def diagnostics_pin(field: str) -> tuple[tuple, ...]:
+    """(name, passed, repr(statistic), repr(threshold), detail) of every
+    check of `diagnostics --n 3` over `field` at the default seed."""
+    cfg = load_config(experiment="diagnostics", overrides={"field": field, "n": 3})
+    return tuple(
+        (c.name, c.passed, repr(float(c.statistic)), repr(float(c.threshold)), c.detail)
+        for c in run_diagnostics(cfg).checks
+    )
+
+
+@pytest.mark.parametrize("field", sorted(DIAGNOSTICS))
+def test_diagnostics_pin(field):
+    assert diagnostics_pin(field) == DIAGNOSTICS[field]
+
+
 if __name__ == "__main__":
-    # Print a fresh GOLDEN mapping to paste above, after checking that
-    # threads 1 and 2 write the same bytes. Run from the repository root:
+    # Print fresh GOLDEN and DIAGNOSTICS mappings to paste above, after
+    # checking that threads 1 and 2 write the same bytes. Run from the
+    # repository root:
     #   PYTHONPATH=src python tests/test_golden.py
     import contextlib
     import sys
@@ -109,4 +147,11 @@ if __name__ == "__main__":
         for suffix, digest in runs[0].items():
             print(f'        "{suffix}": "{digest}",')
         print("    },")
+    print("}")
+    print("DIAGNOSTICS = {")
+    for field in ("complex", "real"):
+        print(f'    "{field}": (')
+        for check in diagnostics_pin(field):
+            print(f"        {check!r},")
+        print("    ),")
     print("}")
