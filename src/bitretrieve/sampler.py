@@ -3,13 +3,16 @@
 Randomness model
 ----------------
 Every draw is keyed by a SeedStream, a (master_seed, path) pair whose
-generator is numpy's PCG64 seeded from SeedSequence(master_seed mod
-2^64, spawn_key=path), numpy's construction for independent streams
-keyed by a path. Distinct paths under one master seed therefore give
+generator is numpy's PCG64 seeded from SeedSequence(master_seed,
+spawn_key=path), numpy's construction for independent streams keyed by
+a path. Distinct paths under one master seed therefore give
 statistically independent streams, and a fixed (master_seed, path)
 replays the same sequence whatever the thread count or evaluation
-order. Path indices must lie in [0, 2^32): SeedSequence splits a larger
-int into 32-bit words, which would make (2^32,) the stream (0, 1).
+order. SeedSequence splits an int into 32-bit words, so SeedStream
+rejects any value that would alias another stream: path indices must
+lie in [0, 2^32), or (2^32,) would be the stream (0, 1), and the master
+seed in [0, 2^64), or seed 5 + 7 * 2^128 at path () would be seed 5 at
+path (7,).
 
 Gaussian variates come from numpy's Generator.standard_normal
 (ziggurat transform of the PCG64 bit stream); together with the seeding
@@ -50,8 +53,6 @@ __all__ = [
     "sample_ensemble",
 ]
 
-_MASK = (1 << 64) - 1
-
 _FRAME_TOL = 1e-12
 _CHUNK = 8192
 
@@ -64,9 +65,12 @@ class SeedStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        path = tuple(int(i) for i in self.path)
+        seed, path = int(self.master_seed), tuple(int(i) for i in self.path)
+        if not 0 <= seed < 1 << 64:
+            raise InvalidInput(f"SeedStream: master seed must lie in [0, 2^64), got {seed}")
         if not all(0 <= i < 1 << 32 for i in path):
             raise InvalidInput(f"SeedStream: path indices must lie in [0, 2^32), got {path}")
+        object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "path", path)
 
     def child(self, *indices: int) -> "SeedStream":
@@ -74,8 +78,7 @@ class SeedStream:
         return SeedStream(self.master_seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(int(self.master_seed) & _MASK, spawn_key=self.path)
-        return np.random.default_rng(seq)
+        return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=self.path))
 
     def label(self) -> str:
         return "/".join(str(i) for i in self.path) if self.path else "-"

@@ -233,7 +233,7 @@ def eigen_density_eval(den: EigenDensity, x: float, y: float) -> float:
 
 
 def eigen_density_grid(den: EigenDensity, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """eigen_density_eval over same-shaped arrays."""
+    """eigen_density_eval over arrays that broadcast against each other."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     beta = den.field.beta

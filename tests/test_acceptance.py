@@ -21,7 +21,14 @@ from bitretrieve.core import (
     operator_norm,
     rank_one_distance,
 )
-from bitretrieve.experiments import load_config, run_noise, run_pointwise, run_uniform, write_result
+from bitretrieve.experiments import (
+    _ks_statistic,
+    load_config,
+    run_noise,
+    run_pointwise,
+    run_uniform,
+    write_result,
+)
 from bitretrieve.measurement import measure, trace_table, trace_values
 from bitretrieve.recovery import empirical_average, expected_average, recover_from_average
 from bitretrieve.sampler import SeedStream, sample_ensemble, sample_unit_vector
@@ -46,15 +53,6 @@ def report(criterion: str, ok: bool, detail: str, started: float) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def ks_statistic(samples, cdf):
-    ordered = np.sort(samples, kind="stable")
-    values = cdf(ordered)
-    n = samples.shape[0]
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(hi - values), np.max(values - lo)))
-
-
 def test_criterion_1_beta_measurement_law():
     started = time.perf_counter()
     n_samples = 20000
@@ -65,7 +63,7 @@ def test_criterion_1_beta_measurement_law():
         x = RankOneProjection(sample_unit_vector(field, 2 * n, SeedStream(MASTER, (101, tag))))
         traces = trace_values(ens, x)
         bn = field.beta * n
-        stat = ks_statistic(traces, lambda t: betainc(bn, bn, t))
+        stat = _ks_statistic(traces, lambda t: betainc(bn, bn, t))
         mean = float(traces.mean())
         var = float(traces.var(ddof=1))
         target_var = 1.0 / (4.0 * (2.0 * bn + 1.0))

@@ -306,6 +306,13 @@ class TestCli:
             text=True,
         )
 
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats would add about 1 s and 46 MB to every run's startup.
+        code = "import sys, bitretrieve.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_theory_subcommand(self):
         proc = self.run_cli("theory", "--field", "real", "--n", "8", "--delta", "0.1", "--bound-D", "3")
         assert proc.returncode == 0
@@ -411,3 +418,11 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "gap is zero" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_two(self, seed, no_sampling, tmp_path, capsys):
+        # Masked to 64 bits, -1 would silently run as seed 2**64 - 1.
+        out = tmp_path / "x.csv"
+        assert main([*self.ARGV, "--seed", seed, "--out", str(out)]) == 2
+        assert "master seed must lie in [0, 2^64)" in capsys.readouterr().err
+        assert not out.exists()

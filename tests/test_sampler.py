@@ -5,6 +5,7 @@ import pytest
 from scipy.special import betainc
 
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection
+from bitretrieve.experiments import _ks_statistic
 from bitretrieve.measurement import trace_values
 from bitretrieve.sampler import (
     MeasurementEnsemble,
@@ -17,15 +18,6 @@ from bitretrieve.sampler import (
 
 R = FieldKind.REAL
 C = FieldKind.COMPLEX
-
-
-def ks_statistic(samples, cdf):
-    samples = np.sort(samples, kind="stable")
-    n = samples.shape[0]
-    values = cdf(samples)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(hi - values), np.max(values - lo)))
 
 
 class TestSeedStream:
@@ -59,6 +51,14 @@ class TestSeedStream:
         for index in (-1, 2**32):
             with pytest.raises(InvalidInput):
                 SeedStream(5).child(index)
+
+    def test_rejects_master_seed_outside_64_bits(self):
+        # Masked to 64 bits, -1 would alias seed 2**64 - 1; unmasked, seeds of
+        # 2**128 and up would alias child paths of smaller seeds.
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidInput, match="master seed"):
+                SeedStream(seed)
+        assert SeedStream(2**64 - 1).generator().integers(2**32) >= 0
 
 
 class TestSampleUnitVector:
@@ -225,7 +225,7 @@ class TestTraceDistribution:
         traces = trace_values(ens, x)
         se = traces.std(ddof=1) / math.sqrt(n_samples)
         assert abs(traces.mean() - 0.5) <= 3 * se
-        stat = ks_statistic(traces, lambda t: t)
+        stat = _ks_statistic(traces, lambda t: t)
         assert stat < 1.36 / math.sqrt(n_samples) + 0.005
 
     @pytest.mark.parametrize("field,n", [(R, 8), (C, 4)])
@@ -235,7 +235,7 @@ class TestTraceDistribution:
         x = RankOneProjection(sample_unit_vector(field, 2 * n, SeedStream(406, (9,))))
         traces = trace_values(ens, x)
         bn = field.beta * n
-        stat = ks_statistic(traces, lambda t: betainc(bn, bn, t))
+        stat = _ks_statistic(traces, lambda t: betainc(bn, bn, t))
         assert stat < 1.36 / math.sqrt(n_samples) + 0.005
 
     def test_rotation_invariance(self):
