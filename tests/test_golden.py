@@ -9,11 +9,14 @@ say why. `DIAGNOSTICS` pins every check of `diagnostics --n 3` for both
 fields at the default seed, floats compared exactly through their repr.
 
 Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
-0.3.31 (scipy-openblas, DYNAMIC_ARCH), with streams seeded through numpy's
-SeedSequence and ensembles sampled as one Gaussian draw per 8192-element
-block and one batched QR. The Gaussian streams depend on the numpy version
-and the reductions on the BLAS, so another stack may need a fresh capture;
-run this file as a script to print one.
+0.3.31 (scipy-openblas, DYNAMIC_ARCH) at one BLAS thread, with streams
+seeded through numpy's SeedSequence and ensembles sampled as one Gaussian
+draw per 8192-element block and one batched QR. The Gaussian streams depend
+on the numpy version and the reductions on the BLAS build and its thread
+count (the stacked averages' GEMM splits its work by thread), so
+`tests/conftest.py` pins the BLAS to one thread, and another stack may need
+a fresh capture; run this file as a script, with the BLAS pinned the same
+way, to print one.
 """
 
 import hashlib
@@ -28,6 +31,11 @@ CONFIGS = {
     "pointwise-real": (
         "pointwise", "--field", "real", "--n", "4", "--m-grid", "50,150,400",
         "--trials", "3", "--seed", "11",
+    ),
+    # m = 2 * 8192 + 17 spans three sampling blocks, the last one partial.
+    "pointwise-real-block": (
+        "pointwise", "--field", "real", "--n", "2", "--m-grid", "16401",
+        "--trials", "2", "--seed", "16",
     ),
     # inputs > 512 crosses the uniform runner's signal block, and m = 9000 the
     # 8192-element accumulation chunk of the stacked average.
@@ -62,15 +70,19 @@ GOLDEN = {
         ".bounds.csv": "7d796736596498493efb8e7549006d5ed9bf9df68292c64f588de6889600f603",
         ".csv": "6b0bb8b0e86619cdfdcd71dfd31591e572cb5cc774994ba378be20b9feefeb65",
     },
+    "pointwise-real-block": {
+        ".bounds.csv": "0f33a1c3cb94a16d2018c60dbee530aadb7d23768303d2d48355e0563c9e20d3",
+        ".csv": "baf022165ff5c3be1473d781065171aa3baddb81660282c476d3e86cbc59bb0a",
+    },
     "uniform-complex": {
         ".bounds.csv": "de7141d2f23b8030ebb47bd2f676d821ebaafa6edd626a3869573ad46601da71",
-        ".csv": "6fa4eb3c57d5d0fd7a894b77b47110bcb52741bce40d447644981012c901f196",
-        ".max.csv": "13b523957a60907446fd0d1ac5c4d876bfd3ebaf4c53aa53e69ffafb5da405ab",
+        ".csv": "1accef93e296c99fbc1a7fbddb4eedaabd3cc90b0a755b0657b4b58737f847e4",
+        ".max.csv": "c2ca2b7e68fa4df88fd8084540d40e7ff9fb115a21e9e665a34a5f37bc242d46",
     },
     "uniform-real": {
         ".bounds.csv": "d4e353997c92d16820ffef45c27ff2883668f1fcd50f52499044173a72cbd1c3",
-        ".csv": "09fb58c7f58cdcb9689af9f33f5fd3367c4fddad1e35801602603cfce293fb41",
-        ".max.csv": "a70726004876eacfe2a776c4ad44c97eff9630429b8ebcd0110e3e468b0df52f",
+        ".csv": "37dc9c04d4370a7747bc29005eae22826ff14909633821a8d97bccbe0da8f8a7",
+        ".max.csv": "d2cf71d2937fdfb99f68d0bd6dab20f6543781ad5936d15e4104355f95f4ebec",
     },
 }
 
@@ -129,7 +141,8 @@ def test_diagnostics_pin(field):
 if __name__ == "__main__":
     # Print fresh GOLDEN and DIAGNOSTICS mappings to paste above, after
     # checking that threads 1 and 2 write the same bytes. Run from the
-    # repository root:
+    # repository root, with the BLAS pinned as tests/conftest.py pins it:
+    #   OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
     #   PYTHONPATH=src python tests/test_golden.py
     import contextlib
     import sys
