@@ -5,7 +5,13 @@ Experiments
 pointwise    one fixed signal, fresh ensembles per (trial, m); records the
              recovery error and the deviation of the empirical average from
              its expectation, plus the inverted fixed-signal accuracy bound
-             as an auxiliary table.
+             as an auxiliary table. Each (trial, m) ensemble is streamed one
+             sampling block at a time and never held whole: the block is
+             drawn, validated, measured and added into one d x d
+             accumulator, so a unit's memory is one block's working set
+             whatever m is. The sampler and the accumulation kernel share
+             one 8192-element _CHUNK, so the averages equal those of the
+             materialized ensemble bit for bit.
 uniform      one ensemble per m, many random signals recovered against it;
              records per-signal errors, the running maximum, and the
              inverted uniform accuracy bound.
@@ -13,7 +19,14 @@ noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
              again; records clean and noisy errors against the robustness
-             bound.
+             bound. The flipped set F is the one `corrupt_bits` picks on the
+             materialized ensemble: random mode draws it from the same flip
+             stream [t, m, m] with the same call before the pass, and greedy
+             mode keeps a running top floor(tau m) by damage during the pass,
+             holding only the frames that may still be flipped. The noisy
+             average is then a sparse update of the clean one:
+             acc - 2 sum_F s_j P_j and zeros + sum_F s_j, with s_j = 2 b_j - 1
+             and the sum in index order.
 diagnostics  distributional spot checks (trace law, expected-average
              eigenstructure, Hamming-vs-operator-norm margin, separation
              probability, eigenvalue-pair density fit, soft-distance
@@ -50,21 +63,40 @@ from scipy.special import betainc, chdtrc
 
 from .core import (
     FieldKind,
+    HermitianMatrix,
     InvalidInput,
     RankOneProjection,
     UnitVector,
     _vector_distance,
     rank_one_distance,
 )
-from .measurement import corrupt_bits, measure, trace_table, trace_values, soft_hamming
+from .measurement import (
+    _answers,
+    _damage,
+    _flip_count,
+    _most_damaging,
+    _random_flips,
+    measure,
+    soft_hamming,
+    trace_table,
+    trace_values,
+)
 from .recovery import (
     DEGENERACY_TOL,
+    _accumulate_signed,
+    _finalize_average,
     average_stack,
     empirical_average,
     principal_eigenpairs,
     recover_from_average,
 )
-from .sampler import SeedStream, sample_ensemble, sample_unit_vector
+from .sampler import (
+    MeasurementEnsemble,
+    SeedStream,
+    _frame_blocks,
+    sample_ensemble,
+    sample_unit_vector,
+)
 from .theory import (
     TheoryConstants,
     eigen_density,
@@ -383,23 +415,81 @@ def _bounds_table(cfg: ExperimentConfig, level) -> AuxTable:
 # Experiment runners
 
 
+def _streamed_averages(
+    field: FieldKind,
+    n: int,
+    m: int,
+    blocks,
+    x: RankOneProjection,
+    flip_mode: str | None = None,
+    tau: float = 0.0,
+    flip_stream: SeedStream | None = None,
+) -> tuple[HermitianMatrix, HermitianMatrix, np.ndarray]:
+    """The clean and the corrupted empirical average of one ensemble, in
+    one pass over its frame blocks.
+
+    `blocks` yields (start, frames) in order, as `sampler._frame_blocks`
+    does. Each block is validated by wrapping it in a MeasurementEnsemble,
+    measured against x and added into one signed accumulator, then
+    dropped. With a flip mode, the positions `corrupt_bits(bits, tau,
+    flip_mode, flip_stream, (ensemble, x))` would flip are chosen on the
+    way (see the module docstring) and only their frames are kept.
+    Returns the clean average, the corrupted one (the clean one when
+    nothing is flipped) and the flipped positions in increasing order.
+    """
+    acc = np.zeros((2 * n, 2 * n), dtype=field.dtype)
+    ones = 0
+    flips = _flip_count(tau, m) if flip_mode is not None else 0
+    drawn = None
+    if flips and flip_mode == "random":
+        drawn = np.sort(_random_flips(m, flips, flip_stream))
+    # (positions, damages, frames, bits) of the flip candidates, in index order
+    kept: list[tuple[np.ndarray, ...]] = []
+    for start, frames in blocks:
+        block = MeasurementEnsemble(field, n, frames)
+        traces = trace_values(block, x)
+        bits = _answers(traces)
+        _accumulate_signed(acc, block.frames, bits)
+        ones += int(bits.sum())
+        if not flips:
+            continue
+        stop = start + block.m
+        found = (np.arange(start, stop), _damage(traces), block.frames, bits)
+        if drawn is not None:
+            lo, hi = np.searchsorted(drawn, (start, stop))
+            kept.append(tuple(a[drawn[lo:hi] - start] for a in found))
+        else:
+            merged = [np.concatenate(parts) for parts in zip(*kept, found)]
+            top = np.sort(_most_damaging(merged[1], flips))
+            kept = [tuple(a[top] for a in merged)]
+    zeros = m - ones
+    clean = _finalize_average(field, acc, zeros, m)
+    if not flips:
+        return clean, clean, np.empty(0, dtype=np.intp)
+    positions, _, frames, bits = (np.concatenate(parts) for parts in zip(*kept))
+    flipped = np.zeros_like(acc)
+    _accumulate_signed(flipped, frames, bits)
+    sign_sum = 2 * int(bits.sum()) - len(bits)
+    noisy = _finalize_average(field, acc - 2.0 * flipped, zeros + sign_sum, m)
+    return clean, noisy, positions
+
+
 def _run_fixed_signal(
     cfg: ExperimentConfig, consts: TheoryConstants, threads: int
 ) -> list[tuple[TrialRecord, tuple]]:
     """The pointwise pipeline, shared by the pointwise and noise protocols.
 
-    Each (trial, m) unit samples its ensemble, measures the fixed signal,
-    averages, recovers and scores the estimate by (error, qdev). The noise
-    protocol then flips bits and recovers again from the corrupted string.
-    Returns, per unit in (trial, m) order, the record of the last recovery
-    and the clean (error, qdev).
+    Each (trial, m) unit streams its ensemble through `_streamed_averages`,
+    recovers from the average and scores the estimate by (error, qdev).
+    The noise protocol also recovers from the corrupted average. Returns,
+    per unit in (trial, m) order, the record of the last recovery and the
+    clean (error, qdev).
     """
     root = SeedStream(cfg.master_seed)
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0)))
     noisy = cfg.experiment == "noise"
 
-    def recover(ens, bits):
-        qhat = empirical_average(ens, bits)
+    def recover(qhat):
         rec = recover_from_average(qhat)
         error = rank_one_distance(x, rec.estimate)
         qdev = float(_qdevs(qhat.matrix[None], x.vector.entries[None], consts)[0])
@@ -407,13 +497,15 @@ def _run_fixed_signal(
 
     def worker(unit: tuple[int, int]) -> tuple[TrialRecord, tuple]:
         t, m = unit
-        ens = sample_ensemble(cfg.field, cfg.n, m, root.child(t, m))
-        bits = measure(ens, x)
-        error, qdev, degenerate = recover(ens, bits)
+        blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(t, m))
+        mode = cfg.flip_mode if noisy else None
+        clean_avg, noisy_avg, _ = _streamed_averages(
+            cfg.field, cfg.n, m, blocks, x, mode, cfg.tau, root.child(t, m, m)
+        )
+        error, qdev, degenerate = recover(clean_avg)
         clean, path = (error, qdev), f"ens={t}/{m};x=0"
         if noisy:
-            corrupted = corrupt_bits(bits, cfg.tau, cfg.flip_mode, root.child(t, m, m), (ens, x))
-            error, qdev, degenerate = recover(ens, corrupted)
+            error, qdev, degenerate = recover(noisy_avg)
             path += f";flip={t}/{m}/{m}"
         return TrialRecord(t, m, error, qdev, None, degenerate, path), clean
 
@@ -449,10 +541,10 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         for start in range(0, cfg.inputs, _INPUT_BLOCK):
             stop = min(start + _INPUT_BLOCK, cfg.inputs)
             block = signals[start:stop]
-            bits = (trace_table(ens, block) >= 0.5).astype(np.uint8)
+            bits = _answers(trace_table(ens, block))
             qhats = average_stack(ens, bits)
             _, estimates, margins = principal_eigenpairs(qhats)
-            est_bits = (trace_table(ens, estimates) >= 0.5).astype(np.uint8)
+            est_bits = _answers(trace_table(ens, estimates))
             hamming = np.mean(bits != est_bits, axis=1)
             qdevs = _qdevs(qhats, block, consts)
             for i in range(stop - start):

@@ -80,9 +80,14 @@ def binary_question(p: OrthogonalProjection, x: RankOneProjection) -> int:
     return int(trace_value(p, x) >= p.rank / p.dim)
 
 
+def _answers(traces: np.ndarray) -> np.ndarray:
+    """The uint8 answers tr(P X) >= 1/2 of half-dimensional projections."""
+    return (traces >= 0.5).astype(np.uint8)
+
+
 def measure(ens: MeasurementEnsemble, x: RankOneProjection) -> BitString:
     """The m-bit answer string (binary_question(P_j, X))_j."""
-    return BitString((trace_values(ens, x) >= 0.5).astype(np.uint8))
+    return BitString(_answers(trace_values(ens, x)))
 
 
 def hamming_distance(a: BitString, b: BitString) -> float:
@@ -139,6 +144,36 @@ def soft_hamming(
     return float(np.mean(hit))
 
 
+def _flip_count(tau: float, m: int) -> int:
+    """floor(tau * m), lowered until flips / m <= tau."""
+    tau = float(tau)
+    if not 0.0 <= tau < 1.0:
+        raise InvalidInput(f"corrupt_bits: tau must lie in [0, 1), got {tau}")
+    # the 1e-9 absorbs float dust (0.1 * 30 = 2.9999...), but must not push
+    # the count above tau * m when tau * m sits just below an integer
+    flips = int(math.floor(tau * m + 1e-9))
+    while flips / m > tau:
+        flips -= 1
+    return flips
+
+
+def _random_flips(m: int, flips: int, stream: SeedStream) -> np.ndarray:
+    """The random mode's flip set: `flips` distinct positions below m, in
+    the order the stream draws them."""
+    return stream.generator().choice(m, size=flips, replace=False)
+
+
+def _damage(traces: np.ndarray) -> np.ndarray:
+    """|1 - 2 tr(P_j X)|: m times the move of tr(Q X) when bit j flips."""
+    return np.abs(1.0 - 2.0 * traces)
+
+
+def _most_damaging(damage: np.ndarray, count: int) -> np.ndarray:
+    """The greedy mode's flip set: the positions of the `count` largest
+    damages, ties broken toward the lower position (a stable argsort)."""
+    return np.argsort(-damage, kind="stable")[:count]
+
+
 def corrupt_bits(
     bits: BitString,
     tau: float,
@@ -155,27 +190,19 @@ def corrupt_bits(
     context=(ensemble, X). Exact-count flipping guarantees the Hamming
     distance to the original is flips/m <= tau.
     """
-    tau = float(tau)
-    if not 0.0 <= tau < 1.0:
-        raise InvalidInput(f"corrupt_bits: tau must lie in [0, 1), got {tau}")
     m = len(bits)
-    # the 1e-9 absorbs float dust (0.1 * 30 = 2.9999...), but must not push
-    # the count above tau * m when tau * m sits just below an integer
-    flips = int(math.floor(tau * m + 1e-9))
-    while flips / m > tau:
-        flips -= 1
+    flips = _flip_count(tau, m)
     if flips == 0:
         return BitString(bits.bits.copy())
     if mode == "random":
-        idx = stream.generator().choice(m, size=flips, replace=False)
+        idx = _random_flips(m, flips, stream)
     elif mode == "greedy":
         if context is None:
             raise InvalidInput("corrupt_bits: greedy mode requires context=(ensemble, X)")
         ens, x = context
         if ens.m != m:
             raise InvalidInput(f"corrupt_bits: context ensemble has m={ens.m}, bits have m={m}")
-        damage = np.abs(1.0 - 2.0 * trace_values(ens, x))
-        idx = np.argsort(-damage, kind="stable")[:flips]
+        idx = _most_damaging(_damage(trace_values(ens, x)), flips)
     else:
         raise InvalidInput(f"corrupt_bits: unknown mode {mode!r}")
     out = bits.bits.copy()

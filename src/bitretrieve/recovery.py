@@ -10,8 +10,14 @@ eigendecomposition.
 
 Averages are accumulated in a fixed chunk order, which makes the result
 bit-stable across any scheduling of the surrounding work. One bit string
-is averaged from the ensemble frames in O(d^2) memory; a stack of them
-from the ensemble's (m, d^2) projection table.
+is averaged from the ensemble frames by one kernel, `_accumulate_signed`,
+which adds sum_j (2 b_j - 1) P_j into a d x d accumulator in chunks of
+the sampler's _CHUNK frame rows, and one finalize step,
+`_finalize_average`. A sampling block is a whole number of those chunks,
+so the experiment runners stream an ensemble through the kernel block by
+block and get `empirical_average`'s bytes without holding the ensemble.
+A stack of bit strings is averaged from the ensemble's (m, d^2)
+projection table.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ import numpy as np
 
 from .core import (
     BitString,
+    FieldKind,
     HermitianMatrix,
     InvalidInput,
     OrthogonalProjection,
     RankOneProjection,
     UnitVector,
 )
-from .sampler import MeasurementEnsemble
+from .sampler import _CHUNK, MeasurementEnsemble
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -45,7 +52,6 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-9
-_ACC_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -77,18 +83,32 @@ def empirical_average(ens: MeasurementEnsemble, bits: BitString) -> HermitianMat
     """
     if len(bits) != ens.m:
         raise InvalidInput(f"empirical_average: {len(bits)} bits for m={ens.m} projections")
-    d, k = ens.dim, ens.n
-    flat = ens.flat_frames()
-    signs = np.repeat(2.0 * bits.bits.astype(np.float64) - 1.0, k)
-    acc = np.zeros((d, d), dtype=ens.field.dtype)
-    for start in range(0, flat.shape[0], _ACC_CHUNK):
-        stop = start + _ACC_CHUNK
+    acc = np.zeros((ens.dim, ens.dim), dtype=ens.field.dtype)
+    _accumulate_signed(acc, ens.frames, bits.bits)
+    return _finalize_average(ens.field, acc, ens.m - int(bits.bits.sum()), ens.m)
+
+
+def _accumulate_signed(acc: np.ndarray, frames: np.ndarray, bits: np.ndarray) -> None:
+    """acc += sum_j (2 bits[j] - 1) F_j^H F_j for a (count, k, d) frame stack.
+
+    The frame rows are summed in chunks of _CHUNK rows, counted from the
+    stack's first row.
+    """
+    d = frames.shape[2]
+    flat = frames.reshape(-1, d)
+    signs = np.repeat(2.0 * bits.astype(np.float64) - 1.0, frames.shape[1])
+    for start in range(0, flat.shape[0], _CHUNK):
+        stop = start + _CHUNK
         block = flat[start:stop]
         acc += (block.conj() * signs[start:stop, None]).T @ block
-    zeros = ens.m - int(bits.bits.sum())
-    mat = (acc + zeros * np.eye(d, dtype=ens.field.dtype)) / ens.m
+
+
+def _finalize_average(field: FieldKind, acc: np.ndarray, zeros: int, m: int) -> HermitianMatrix:
+    """(acc + zeros I) / m, symmetrized: the average of m selected projections
+    whose signed sum is acc and of which `zeros` are complements."""
+    mat = (acc + zeros * np.eye(acc.shape[0], dtype=field.dtype)) / m
     mat = (mat + mat.conj().T) / 2.0
-    return HermitianMatrix(ens.field, mat)
+    return HermitianMatrix(field, mat)
 
 
 def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
@@ -100,8 +120,8 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
     table = ens.projection_table
     signs = (2.0 * rows.astype(np.float64) - 1.0).astype(ens.field.dtype)
     acc = np.zeros((rows.shape[0], d * d), dtype=ens.field.dtype)
-    for start in range(0, ens.m, _ACC_CHUNK):
-        stop = start + _ACC_CHUNK
+    for start in range(0, ens.m, _CHUNK):
+        stop = start + _CHUNK
         acc += signs[:, start:stop] @ table[start:stop]
     zeros = ens.m - rows.sum(axis=1)
     eye = np.eye(d, dtype=ens.field.dtype).reshape(1, d * d)

@@ -33,7 +33,10 @@ An ensemble of m projections is sampled in blocks of _CHUNK = 8192
 elements: block b (elements [b * 8192, (b + 1) * 8192)) is one
 Gaussian draw of shape (count, d, k) from `path + (b,)`, orthonormalized
 by one batched QR call. The block size is therefore part of the
-reproducibility contract.
+reproducibility contract. The same _CHUNK sizes the recovery module's
+accumulation chunks, so a sampling block is a whole number of them and an
+ensemble can be streamed block by block (`_frame_blocks`) with the sums
+of the materialized ensemble, bit for bit.
 """
 
 from __future__ import annotations
@@ -204,6 +207,22 @@ class MeasurementEnsemble:
         return np.einsum("mka,mkb->mab", cols.conj(), cols)
 
 
+def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
+    """Yield (start, frames) for each sampling block of the ensemble that
+    `sample_ensemble(field, n, m, stream)` returns, in order.
+
+    `frames` is a fresh C-ordered (count, n, 2n) array holding elements
+    [start, start + count); it is not validated, and the caller owns it.
+    """
+    d, k = 2 * n, n
+    for b, start in enumerate(range(0, m, _CHUNK)):
+        count = min(_CHUNK, m - start)
+        q = _orthonormalize_batch(_gaussian(field, (count, d, k), stream.child(b).generator()))
+        frames = np.empty((count, k, d), dtype=field.dtype)
+        np.conjugate(np.swapaxes(q, 1, 2), out=frames)
+        yield start, frames
+
+
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
     """m independent Haar-uniform rank-n projections in dimension 2n.
 
@@ -218,10 +237,7 @@ def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> Mea
         raise InvalidInput(f"sample_ensemble: n must be >= 1, got {n}")
     if m < 1:
         raise InvalidInput(f"sample_ensemble: m must be >= 1, got {m}")
-    d, k = 2 * n, n
-    frames = np.empty((m, k, d), dtype=field.dtype)
-    for b, start in enumerate(range(0, m, _CHUNK)):
-        stop = min(start + _CHUNK, m)
-        g = _gaussian(field, (stop - start, d, k), stream.child(b).generator())
-        frames[start:stop] = np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2))
+    frames = np.empty((m, n, 2 * n), dtype=field.dtype)
+    for start, block in _frame_blocks(field, n, m, stream):
+        frames[start : start + len(block)] = block
     return MeasurementEnsemble(field, n, frames)

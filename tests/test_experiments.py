@@ -354,12 +354,13 @@ class TestCli:
 
 @pytest.fixture
 def no_sampling(monkeypatch):
-    """Fail the test if any ensemble is drawn."""
+    """Fail the test if any ensemble is drawn, whole or block by block."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("sample_ensemble ran although the bound is undefined")
+        raise AssertionError("an ensemble was sampled although the bound is undefined")
 
     monkeypatch.setattr(experiments, "sample_ensemble", forbidden)
+    monkeypatch.setattr(experiments, "_frame_blocks", forbidden)
 
 
 class TestFailFast:

@@ -10,13 +10,14 @@ fields at the default seed, floats compared exactly through their repr.
 
 Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
 0.3.31 (scipy-openblas, DYNAMIC_ARCH) at one BLAS thread, with streams
-seeded through numpy's SeedSequence and ensembles sampled as one Gaussian
-draw per 8192-element block and one batched QR. The Gaussian streams depend
-on the numpy version and the reductions on the BLAS build and its thread
-count (the stacked averages' GEMM splits its work by thread), so
-`tests/conftest.py` pins the BLAS to one thread, and another stack may need
-a fresh capture; run this file as a script, with the BLAS pinned the same
-way, to print one.
+seeded through numpy's SeedSequence, ensembles sampled as one Gaussian
+draw per 8192-element block and one batched QR, and the noise protocol's
+corrupted average taken as a sparse update of the clean one. The Gaussian
+streams depend on the numpy version and the reductions on the BLAS build
+and its thread count (the stacked averages' GEMM splits its work by
+thread), so `tests/conftest.py` pins the BLAS to one thread, and another
+stack may need a fresh capture; run this file as a script, with the BLAS
+pinned the same way, to print one.
 """
 
 import hashlib
@@ -55,16 +56,25 @@ CONFIGS = {
         "noise", "--field", "complex", "--n", "3", "--m-grid", "300,900",
         "--trials", "3", "--tau", "0.05", "--flip-mode", "greedy", "--seed", "15",
     ),
+    # The greedy mode's running top floor(tau m) carried across three blocks.
+    "noise-real-greedy-block": (
+        "noise", "--field", "real", "--n", "2", "--m-grid", "16401",
+        "--trials", "2", "--tau", "0.05", "--flip-mode", "greedy", "--seed", "17",
+    ),
 }
 
 GOLDEN = {
     "noise-complex-greedy": {
-        ".csv": "670e99937aee9b31607312eda9591ff885a58e24e0f583f439ca9e60b0d6f5ad",
-        ".noise.csv": "1bf2f502975f2dac6fee7ca485203d7b03cd0c8945fd6eee4f5ed828b138d993",
+        ".csv": "ec2c38aaad0d46be14eccb8f4361a4a3761fbeeb979d82dab3600c5e8fecb255",
+        ".noise.csv": "aad15c7a931afa4c704fb6f103548c956901b5ef2eb6eaa71b8387dfbf99a6db",
+    },
+    "noise-real-greedy-block": {
+        ".csv": "630a28a9ea53cad71afc96082e6608c0451ed7d912802786e122ebe5d716cecc",
+        ".noise.csv": "aaf261e66da74edbb5aabaf5a739402e439da19c212f0eca49b32aa79d003c6e",
     },
     "noise-real-random": {
-        ".csv": "e3d03b72c67d7d48ac8fcf1a6f499d13eb714327bbfba2afec6e12f97459cd9c",
-        ".noise.csv": "60c639883df50fdac57f9275dff91ba45cab9fe914662e0e9c9e217420759954",
+        ".csv": "df7dab7d1b4c4c5ecc4a2fb17aea89bd2e781aae37c731e448465e37900bb0f3",
+        ".noise.csv": "c0cac85483d318cbd6748a866b745962b4bfca6be0972f32373aece75bc60b31",
     },
     "pointwise-real": {
         ".bounds.csv": "7d796736596498493efb8e7549006d5ed9bf9df68292c64f588de6889600f603",

@@ -1,0 +1,135 @@
+"""The streamed fixed-signal unit against the materialized oracles.
+
+`experiments._streamed_averages` walks an ensemble's sampling blocks and
+never holds the whole ensemble. These tests check it against the public
+kernels on the materialized ensemble (`sample_ensemble`, `measure`,
+`empirical_average`, `corrupt_bits`) at m = 2 * 8192 + 17, so the pass
+crosses two block boundaries and ends on a partial block, and check that
+a pointwise unit's memory does not grow with m.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection, UnitVector
+from bitretrieve.experiments import _streamed_averages, load_config, run_pointwise
+from bitretrieve.measurement import corrupt_bits, measure
+from bitretrieve.recovery import empirical_average
+from bitretrieve.sampler import (
+    _CHUNK,
+    MeasurementEnsemble,
+    SeedStream,
+    _frame_blocks,
+    sample_ensemble,
+    sample_unit_vector,
+)
+
+M = 2 * _CHUNK + 17
+N = 2
+FIELDS = [FieldKind.REAL, FieldKind.COMPLEX]
+ROOT = SeedStream(31)
+ENSEMBLE_STREAM = ROOT.child(0, M)
+FLIP_STREAM = ROOT.child(0, M, M)
+
+
+def signal(field: FieldKind) -> RankOneProjection:
+    return RankOneProjection(sample_unit_vector(field, 2 * N, ROOT.child(0)))
+
+
+def blocks_of(frames: np.ndarray):
+    """The (start, frames) blocks of a materialized frame stack."""
+    return ((s, frames[s : s + _CHUNK].copy()) for s in range(0, len(frames), _CHUNK))
+
+
+def streamed(field, x, mode=None, tau=0.0, blocks=None):
+    if blocks is None:
+        blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
+    return _streamed_averages(field, N, M, blocks, x, mode, tau, FLIP_STREAM)
+
+
+def flipped_positions(bits, corrupted) -> np.ndarray:
+    return np.flatnonzero(bits.bits != corrupted.bits)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_clean_average_is_bitwise_the_materialized_one(field):
+    x = signal(field)
+    ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
+    clean, noisy, flipped = streamed(field, x)
+    expected = empirical_average(ens, measure(ens, x)).matrix
+    assert np.array_equal(clean.matrix, expected)
+    assert noisy is clean
+    assert flipped.size == 0
+
+
+@pytest.mark.parametrize("mode", ["random", "greedy"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_flip_set_and_sparse_update_match_corrupt_bits(field, mode):
+    x = signal(field)
+    ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
+    bits = measure(ens, x)
+    corrupted = corrupt_bits(bits, 0.05, mode, FLIP_STREAM, (ens, x))
+    clean, noisy, flipped = streamed(field, x, mode, 0.05)
+    assert np.array_equal(flipped, flipped_positions(bits, corrupted))
+    assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
+    recomputed = empirical_average(ens, corrupted).matrix
+    assert np.max(np.abs(noisy.matrix - recomputed)) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["random", "greedy"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_tau_zero_returns_the_clean_average(field, mode):
+    clean, noisy, flipped = streamed(field, signal(field), mode, 0.0)
+    assert np.array_equal(noisy.matrix, clean.matrix)
+    assert flipped.size == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_greedy_ties_across_a_block_boundary(field):
+    # x = e_1 and coordinate frames give tr(P X) = 1 (rows e_1..e_n) or 0
+    # (rows e_{n+1}..e_2n), so 40 elements around the first block boundary
+    # all have the largest damage, 1. With 25 flips the lowest 25 of them win:
+    # 20 from the first block and 5 from the second.
+    frames = sample_ensemble(field, N, M, ENSEMBLE_STREAM).frames.copy()
+    eye = np.eye(2 * N, dtype=field.dtype)
+    tied = np.arange(_CHUNK - 20, _CHUNK + 20)
+    for i, j in enumerate(tied):
+        frames[j] = eye[:N] if i % 2 == 0 else eye[N:]
+    x = RankOneProjection(UnitVector(field, eye[0]))
+    ens = MeasurementEnsemble(field, N, frames)
+    bits = measure(ens, x)
+    tau = 25.5 / M
+    corrupted = corrupt_bits(bits, tau, "greedy", FLIP_STREAM, (ens, x))
+    clean, noisy, flipped = streamed(field, x, "greedy", tau, blocks_of(frames))
+    assert np.array_equal(flipped, tied[:25])
+    assert np.array_equal(flipped, flipped_positions(bits, corrupted))
+    assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
+    assert np.max(np.abs(noisy.matrix - empirical_average(ens, corrupted).matrix)) <= 1e-13
+
+
+def test_every_block_is_validated():
+    frames = sample_ensemble(FieldKind.REAL, N, M, ENSEMBLE_STREAM).frames.copy()
+    frames[2 * _CHUNK + 3] *= 1.001
+    with pytest.raises(InvalidInput, match="not orthonormal"):
+        streamed(FieldKind.REAL, signal(FieldKind.REAL), blocks=blocks_of(frames))
+
+
+def traced_peak(m: int) -> int:
+    """Peak bytes traced by tracemalloc (numpy buffers included) while one
+    pointwise unit runs at real n = 4."""
+    cfg = load_config(
+        experiment="pointwise", overrides={"field": "real", "n": 4, "m_grid": str(m), "trials": 1}
+    )
+    tracemalloc.start()
+    try:
+        run_pointwise(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pointwise_memory_does_not_grow_with_m():
+    small, large = traced_peak(8 * _CHUNK), traced_peak(16 * _CHUNK)
+    assert large <= small + 2**20, (small, large)
