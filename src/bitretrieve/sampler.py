@@ -220,6 +220,8 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
         q = _orthonormalize_batch(_gaussian(field, (count, d, k), stream.child(b).generator()))
         frames = np.empty((count, k, d), dtype=field.dtype)
         np.conjugate(np.swapaxes(q, 1, 2), out=frames)
+        # drop Q now, or it stays alive through the next block's draw and QR
+        del q
         yield start, frames
 
 
@@ -240,4 +242,5 @@ def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> Mea
     frames = np.empty((m, n, 2 * n), dtype=field.dtype)
     for start, block in _frame_blocks(field, n, m, stream):
         frames[start : start + len(block)] = block
+        del block  # or the last block stays alive through the validation below
     return MeasurementEnsemble(field, n, frames)
