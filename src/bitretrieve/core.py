@@ -266,10 +266,10 @@ def rank_one_from_vector(x, field: FieldKind | None = None) -> RankOneProjection
     return RankOneProjection(UnitVector(field, x))
 
 
-def _hermitian_opnorm(mat: np.ndarray) -> float:
-    # max |eigenvalue| of a self-adjoint matrix via a full eigendecomposition
-    vals = np.linalg.eigvalsh(mat)
-    return float(np.max(np.abs(vals), initial=0.0))
+def _hermitian_opnorm(mats: np.ndarray) -> np.ndarray:
+    """max |eigenvalue| of each self-adjoint matrix in a (..., d, d) stack,
+    via full eigendecompositions; (..., d, d) -> (...)."""
+    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1, initial=0.0)
 
 
 def operator_norm(h) -> float:
@@ -278,19 +278,17 @@ def operator_norm(h) -> float:
     Accepts a HermitianMatrix, an OrthogonalProjection, a RankOneProjection,
     or a raw square array (validated for self-adjointness).
     """
-    if isinstance(h, HermitianMatrix):
-        return _hermitian_opnorm(h.matrix)
-    if isinstance(h, OrthogonalProjection):
-        return _hermitian_opnorm(h.matrix)
+    if isinstance(h, (HermitianMatrix, OrthogonalProjection)):
+        return float(_hermitian_opnorm(h.matrix))
     if isinstance(h, RankOneProjection):
-        return _hermitian_opnorm(h.matrix())
+        return float(_hermitian_opnorm(h.matrix()))
     mat = np.asarray(h)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInput(f"operator_norm: expected a square matrix, got shape {mat.shape}")
     dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
     if dev > HERMITIAN_TOL:
         raise InvalidInput(f"operator_norm: matrix not self-adjoint (deviation {dev:.2e})")
-    return _hermitian_opnorm(mat)
+    return float(_hermitian_opnorm(mat))
 
 
 def rank_one_distance(x: RankOneProjection, y: RankOneProjection) -> float:

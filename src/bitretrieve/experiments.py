@@ -67,6 +67,7 @@ from .core import (
     InvalidInput,
     RankOneProjection,
     UnitVector,
+    _hermitian_opnorm,
     _vector_distance,
     rank_one_distance,
 )
@@ -76,7 +77,6 @@ from .measurement import (
     _flip_count,
     _most_damaging,
     _random_flips,
-    measure,
     soft_hamming,
     trace_table,
     trace_values,
@@ -84,9 +84,9 @@ from .measurement import (
 from .recovery import (
     DEGENERACY_TOL,
     _accumulate_signed,
+    _expected_averages,
     _finalize_average,
     average_stack,
-    empirical_average,
     principal_eigenpairs,
     recover_from_average,
 )
@@ -393,10 +393,7 @@ def _pool_map(worker, units, threads: int) -> list:
 
 def _qdevs(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants) -> np.ndarray:
     """||Q_i - (mu1 X_i + mu2 (I - X_i))|| for stacked averages and signals."""
-    outer = signals[:, :, None] * signals[:, None, :].conj()
-    eye = np.eye(signals.shape[1], dtype=signals.dtype)
-    expects = consts.mu2 * eye + (consts.mu1 - consts.mu2) * outer
-    return np.max(np.abs(np.linalg.eigvalsh(qhats - expects)), axis=1)
+    return _hermitian_opnorm(qhats - _expected_averages(signals, consts.mu1, consts.mu2))
 
 
 def _require_experiment(cfg: ExperimentConfig, expected: str) -> None:
@@ -463,14 +460,14 @@ def _streamed_averages(
             top = np.sort(_most_damaging(merged[1], flips))
             kept = [tuple(a[top] for a in merged)]
     zeros = m - ones
-    clean = _finalize_average(field, acc, zeros, m)
+    clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
     if not flips:
         return clean, clean, np.empty(0, dtype=np.intp)
     positions, _, frames, bits = (np.concatenate(parts) for parts in zip(*kept))
     flipped = np.zeros_like(acc)
     _accumulate_signed(flipped, frames, bits)
     sign_sum = 2 * int(bits.sum()) - len(bits)
-    noisy = _finalize_average(field, acc - 2.0 * flipped, zeros + sign_sum, m)
+    noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
     return clean, noisy, positions
 
 
@@ -632,8 +629,8 @@ def _check_expectation_structure(cfg: ExperimentConfig, root: SeedStream) -> Che
     m = 50000
     consts = theory_constants(cfg.field, cfg.n)
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0, 0)))
-    ens = sample_ensemble(cfg.field, cfg.n, m, root.child(1))
-    qhat = empirical_average(ens, measure(ens, x))
+    blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(1))
+    qhat, _, _ = _streamed_averages(cfg.field, cfg.n, m, blocks, x)
     vals, vecs = np.linalg.eigh(qhat.matrix)
     top_dev = abs(float(vals[-1]) - consts.mu1)
     rest_dev = float(np.max(np.abs(vals[:-1] - consts.mu2)))
@@ -652,42 +649,12 @@ def _check_hamming_margin(cfg: ExperimentConfig, root: SeedStream) -> CheckResul
         [sample_unit_vector(cfg.field, d, root.child(0, i)).entries for i in range(2 * pairs)]
     )
     ens = sample_ensemble(cfg.field, cfg.n, m, root.child(1))
-    bits = trace_table(ens, vecs) >= 0.5
+    bits = _answers(trace_table(ens, vecs))
     overlaps = np.abs(np.einsum("id,id->i", vecs[0::2].conj(), vecs[1::2])) ** 2
     dists = np.sqrt(np.maximum(0.0, 1.0 - overlaps))
     d_meas = np.mean(bits[0::2] != bits[1::2], axis=1)
     stat = float(np.max(d_meas - dists))
     return CheckResult("hamming_vs_opnorm_margin", stat <= 0.05, stat, 0.05)
-
-
-def _check_separation_probability(
-    cfg: ExperimentConfig, root: SeedStream
-) -> tuple[CheckResult, np.ndarray, np.ndarray]:
-    n_samples = 100000
-    if cfg.n < 2:
-        empty = np.empty(0)
-        return (
-            CheckResult("separation_probability_mc", True, 0.0, 0.0, "skipped: n < 2"),
-            empty,
-            empty,
-        )
-    ens = sample_ensemble(cfg.field, cfg.n, n_samples, root.child(1))
-    lam2, lam1 = np.linalg.eigvalsh(ens.compression(2)).T
-    estimate = float(np.mean((lam2 < 0.5) & (lam1 > 0.5)))
-    closed = dsep_probability(cfg.field, cfg.n)
-    se = math.sqrt(closed * (1.0 - closed) / n_samples)
-    stat = abs(estimate - closed)
-    return (
-        CheckResult(
-            "separation_probability_mc",
-            stat <= 3.0 * se,
-            stat,
-            3.0 * se,
-            f"estimate={estimate:.5f} closed={closed:.5f}",
-        ),
-        lam1,
-        lam2,
-    )
 
 
 def _eigen_pair_cell_probs(cfg: ExperimentConfig, grid: int) -> np.ndarray:
@@ -705,16 +672,25 @@ def _eigen_pair_cell_probs(cfg: ExperimentConfig, grid: int) -> np.ndarray:
     return (weights[:, None] * weights[None, :] * vals).sum(axis=(2, 3)) * width * width
 
 
-def _check_eigen_density_fit(
-    cfg: ExperimentConfig, lam1: np.ndarray, lam2: np.ndarray
-) -> CheckResult:
-    name = "eigen_pair_density_chi2"
+def _check_eigenvalue_pairs(cfg: ExperimentConfig, root: SeedStream) -> list[CheckResult]:
+    """The separation probability and the eigenvalue-pair density fit, both
+    read off the eigenvalues of one sample of top-left 2 x 2 compressions."""
+    names = ("separation_probability_mc", "eigen_pair_density_chi2")
     if cfg.n < 2:
-        return CheckResult(name, True, 0.0, 0.0, "skipped: n < 2")
+        return [CheckResult(name, True, 0.0, 0.0, "skipped: n < 2") for name in names]
+    n_samples = 100000
+    ens = sample_ensemble(cfg.field, cfg.n, n_samples, root.child(1))
+    lam2, lam1 = np.linalg.eigvalsh(ens.compression(2)).T
+    estimate = float(np.mean((lam2 < 0.5) & (lam1 > 0.5)))
+    closed = dsep_probability(cfg.field, cfg.n)
+    se = math.sqrt(closed * (1.0 - closed) / n_samples)
+    stat = abs(estimate - closed)
+    detail = f"estimate={estimate:.5f} closed={closed:.5f}"
+    separation = CheckResult(names[0], stat <= 3.0 * se, stat, 3.0 * se, detail)
     if cfg.field.beta * (cfg.n - 1) - 1.0 < 0:
-        return CheckResult(name, True, 0.0, 0.0, "skipped: boundary-singular density")
+        skipped = CheckResult(names[1], True, 0.0, 0.0, "skipped: boundary-singular density")
+        return [separation, skipped]
     grid = 6
-    n_samples = lam1.shape[0]
     probs = _eigen_pair_cell_probs(cfg, grid)
     idx1 = np.minimum((lam1 * grid).astype(int), grid - 1)
     idx2 = np.minimum((lam2 * grid).astype(int), grid - 1)
@@ -726,7 +702,8 @@ def _check_eigen_density_fit(
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = expected.shape[0] - 1
     p_value = float(chdtrc(dof, stat))
-    return CheckResult(name, p_value > 0.01, p_value, 0.01, f"chi2={stat:.1f} dof={dof}")
+    fit = CheckResult(names[1], p_value > 0.01, p_value, 0.01, f"chi2={stat:.1f} dof={dof}")
+    return [separation, fit]
 
 
 def _check_soft_sandwich(cfg: ExperimentConfig, root: SeedStream) -> CheckResult:
@@ -759,11 +736,9 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
         _check_beta_law(cfg, root.child(1001)),
         _check_expectation_structure(cfg, root.child(1002)),
         _check_hamming_margin(cfg, root.child(1003)),
+        *_check_eigenvalue_pairs(cfg, root.child(1004)),
+        _check_soft_sandwich(cfg, root.child(1005)),
     ]
-    sep_check, lam1, lam2 = _check_separation_probability(cfg, root.child(1004))
-    checks.append(sep_check)
-    checks.append(_check_eigen_density_fit(cfg, lam1, lam2))
-    checks.append(_check_soft_sandwich(cfg, root.child(1005)))
     return DiagnosticsReport(cfg, checks)
 
 

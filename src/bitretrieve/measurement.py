@@ -9,6 +9,11 @@ Tie convention: tr(PX) exactly at the threshold answers 1, so that
 bit b = 1 always selects P itself (and b = 0 selects I - P) in the
 recovery stage; the tie event has probability zero under the
 continuous trace law, so no statistic depends on this choice.
+
+An ensemble's answers come from one threshold kernel, `_answers`
+(tr(PX) >= 1/2), and the margin test behind both `t_separates` (one
+projection) and `soft_hamming` (a whole ensemble) is one elementwise
+kernel, `_t_separated`.
 """
 
 from __future__ import annotations
@@ -127,21 +132,19 @@ def t_separates(
     negative t loosens the criterion, positive t tightens it.
     """
     _check_half_dimensional(p)
-    tx = trace_value(p, x)
-    ty = trace_value(p, y)
-    t = float(t)
-    return (tx + t < 0.5 <= ty - t) or (ty + t < 0.5 <= tx - t)
+    return bool(_t_separated(trace_value(p, x), trace_value(p, y), float(t)))
 
 
 def soft_hamming(
     ens: MeasurementEnsemble, x: RankOneProjection, y: RankOneProjection, t: float
 ) -> float:
     """Fraction of ensemble projections that separate X and Y by margin t."""
-    tx = trace_values(ens, x)
-    ty = trace_values(ens, y)
-    t = float(t)
-    hit = ((tx + t < 0.5) & (0.5 <= ty - t)) | ((ty + t < 0.5) & (0.5 <= tx - t))
-    return float(np.mean(hit))
+    return float(np.mean(_t_separated(trace_values(ens, x), trace_values(ens, y), float(t))))
+
+
+def _t_separated(tx, ty, t: float):
+    """Elementwise tr(PX) + t < 1/2 <= tr(PY) - t, or with X and Y swapped."""
+    return ((tx + t < 0.5) & (0.5 <= ty - t)) | ((ty + t < 0.5) & (0.5 <= tx - t))
 
 
 def _flip_count(tau: float, m: int) -> int:

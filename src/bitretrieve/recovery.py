@@ -12,12 +12,14 @@ Averages are accumulated in a fixed chunk order, which makes the result
 bit-stable across any scheduling of the surrounding work. One bit string
 is averaged from the ensemble frames by one kernel, `_accumulate_signed`,
 which adds sum_j (2 b_j - 1) P_j into a d x d accumulator in chunks of
-the sampler's _CHUNK frame rows, and one finalize step,
-`_finalize_average`. A sampling block is a whole number of those chunks,
-so the experiment runners stream an ensemble through the kernel block by
-block and get `empirical_average`'s bytes without holding the ensemble.
-A stack of bit strings is averaged from the ensemble's (m, d^2)
-projection table.
+the sampler's _CHUNK frame rows. A sampling block is a whole number of
+those chunks, so the experiment runners stream an ensemble through the
+kernel block by block and get `empirical_average`'s bytes without
+holding the ensemble. A stack of bit strings is averaged from the
+ensemble's (m, d^2) projection table. Every average, single or stacked,
+streamed or held, is finished by one kernel, `_finalize_average`, and
+the expectation mu1 X + mu2 (I - X) of one signal or a stack comes from
+one kernel, `_expected_averages`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .core import (
     BitString,
-    FieldKind,
     HermitianMatrix,
     InvalidInput,
     OrthogonalProjection,
@@ -85,7 +86,7 @@ def empirical_average(ens: MeasurementEnsemble, bits: BitString) -> HermitianMat
         raise InvalidInput(f"empirical_average: {len(bits)} bits for m={ens.m} projections")
     acc = np.zeros((ens.dim, ens.dim), dtype=ens.field.dtype)
     _accumulate_signed(acc, ens.frames, bits.bits)
-    return _finalize_average(ens.field, acc, ens.m - int(bits.bits.sum()), ens.m)
+    return HermitianMatrix(ens.field, _finalize_average(acc, ens.m - int(bits.bits.sum()), ens.m))
 
 
 def _accumulate_signed(acc: np.ndarray, frames: np.ndarray, bits: np.ndarray) -> None:
@@ -103,12 +104,13 @@ def _accumulate_signed(acc: np.ndarray, frames: np.ndarray, bits: np.ndarray) ->
         acc += (block.conj() * signs[start:stop, None]).T @ block
 
 
-def _finalize_average(field: FieldKind, acc: np.ndarray, zeros: int, m: int) -> HermitianMatrix:
+def _finalize_average(acc: np.ndarray, zeros, m: int) -> np.ndarray:
     """(acc + zeros I) / m, symmetrized: the average of m selected projections
-    whose signed sum is acc and of which `zeros` are complements."""
-    mat = (acc + zeros * np.eye(acc.shape[0], dtype=field.dtype)) / m
-    mat = (mat + mat.conj().T) / 2.0
-    return HermitianMatrix(field, mat)
+    whose signed sum is acc and of which `zeros` are complements. Takes one
+    d x d sum and an int, or an (N, d, d) stack and N counts."""
+    eye = np.eye(acc.shape[-1], dtype=acc.dtype)
+    mats = (acc + np.asarray(zeros)[..., None, None] * eye) / m
+    return (mats + np.conjugate(np.swapaxes(mats, -1, -2))) / 2.0
 
 
 def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
@@ -118,16 +120,13 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
     d = ens.dim
     table = ens.projection_table
-    signs = (2.0 * rows.astype(np.float64) - 1.0).astype(ens.field.dtype)
     acc = np.zeros((rows.shape[0], d * d), dtype=ens.field.dtype)
     for start in range(0, ens.m, _CHUNK):
         stop = start + _CHUNK
-        acc += signs[:, start:stop] @ table[start:stop]
-    zeros = ens.m - rows.sum(axis=1)
-    eye = np.eye(d, dtype=ens.field.dtype).reshape(1, d * d)
-    mats = (acc + zeros[:, None] * eye).reshape(rows.shape[0], d, d) / ens.m
-    swapped = np.conjugate(np.swapaxes(mats, -1, -2))
-    return (mats + swapped) / 2.0
+        # one chunk of +-1 signs at a time: N x _CHUNK scalars whatever m is
+        signs = (2.0 * rows[:, start:stop].astype(np.float64) - 1.0).astype(ens.field.dtype)
+        acc += signs @ table[start:stop]
+    return _finalize_average(acc.reshape(-1, d, d), ens.m - rows.sum(axis=1), ens.m)
 
 
 def principal_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,7 +181,13 @@ def pep_recover(ens: MeasurementEnsemble, bits: BitString) -> RecoveryResult:
 
 
 def expected_average(x: RankOneProjection, mu1: float, mu2: float) -> HermitianMatrix:
-    """mu1 * X + mu2 * (I - X): the expectation of the empirical average."""
-    d = x.dim
-    mat = mu2 * np.eye(d, dtype=x.field.dtype) + (mu1 - mu2) * x.matrix()
-    return HermitianMatrix(x.field, mat)
+    """mu1 * X + mu2 * (I - X): the expectation of the empirical average;
+    a one-element call into _expected_averages."""
+    return HermitianMatrix(x.field, _expected_averages(x.vector.entries[None], mu1, mu2)[0])
+
+
+def _expected_averages(vectors: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
+    """mu2 I + (mu1 - mu2) x_i x_i^* for a stack of unit representatives;
+    (N, d) -> (N, d, d)."""
+    outer = vectors[:, :, None] * vectors[:, None, :].conj()
+    return mu2 * np.eye(vectors.shape[1], dtype=vectors.dtype) + (mu1 - mu2) * outer

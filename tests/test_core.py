@@ -11,6 +11,7 @@ from bitretrieve.core import (
     OrthogonalProjection,
     RankOneProjection,
     UnitVector,
+    _hermitian_opnorm,
     operator_norm,
     rank_one_distance,
     rank_one_from_vector,
@@ -206,11 +207,15 @@ class TestRankOneDistance:
     @pytest.mark.parametrize("field", [R, C])
     def test_matches_operator_norm(self, field):
         rng = np.random.default_rng(10 if field is R else 11)
+        diffs, directs = [], []
         for _ in range(200):
             x = RankOneProjection(random_unit(field, 5, rng))
             y = RankOneProjection(random_unit(field, 5, rng))
-            direct = operator_norm(x.matrix() - y.matrix())
-            assert rank_one_distance(x, y) == pytest.approx(direct, abs=1e-9)
+            diffs.append(x.matrix() - y.matrix())
+            directs.append(operator_norm(diffs[-1]))
+            assert rank_one_distance(x, y) == pytest.approx(directs[-1], abs=1e-9)
+        # the stacked kernel behind operator_norm gives each matrix's norm
+        assert np.array_equal(_hermitian_opnorm(np.stack(diffs)), directs)
 
 
 class TestBitString:

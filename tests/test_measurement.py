@@ -13,6 +13,7 @@ from bitretrieve.core import (
     rank_one_distance,
 )
 from bitretrieve.measurement import (
+    _t_separated,
     binary_question,
     corrupt_bits,
     hamming_distance,
@@ -149,6 +150,21 @@ class TestSeparation:
             p = ens.projection(j)
             assert t_separates(p, x, y, 0.0) == separates(p, x, y)
         assert soft_hamming(ens, x, y, 0.0) == measurement_hamming(ens, x, y)
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_margin_kernel_matches_chained_comparison(self, field):
+        # traces of one ensemble plus dyadic values, where the sums tie
+        # with 1/2 exactly, against the scalar chained comparison
+        ens = sample_ensemble(field, 2, 300, SeedStream(36))
+        x = RankOneProjection(sample_unit_vector(field, 4, SeedStream(37, (0,))))
+        y = RankOneProjection(sample_unit_vector(field, 4, SeedStream(37, (1,))))
+        rng = np.random.default_rng(38)
+        tx = np.concatenate([trace_values(ens, x), rng.integers(0, 9, 300) / 8])
+        ty = np.concatenate([trace_values(ens, y), rng.integers(0, 9, 300) / 8])
+        for t in (-0.25, -0.125, 0.0, 0.125, 0.25, float(rng.uniform(-0.5, 0.5))):
+            got = _t_separated(tx, ty, t)
+            chained = [(a + t < 0.5 <= b - t) or (b + t < 0.5 <= a - t) for a, b in zip(tx, ty)]
+            assert np.array_equal(got, chained)
 
     def test_monotone_in_t(self):
         ens = sample_ensemble(R, 4, 512, SeedStream(34))

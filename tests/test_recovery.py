@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bitretrieve.core import (
 )
 from bitretrieve.measurement import measure
 from bitretrieve.recovery import (
+    _finalize_average,
     average_stack,
     empirical_average,
     expected_average,
@@ -26,6 +28,7 @@ from bitretrieve.recovery import (
 )
 from bitretrieve.measurement import corrupt_bits
 from bitretrieve.sampler import (
+    _CHUNK,
     MeasurementEnsemble,
     SeedStream,
     sample_ensemble,
@@ -110,6 +113,35 @@ class TestEmpiricalAverage:
         for i, x in enumerate(xs):
             single = empirical_average(ens, measure(ens, RankOneProjection(x)))
             assert np.max(np.abs(stacked[i] - single.matrix)) <= 1e-13
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_finalize_stack_is_bitwise_the_single_calls(self, field):
+        rng = np.random.default_rng(60)
+        sums = rng.standard_normal((5, 6, 6))
+        if field is C:
+            sums = sums + 1j * rng.standard_normal((5, 6, 6))
+        zeros = rng.integers(0, 40, size=5)
+        stacked = _finalize_average(sums, zeros, 40)
+        assert stacked.shape == (5, 6, 6)
+        for acc, count, mat in zip(sums, zeros, stacked):
+            assert np.array_equal(mat, _finalize_average(acc, int(count), 40))
+
+    def test_average_stack_memory_does_not_grow_with_m(self):
+        # the signs are formed per accumulation chunk, so besides the table
+        # and the bits the traced peak is one chunk's working set
+        def traced_peak(m):
+            ens = sample_ensemble(R, 2, m, SeedStream(61, (m,)))
+            ens.projection_table  # the input, built before tracing
+            rows = np.random.default_rng(62).integers(0, 2, size=(64, m), dtype=np.uint8)
+            tracemalloc.start()
+            try:
+                average_stack(ens, rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(4 * _CHUNK), traced_peak(8 * _CHUNK)
+        assert large <= small + 2**20, (small, large)
 
 
 class TestPrincipalEigenpair:
@@ -211,6 +243,9 @@ class TestExpectedAverage:
             mu1, mu2 = mu_pair(field, n)
             q = expected_average(x, mu1, mu2)
             assert abs(np.trace(q.matrix).real - n) <= 1e-12
+            v = x.vector.entries
+            direct = mu2 * np.eye(2 * n) + (mu1 - mu2) * np.outer(v, v.conj())
+            assert np.array_equal(q.matrix, direct)
 
 
 class TestSpectralIdentity:
