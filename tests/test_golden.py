@@ -44,6 +44,12 @@ CONFIGS = {
         "uniform", "--field", "real", "--n", "4", "--m-grid", "300,9000",
         "--inputs", "700", "--seed", "12",
     ),
+    # m = 2 * 8192 + 17 spans three sampling blocks, the last one partial, and
+    # inputs = 600 two signal chunks of the uniform runner.
+    "uniform-real-block": (
+        "uniform", "--field", "real", "--n", "2", "--m-grid", "16401",
+        "--inputs", "600", "--seed", "18",
+    ),
     "uniform-complex": (
         "uniform", "--field", "complex", "--n", "3", "--m-grid", "300,1200",
         "--inputs", "700", "--seed", "13",
@@ -93,6 +99,11 @@ GOLDEN = {
         ".bounds.csv": "d4e353997c92d16820ffef45c27ff2883668f1fcd50f52499044173a72cbd1c3",
         ".csv": "37dc9c04d4370a7747bc29005eae22826ff14909633821a8d97bccbe0da8f8a7",
         ".max.csv": "d2cf71d2937fdfb99f68d0bd6dab20f6543781ad5936d15e4104355f95f4ebec",
+    },
+    "uniform-real-block": {
+        ".bounds.csv": "cd038271980f164f6579e68b9c29f125f4535837f91e4ed30384d92169dfb308",
+        ".csv": "2edaa567f2002bc91a9e195f37b89f3d7983c2df1ff365363999dff1cb4046ce",
+        ".max.csv": "921da2f26b7fd23c79df3cff50da9acc79e89968c09416d5aef752bdff0c31dd",
     },
 }
 
