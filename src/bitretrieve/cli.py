@@ -14,10 +14,10 @@ Flags override config-file keys of the same name. Exit codes:
     violated by a trial (CheckFailure), or an eigensolve that missed its
     residual tolerance (ArithmeticError). The message goes to stderr.
 2   a configuration or input error: an unknown or malformed key, an
-    unreadable config file, an unwritable output path, or a config whose
-    bound is undefined (for example real n = 1, where the spectral gap
-    is zero). Errors in the config itself are raised before any trial
-    runs.
+    unreadable config file, an unwritable output path, a --threads value
+    below 1, or a config whose bound is undefined (for example real n = 1,
+    where the spectral gap is zero). Errors in the config itself are
+    raised before any trial runs.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ def _print_diagnostics(report: DiagnosticsReport) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 2
     try:
         overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
         cfg = load_config(args.config, overrides=overrides)
@@ -96,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
                 return 1
             return 0
-        result = run_experiment(cfg, threads=max(1, args.threads))
+        result = run_experiment(cfg, threads=args.threads)
         for path in write_result(result, cfg.output_path):
             print(f"wrote {path}")
         return 0

@@ -14,7 +14,17 @@ pointwise    one fixed signal, fresh ensembles per (trial, m); records the
              materialized ensemble bit for bit.
 uniform      one ensemble per m, many random signals recovered against it;
              records per-signal errors, the running maximum, and the
-             inverted uniform accuracy bound.
+             inverted uniform accuracy bound. The ensemble is never held
+             whole: it is streamed twice through its sampling blocks
+             [0, m, b]. Pass 1 answers every signal's questions block by
+             block and adds the +-1 signs against the block's packed
+             projection table into one (inputs, w) sum, then one batched
+             eigensolve gives the estimates; pass 2 replays the same
+             blocks, which the block streams make identical, and counts
+             where the estimates' answers differ from the signals'. Memory
+             is O(inputs d^2 + one block) whatever m is: the bits and
+             signs of at most _INPUT_BLOCK = 512 signals x 8192 projections
+             are held at a time, their traces 1024 projections at a time.
 noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
@@ -41,7 +51,9 @@ path [0]; the ensemble of trial t at size m from path [t, m] (its
 bit-corruption subset, drawn from [t, m, m]). The uniform protocol draws
 the ensemble for size m from [0, m] and signal i from [1, i]. Records for
 trial t therefore depend only on per-trial streams plus the shared signal,
-so prefixes of a run are stable when `trials` or `inputs` grow.
+so prefixes of a run are stable when `trials` or `inputs` grow. Replaying
+an ensemble (uniform's pass 2) reads the same block streams again, so the
+layout is the same as when the ensemble was held whole.
 
 Output: the primary CSV has exactly the columns
 trial,m,error,qdev,hamming_gap,degenerate,seed_path; auxiliary tables
@@ -76,17 +88,18 @@ from .measurement import (
     _damage,
     _flip_count,
     _most_damaging,
+    _packed_signals,
     _random_flips,
+    _table_answers,
     soft_hamming,
-    trace_table,
     trace_values,
 )
 from .recovery import (
     DEGENERACY_TOL,
     _accumulate_signed,
+    _accumulate_table,
     _expected_averages,
     _finalize_average,
-    average_stack,
     principal_eigenpairs,
     recover_from_average,
 )
@@ -94,6 +107,8 @@ from .sampler import (
     MeasurementEnsemble,
     SeedStream,
     _frame_blocks,
+    _packed_width,
+    _unpack_hermitian,
     sample_ensemble,
     sample_unit_vector,
 )
@@ -440,8 +455,12 @@ def _streamed_averages(
     drawn = None
     if flips and flip_mode == "random":
         drawn = np.sort(_random_flips(m, flips, flip_stream))
-    # (positions, damages, frames, bits) of the flip candidates, in index order
-    kept: list[tuple[np.ndarray, ...]] = []
+    # The flip candidates' positions, damages and bits in index order, and
+    # the slot of each one's frame in a preallocated store: a block's
+    # entering frames are written into the slots its evicted ones free.
+    positions, damages = np.empty(0, dtype=np.intp), np.empty(0)
+    kept_bits, slots = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.intp)
+    store = np.empty((flips, n, 2 * n), dtype=field.dtype)
     for start, frames in blocks:
         block = MeasurementEnsemble(field, n, frames)
         traces = trace_values(block, x)
@@ -450,25 +469,73 @@ def _streamed_averages(
         ones += int(bits.sum())
         if not flips:
             continue
-        stop = start + block.m
-        found = (np.arange(start, stop), _damage(traces), block.frames, bits)
         if drawn is not None:
-            lo, hi = np.searchsorted(drawn, (start, stop))
-            kept.append(tuple(a[drawn[lo:hi] - start] for a in found))
+            lo, hi = np.searchsorted(drawn, (start, start + block.m))
+            enter, stay = drawn[lo:hi] - start, np.ones(len(slots), dtype=bool)
         else:
-            merged = [np.concatenate(parts) for parts in zip(*kept, found)]
-            top = np.sort(_most_damaging(merged[1], flips))
-            kept = [tuple(a[top] for a in merged)]
+            keep = _most_damaging(np.concatenate([damages, _damage(traces)]), flips)
+            enter, stay = np.flatnonzero(keep[len(slots) :]), keep[: len(slots)]
+        evicted = slots[~stay]
+        fresh = np.arange(len(slots), len(slots) + len(enter) - len(evicted))
+        targets = np.concatenate([evicted, fresh])
+        store[targets] = block.frames[enter]
+        positions = np.concatenate([positions[stay], start + enter])
+        damages = np.concatenate([damages[stay], _damage(traces[enter])])
+        kept_bits = np.concatenate([kept_bits[stay], bits[enter]])
+        slots = np.concatenate([slots[stay], targets])
     zeros = m - ones
     clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
     if not flips:
         return clean, clean, np.empty(0, dtype=np.intp)
-    positions, _, frames, bits = (np.concatenate(parts) for parts in zip(*kept))
     flipped = np.zeros_like(acc)
-    _accumulate_signed(flipped, frames, bits)
-    sign_sum = 2 * int(bits.sum()) - len(bits)
+    _accumulate_signed(flipped, store[slots], kept_bits)
+    sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
     noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
     return clean, noisy, positions
+
+
+def _streamed_stack_averages(
+    field: FieldKind, n: int, m: int, blocks, signals: np.ndarray
+) -> np.ndarray:
+    """The empirical averages of a stack of signals' answers against one
+    ensemble, in one pass over its frame blocks; (N, 2n) -> (N, 2n, 2n).
+
+    `blocks` yields (start, frames) in order, as `sampler._frame_blocks`
+    does; each block is validated by wrapping it in a MeasurementEnsemble.
+    The signs go through `_accumulate_table` in the chunks that
+    `average_stack(ens, _answers(trace_table(ens, signals)))` uses on the
+    materialized ensemble, so the two agree bit for bit.
+    """
+    d = 2 * n
+    packed = _packed_signals(field, signals)
+    acc = np.zeros((len(signals), _packed_width(field, d)))
+    ones = np.zeros(len(signals), dtype=np.intp)
+    for _, frames in blocks:
+        table = MeasurementEnsemble(field, n, frames).projection_table
+        for start in range(0, len(signals), _INPUT_BLOCK):
+            rows = slice(start, start + _INPUT_BLOCK)
+            bits = _table_answers(packed[rows], table)
+            ones[rows] += np.count_nonzero(bits, axis=1)
+            _accumulate_table(acc[rows], table, bits)
+        # drop the block now, or it stays alive through the next block's draw
+        del frames, table, bits
+    return _finalize_average(_unpack_hermitian(field, acc, d), m - ones, m)
+
+
+def _streamed_disagreements(field: FieldKind, n: int, blocks, a: np.ndarray, b: np.ndarray):
+    """For two (N, 2n) stacks of unit vectors, the number of ensemble
+    elements whose questions answer a_i and b_i differently, in one pass
+    over the ensemble's frame blocks (validated as above)."""
+    packed_a, packed_b = _packed_signals(field, a), _packed_signals(field, b)
+    counts = np.zeros(len(a), dtype=np.intp)
+    for _, frames in blocks:
+        table = MeasurementEnsemble(field, n, frames).projection_table
+        for start in range(0, len(a), _INPUT_BLOCK):
+            rows = slice(start, start + _INPUT_BLOCK)
+            bits = _table_answers(packed_a[rows], table)
+            counts[rows] += np.count_nonzero(bits != _table_answers(packed_b[rows], table), axis=1)
+        del frames, table, bits
+    return counts
 
 
 def _run_fixed_signal(
@@ -531,35 +598,31 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     )
 
     def worker(m: int) -> tuple[list[TrialRecord], list[tuple]]:
-        ens = sample_ensemble(cfg.field, cfg.n, m, root.child(0, m))
+        def blocks():
+            return _frame_blocks(cfg.field, cfg.n, m, root.child(0, m))
+
+        qhats = _streamed_stack_averages(cfg.field, cfg.n, m, blocks(), signals)
+        _, estimates, margins = principal_eigenpairs(qhats)
+        hamming = _streamed_disagreements(cfg.field, cfg.n, blocks(), signals, estimates) / m
+        qdevs = _qdevs(qhats, signals, consts)
         recs: list[TrialRecord] = []
         max_rows: list[tuple] = []
         running_max = 0.0
-        for start in range(0, cfg.inputs, _INPUT_BLOCK):
-            stop = min(start + _INPUT_BLOCK, cfg.inputs)
-            block = signals[start:stop]
-            bits = _answers(trace_table(ens, block))
-            qhats = average_stack(ens, bits)
-            _, estimates, margins = principal_eigenpairs(qhats)
-            est_bits = _answers(trace_table(ens, estimates))
-            hamming = np.mean(bits != est_bits, axis=1)
-            qdevs = _qdevs(qhats, block, consts)
-            for i in range(stop - start):
-                idx = start + i
-                error = _vector_distance(block[i], estimates[i])
-                running_max = max(running_max, error)
-                recs.append(
-                    TrialRecord(
-                        idx,
-                        m,
-                        error,
-                        float(qdevs[i]),
-                        float(hamming[i]) - error,
-                        bool(margins[i] < DEGENERACY_TOL),
-                        f"ens=0/{m};x=1/{idx}",
-                    )
+        for i in range(cfg.inputs):
+            error = _vector_distance(signals[i], estimates[i])
+            running_max = max(running_max, error)
+            recs.append(
+                TrialRecord(
+                    i,
+                    m,
+                    error,
+                    float(qdevs[i]),
+                    float(hamming[i]) - error,
+                    bool(margins[i] < DEGENERACY_TOL),
+                    f"ens=0/{m};x=1/{i}",
                 )
-                max_rows.append((idx, m, running_max))
+            )
+            max_rows.append((i, m, running_max))
         return recs, max_rows
 
     outputs = _pool_map(worker, list(cfg.m_grid), threads)
@@ -648,11 +711,10 @@ def _check_hamming_margin(cfg: ExperimentConfig, root: SeedStream) -> CheckResul
     vecs = np.stack(
         [sample_unit_vector(cfg.field, d, root.child(0, i)).entries for i in range(2 * pairs)]
     )
-    ens = sample_ensemble(cfg.field, cfg.n, m, root.child(1))
-    bits = _answers(trace_table(ens, vecs))
+    blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(1))
+    d_meas = _streamed_disagreements(cfg.field, cfg.n, blocks, vecs[0::2], vecs[1::2]) / m
     overlaps = np.abs(np.einsum("id,id->i", vecs[0::2].conj(), vecs[1::2])) ** 2
     dists = np.sqrt(np.maximum(0.0, 1.0 - overlaps))
-    d_meas = np.mean(bits[0::2] != bits[1::2], axis=1)
     stat = float(np.max(d_meas - dists))
     return CheckResult("hamming_vs_opnorm_margin", stat <= 0.05, stat, 0.05)
 

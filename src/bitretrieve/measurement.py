@@ -14,6 +14,16 @@ An ensemble's answers come from one threshold kernel, `_answers`
 (tr(PX) >= 1/2), and the margin test behind both `t_separates` (one
 projection) and `soft_hamming` (a whole ensemble) is one elementwise
 kernel, `_t_separated`.
+
+Many signals against one ensemble go through its packed projection table
+(see the sampler), whose row j holds the unique real entries of P_j. A
+signal X is packed the same way with its off-diagonal entries doubled,
+because tr(PX) = Re sum_ab P_ab conj(X_ab) meets each off-diagonal pair
+twice; every trace is then one real dot product of d(d+1)/2 (over R) or
+d^2 (over C) float64 terms. `trace_table` is that product for a whole
+ensemble or one sampling block, and `_table_answers` thresholds it 1024
+projections at a time, so a streamed pass never holds a full slice of
+traces.
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ import numpy as np
 
 from .core import (
     BitString,
+    FieldKind,
     InvalidInput,
     OrthogonalProjection,
     RankOneProjection,
     _check_same_space,
 )
-from .sampler import MeasurementEnsemble, SeedStream
+from .sampler import MeasurementEnsemble, SeedStream, _pack_hermitian
 
 __all__ = [
     "binary_question",
@@ -44,6 +55,9 @@ __all__ = [
     "trace_values",
     "trace_table",
 ]
+
+# Traces thresholded per slice of projections: 512 signals x 1024 float64 is 4 MiB.
+_TRACE_SLICE = 1024
 
 
 def trace_value(p: OrthogonalProjection, x: RankOneProjection) -> float:
@@ -69,15 +83,36 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
     """tr(P_j X_i) for a stack of unit vectors, as an (N, m) array.
 
     `vectors` has shape (N, 2n); row i is the representative of X_i.
-    One product of the rows vec(X_i) against the ensemble's projection
-    table: tr(P X) = Re sum_ab P_ab conj(X_ab), which over C is the dot
-    product of the two arrays' interleaved float64 views.
+    One real product of the packed signals against the ensemble's packed
+    projection table (see the sampler): tr(P X) = Re sum_ab P_ab conj(X_ab)
+    counts each off-diagonal pair twice, so the signal's packed row holds
+    its diagonal once and its off-diagonal entries doubled. Called on one
+    sampling block's ensemble, it gives that block's columns.
     """
     vecs = np.asarray(vectors, dtype=ens.field.dtype)
     if vecs.ndim != 2 or vecs.shape[1] != ens.dim:
         raise InvalidInput(f"trace_table: expected shape (N, {ens.dim}), got {vecs.shape}")
-    signals = np.einsum("ia,ib->iab", vecs, vecs.conj()).reshape(vecs.shape[0], -1)
-    return signals.view(np.float64) @ ens.projection_table.view(np.float64).T
+    return _packed_signals(ens.field, vecs) @ ens.projection_table.T
+
+
+def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:
+    """The packed rows of the signals X_i = x_i x_i^*, with the off-diagonal
+    entries doubled, so that a row times a packed projection row is
+    tr(P X_i); (N, d) -> (N, w)."""
+    signals = np.einsum("ia,ib->iab", vectors, vectors.conj())
+    return _pack_hermitian(field, 2.0 * signals - signals * np.eye(vectors.shape[1]))
+
+
+def _table_answers(packed_signals: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The uint8 answers of N packed signals to the projections of a
+    packed table, (N, w) and (count, w) -> (N, count): trace_table then
+    _answers, _TRACE_SLICE projections at a time, so each slice of traces
+    is thresholded while it is still in cache."""
+    bits = np.empty((len(packed_signals), len(table)), dtype=np.uint8)
+    for start in range(0, len(table), _TRACE_SLICE):
+        stop = start + _TRACE_SLICE
+        bits[:, start:stop] = _answers(packed_signals @ table[start:stop].T)
+    return bits
 
 
 def binary_question(p: OrthogonalProjection, x: RankOneProjection) -> int:
@@ -87,7 +122,7 @@ def binary_question(p: OrthogonalProjection, x: RankOneProjection) -> int:
 
 def _answers(traces: np.ndarray) -> np.ndarray:
     """The uint8 answers tr(P X) >= 1/2 of half-dimensional projections."""
-    return (traces >= 0.5).astype(np.uint8)
+    return (traces >= 0.5).view(np.uint8)
 
 
 def measure(ens: MeasurementEnsemble, x: RankOneProjection) -> BitString:
@@ -172,9 +207,15 @@ def _damage(traces: np.ndarray) -> np.ndarray:
 
 
 def _most_damaging(damage: np.ndarray, count: int) -> np.ndarray:
-    """The greedy mode's flip set: the positions of the `count` largest
-    damages, ties broken toward the lower position (a stable argsort)."""
-    return np.argsort(-damage, kind="stable")[:count]
+    """The greedy mode's flip set, as a mask: the `count` largest damages,
+    ties broken toward the lower position (the first `count` of a stable
+    argsort of -damage). One partition, so linear in len(damage)."""
+    keep = np.ones(len(damage), dtype=bool)
+    if count < len(damage):
+        cut = np.partition(damage, len(damage) - count)[len(damage) - count]
+        keep = damage > cut
+        keep[np.flatnonzero(damage == cut)[: count - np.count_nonzero(keep)]] = True
+    return keep
 
 
 def corrupt_bits(

@@ -37,6 +37,17 @@ reproducibility contract. The same _CHUNK sizes the recovery module's
 accumulation chunks, so a sampling block is a whole number of them and an
 ensemble can be streamed block by block (`_frame_blocks`) with the sums
 of the materialized ensemble, bit for bit.
+
+The stacked kernels (many signals or bit strings against one ensemble)
+run on a packed projection table with one row per projection, built by
+`_pack_frames` per _CHUNK projections of a whole ensemble or of one
+sampling block alike. A row holds only the unique real entries of the
+Hermitian P_j: over R the d(d+1)/2 upper-triangle entries, row by row;
+over C d^2 real columns, the diagonal, then the real and then the
+imaginary parts of the strict upper triangle. At real n = 8 that is 136
+float64 (1088 bytes) per projection in place of 256, and over C it is
+d^2 float64 in place of d^2 complex128. `_pack_hermitian` and
+`_unpack_hermitian` map any Hermitian stack to and from that layout.
 """
 
 from __future__ import annotations
@@ -190,14 +201,17 @@ class MeasurementEnsemble:
 
     @cached_property
     def projection_table(self) -> np.ndarray:
-        """Read-only (m, d^2) table whose row j is vec(P_j), built on first use.
+        """Read-only float64 (m, w) table whose row j packs P_j, built on
+        first use, _CHUNK projections at a time (see the module docstring).
 
-        The stacked kernels (many signals or bit strings against one
-        ensemble) run on this table; it costs m * d^2 scalars, so the
-        one-signal kernels stay on the frames.
+        The stacked kernels run on this table; it costs m * w scalars, so
+        the one-signal kernels stay on the frames.
         """
-        table = np.einsum("mka,mkb->mab", self.frames.conj(), self.frames)
-        table = table.reshape(self.m, self.dim * self.dim)
+        columns = np.empty((_packed_width(self.field, self.dim), self.m))
+        for start in range(0, self.m, _CHUNK):
+            stop = start + _CHUNK
+            _pack_frames(self.field, self.frames[start:stop], columns[:, start:stop])
+        table = columns.T
         table.setflags(write=False)
         return table
 
@@ -205,6 +219,69 @@ class MeasurementEnsemble:
         """Top-left size x size blocks of every projection, shape (m, size, size)."""
         cols = self.frames[:, :, :size]
         return np.einsum("mka,mkb->mab", cols.conj(), cols)
+
+
+def _packed_width(field: FieldKind, d: int) -> int:
+    """Columns of a packed d x d Hermitian matrix."""
+    return d * (d + 1) // 2 if field is FieldKind.REAL else d * d
+
+
+def _packed_index(field: FieldKind, d: int) -> np.ndarray:
+    """Where the packed entries sit in the float64 view of a flattened
+    d x d matrix: over R the upper triangle row by row; over C the real
+    parts of the diagonal, then the real and the imaginary parts of the
+    strict upper triangle."""
+    if field is FieldKind.REAL:
+        rows, cols = np.triu_indices(d)
+        return rows * d + cols
+    rows, cols = np.triu_indices(d, 1)
+    upper = 2 * (rows * d + cols)
+    return np.concatenate([2 * (d + 1) * np.arange(d), upper, upper + 1])
+
+
+def _pack_hermitian(field: FieldKind, mats: np.ndarray) -> np.ndarray:
+    """The unique real entries of each Hermitian matrix in a (..., d, d)
+    stack, in the projection table's layout; (..., d, d) -> (..., w)."""
+    d = mats.shape[-1]
+    flat = mats.reshape(*mats.shape[:-2], d * d).view(np.float64)
+    return np.take(flat, _packed_index(field, d), axis=-1)
+
+
+def _pack_frames(field: FieldKind, frames: np.ndarray, out: np.ndarray) -> None:
+    """Write the packed P_j = F_j^H F_j of a (count, k, d) frame stack into
+    the (w, count) array `out`, column j for P_j.
+
+    Each entry is sum_i conj(F_ia) F_ib, summed over i in order as
+    np.einsum("mka,mkb->mab") sums it, with the frames laid out
+    projection-last so every product is one contiguous row operation over
+    the whole stack.
+    """
+    cols = np.ascontiguousarray(frames.transpose(1, 2, 0))
+    conj = np.conjugate(cols)
+    k, d, count = cols.shape
+    upper = out if field is FieldKind.REAL else np.empty((d * (d + 1) // 2, count), cols.dtype)
+    starts = np.cumsum([0, *range(d, 1, -1)])  # row a of the upper triangle
+    for a, start in enumerate(starts):
+        row = upper[start : start + d - a]
+        np.multiply(conj[0, a], cols[0, a:], out=row)
+        for i in range(1, k):
+            row += conj[i, a] * cols[i, a:]
+    if field is FieldKind.COMPLEX:
+        strict = np.delete(upper, starts, axis=0)
+        out[:d] = upper[starts].real
+        out[d : d + len(strict)] = strict.real
+        out[d + len(strict) :] = strict.imag
+
+
+def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian matrices a (..., w) stack of packed rows stands for;
+    the inverse of _pack_hermitian."""
+    out = np.zeros((*packed.shape[:-1], d * d), dtype=field.dtype)
+    out.view(np.float64)[..., _packed_index(field, d)] = packed
+    out = out.reshape(*packed.shape[:-1], d, d)
+    rows, cols = np.tril_indices(d, -1)
+    out[..., rows, cols] = np.conjugate(out[..., cols, rows])
+    return out
 
 
 def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):

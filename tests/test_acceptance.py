@@ -40,6 +40,7 @@ from bitretrieve.theory import (
     pointwise_error_level,
     pointwise_m,
     spectral_gap,
+    uniform_m,
 )
 
 R = FieldKind.REAL
@@ -181,6 +182,31 @@ def test_criterion_5_uniform_mode_sanity():
         "criterion 5 (uniform-mode sanity)",
         ok,
         f"max={max_error:.4f} median={median_error:.4f} inverted bound delta={bound_delta:.3f}",
+        started,
+    )
+
+
+def test_uniform_theorem_at_its_own_sample_size():
+    # Criterion 5 runs far below the m the uniform theorem is about. Here m is
+    # the theorem's own uniform_m(real, 2, delta=0.3, D=2) = 3,579,352, which
+    # uniform mode reaches because it streams its ensemble twice instead of
+    # holding it; the maximum error over the inputs must be below delta.
+    started = time.perf_counter()
+    delta, inputs = 0.3, 256
+    m = uniform_m(R, 2, delta, 2.0)
+    cfg = load_config(
+        experiment="uniform",
+        overrides={"field": "real", "n": 2, "m_grid": str(m), "inputs": inputs, "delta": delta},
+    )
+    result = run_uniform(cfg)
+    errors = np.array([rec.error for rec in result.records])
+    max_error = float(errors.max())
+    ok = len(errors) == inputs and max_error < delta
+    report(
+        "uniform theorem at uniform_m",
+        ok,
+        f"m={m} inputs={inputs} max={max_error:.4f} median={float(np.median(errors)):.4f}"
+        f" delta={delta}",
         started,
     )
 

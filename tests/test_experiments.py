@@ -420,6 +420,14 @@ class TestExitCodes:
         assert "gap is zero" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_two(self, threads, no_sampling, tmp_path, capsys):
+        # Both used to run as one thread without a word.
+        out = tmp_path / "x.csv"
+        assert main([*self.ARGV, "--threads", threads, "--out", str(out)]) == 2
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_two(self, seed, no_sampling, tmp_path, capsys):
         # Masked to 64 bits, -1 would silently run as seed 2**64 - 1.

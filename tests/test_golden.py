@@ -11,8 +11,11 @@ fields at the default seed, floats compared exactly through their repr.
 Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
 0.3.31 (scipy-openblas, DYNAMIC_ARCH) at one BLAS thread, with streams
 seeded through numpy's SeedSequence, ensembles sampled as one Gaussian
-draw per 8192-element block and one batched QR, and the noise protocol's
-corrupted average taken as a sparse update of the clean one. The Gaussian
+draw per 8192-element block and one batched QR, the noise protocol's
+corrupted average taken as a sparse update of the clean one, and uniform
+mode's stacked averages summed as a real GEMM over the packed projection
+table (over C that replaced a complex GEMM and moved the last bits of the
+`uniform-complex` averages, by at most 1.1e-16). The Gaussian
 streams depend on the numpy version and the reductions on the BLAS build
 and its thread count (the stacked averages' GEMM splits its work by
 thread), so `tests/conftest.py` pins the BLAS to one thread, and another
@@ -92,8 +95,8 @@ GOLDEN = {
     },
     "uniform-complex": {
         ".bounds.csv": "de7141d2f23b8030ebb47bd2f676d821ebaafa6edd626a3869573ad46601da71",
-        ".csv": "1accef93e296c99fbc1a7fbddb4eedaabd3cc90b0a755b0657b4b58737f847e4",
-        ".max.csv": "c2ca2b7e68fa4df88fd8084540d40e7ff9fb115a21e9e665a34a5f37bc242d46",
+        ".csv": "8972f490cd2f41b54a7216f3100710161c9485098bf61a131af701741dcd175a",
+        ".max.csv": "216c4045b35641a16d3757c306406dbf60109ef8cdae06da0fcb02d80c4e2b8b",
     },
     "uniform-real": {
         ".bounds.csv": "d4e353997c92d16820ffef45c27ff2883668f1fcd50f52499044173a72cbd1c3",

@@ -1,11 +1,13 @@
-"""The streamed fixed-signal unit against the materialized oracles.
+"""The streamed units against the materialized oracles.
 
-`experiments._streamed_averages` walks an ensemble's sampling blocks and
-never holds the whole ensemble. These tests check it against the public
-kernels on the materialized ensemble (`sample_ensemble`, `measure`,
-`empirical_average`, `corrupt_bits`) at m = 2 * 8192 + 17, so the pass
-crosses two block boundaries and ends on a partial block, and check that
-a pointwise unit's memory does not grow with m.
+`experiments._streamed_averages` (the fixed-signal unit) and uniform mode's
+two passes, `_streamed_stack_averages` and `_streamed_disagreements`, walk
+an ensemble's sampling blocks and never hold the whole ensemble. These
+tests check them against the public kernels on the materialized ensemble
+(`sample_ensemble`, `measure`, `empirical_average`, `corrupt_bits`,
+`trace_table`, `average_stack`) at m = 2 * 8192 + 17, so a pass crosses two
+block boundaries and ends on a partial block, and check that a unit's
+memory does not grow with m.
 """
 
 import tracemalloc
@@ -14,9 +16,16 @@ import numpy as np
 import pytest
 
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection, UnitVector
-from bitretrieve.experiments import _streamed_averages, load_config, run_pointwise
-from bitretrieve.measurement import corrupt_bits, measure
-from bitretrieve.recovery import empirical_average
+from bitretrieve.experiments import (
+    _streamed_averages,
+    _streamed_disagreements,
+    _streamed_stack_averages,
+    load_config,
+    run_pointwise,
+    run_uniform,
+)
+from bitretrieve.measurement import _answers, corrupt_bits, measure, trace_table
+from bitretrieve.recovery import average_stack, empirical_average
 from bitretrieve.sampler import (
     _CHUNK,
     MeasurementEnsemble,
@@ -28,6 +37,9 @@ from bitretrieve.sampler import (
 
 M = 2 * _CHUNK + 17
 N = 2
+# More signals than one 512-signal slice of the uniform passes.
+SIGNALS = 600
+EPS = np.finfo(np.float64).eps
 FIELDS = [FieldKind.REAL, FieldKind.COMPLEX]
 ROOT = SeedStream(31)
 ENSEMBLE_STREAM = ROOT.child(0, M)
@@ -132,4 +144,74 @@ def traced_peak(m: int) -> int:
 
 def test_pointwise_memory_does_not_grow_with_m():
     small, large = traced_peak(8 * _CHUNK), traced_peak(16 * _CHUNK)
+    assert large <= small + 2**20, (small, large)
+
+
+def flip_peak(mode: str) -> int:
+    """Peak bytes traced while one noise unit at real n = 4, tau = 0.25 and
+    m = 16 * 8192 streams its ensemble and keeps its flip candidates."""
+    n, m = 4, 16 * _CHUNK
+    x = RankOneProjection(sample_unit_vector(FieldKind.REAL, 2 * n, ROOT.child(0)))
+    blocks = _frame_blocks(FieldKind.REAL, n, m, ROOT.child(0, m))
+    tracemalloc.start()
+    try:
+        _streamed_averages(FieldKind.REAL, n, m, blocks, x, mode, 0.25, ROOT.child(0, m, m))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_greedy_flip_store_costs_no_more_than_random_flips():
+    # Both modes end up holding the same floor(tau m) = 32768 frames (8 MiB);
+    # greedy mode must not copy them again with every block.
+    random, greedy = flip_peak("random"), flip_peak("greedy")
+    assert greedy <= random + 2 * 2**20, (random, greedy)
+
+
+def signal_stack(field: FieldKind) -> np.ndarray:
+    return np.stack(
+        [sample_unit_vector(field, 2 * N, ROOT.child(1, i)).entries for i in range(SIGNALS)]
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_streamed_stack_averages_match_average_stack(field):
+    signals = signal_stack(field)
+    ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
+    expected = average_stack(ens, _answers(trace_table(ens, signals)))
+    blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
+    streamed = _streamed_stack_averages(field, N, M, blocks, signals)
+    if field is FieldKind.REAL:
+        assert np.array_equal(streamed, expected)
+    else:
+        # two orders of summing M terms of magnitude at most 1, over M
+        assert np.max(np.abs(streamed - expected)) <= 2 * M * EPS
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_streamed_disagreements_match_the_materialized_bits(field):
+    signals = signal_stack(field)
+    a, b = signals[0::2], signals[1::2]
+    ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
+    expected = np.count_nonzero(_answers(trace_table(ens, a)) != _answers(trace_table(ens, b)), axis=1)
+    blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
+    assert np.array_equal(_streamed_disagreements(field, N, blocks, a, b), expected)
+
+
+def uniform_peak(m: int) -> int:
+    """Peak bytes traced by tracemalloc while run_uniform recovers 64
+    signals at real n = 2 against one ensemble of size m."""
+    cfg = load_config(
+        experiment="uniform", overrides={"field": "real", "n": 2, "m_grid": str(m), "inputs": 64}
+    )
+    tracemalloc.start()
+    try:
+        run_uniform(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_uniform_memory_does_not_grow_with_m():
+    small, large = uniform_peak(4 * _CHUNK), uniform_peak(8 * _CHUNK)
     assert large <= small + 2**20, (small, large)
