@@ -203,6 +203,8 @@ class MeasurementEnsemble:
     def projection_table(self) -> np.ndarray:
         """Read-only float64 (m, w) table whose row j packs P_j, built on
         first use, _CHUNK projections at a time (see the module docstring).
+        It is the transpose of a C-ordered (w, m) array, so each packed
+        entry is one contiguous column over the projections.
 
         The stacked kernels run on this table; it costs m * w scalars, so
         the one-signal kernels stay on the frames.
