@@ -15,16 +15,16 @@ pointwise    one fixed signal, fresh ensembles per (trial, m); records the
 uniform      one ensemble per m, many random signals recovered against it;
              records per-signal errors, the running maximum, and the
              inverted uniform accuracy bound. The ensemble is never held
-             whole: it is streamed twice through its sampling blocks
-             [0, m, b]. Pass 1 answers every signal's questions block by
-             block and adds the +-1 signs against the block's packed
-             projection table into one (inputs, w) sum, then one batched
-             eigensolve gives the estimates; pass 2 replays the same
-             blocks, which the block streams make identical, and counts
-             where the estimates' answers differ from the signals'. Memory
-             is O(inputs d^2 + one block) whatever m is: the bits and
-             signs of at most _INPUT_BLOCK = 512 signals x 8192 projections
-             are held at a time, their traces 1024 projections at a time.
+             whole: both passes walk its sampling blocks [0, m, b] through
+             one loop, `_block_answers`, which answers the signals against
+             each block's packed projection table. Pass 1 adds the +-1
+             signs against the table into one (inputs, w) sum, then one
+             batched eigensolve gives the estimates; pass 2 replays the
+             same blocks, which the block streams make identical, and
+             counts where the estimates' answers differ from the signals'.
+             Memory is O(inputs d^2 + one block) whatever m is: the bits
+             and signs of at most _INPUT_BLOCK = 512 signals x 8192
+             projections are held at a time, their traces 1024 at a time.
 noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
@@ -40,7 +40,8 @@ noise        the pointwise protocol plus a corruption stage: after the
 diagnostics  distributional spot checks (trace law, expected-average
              eigenstructure, Hamming-vs-operator-norm margin, separation
              probability, eigenvalue-pair density fit, soft-distance
-             sandwich); nonzero exit on any failure.
+             sandwich), each streaming its ensembles block by block;
+             nonzero exit on any failure.
 theory       prints the closed-form constants and sample-size bounds.
 
 Seed-path layout: each path is the spawn key of a numpy SeedSequence under
@@ -107,9 +108,9 @@ from .sampler import (
     MeasurementEnsemble,
     SeedStream,
     _frame_blocks,
+    _pack_frames,
     _packed_width,
     _unpack_hermitian,
-    sample_ensemble,
     sample_unit_vector,
 )
 from .theory import (
@@ -192,14 +193,14 @@ class ExperimentConfig:
             raise ConfigError("n", f"must be >= 1, got {self.n}")
         if len(self.m_grid) == 0:
             raise ConfigError("m_grid", "must be nonempty")
-        if any(m < 1 for m in self.m_grid):
-            raise ConfigError("m_grid", f"entries must be positive, got {self.m_grid}")
+        if any(not 1 <= m < 1 << 32 for m in self.m_grid):  # m, t and i index seed paths
+            raise ConfigError("m_grid", f"entries must lie in [1, 2^32), got {self.m_grid}")
         if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
             raise ConfigError("m_grid", f"must be strictly increasing, got {self.m_grid}")
-        if self.trials < 1:
-            raise ConfigError("trials", f"must be >= 1, got {self.trials}")
-        if self.inputs < 1:
-            raise ConfigError("inputs", f"must be >= 1, got {self.inputs}")
+        if not 1 <= self.trials <= 1 << 32:
+            raise ConfigError("trials", f"must lie in [1, 2^32], got {self.trials}")
+        if not 1 <= self.inputs <= 1 << 32:
+            raise ConfigError("inputs", f"must lie in [1, 2^32], got {self.inputs}")
         if not self.delta > 0:
             raise ConfigError("delta", f"must be positive, got {self.delta}")
         if self.bound_D < 0:
@@ -467,22 +468,23 @@ def _streamed_averages(
         bits = _answers(traces)
         _accumulate_signed(acc, block.frames, bits)
         ones += int(bits.sum())
-        if not flips:
-            continue
-        if drawn is not None:
-            lo, hi = np.searchsorted(drawn, (start, start + block.m))
-            enter, stay = drawn[lo:hi] - start, np.ones(len(slots), dtype=bool)
-        else:
-            keep = _most_damaging(np.concatenate([damages, _damage(traces)]), flips)
-            enter, stay = np.flatnonzero(keep[len(slots) :]), keep[: len(slots)]
-        evicted = slots[~stay]
-        fresh = np.arange(len(slots), len(slots) + len(enter) - len(evicted))
-        targets = np.concatenate([evicted, fresh])
-        store[targets] = block.frames[enter]
-        positions = np.concatenate([positions[stay], start + enter])
-        damages = np.concatenate([damages[stay], _damage(traces[enter])])
-        kept_bits = np.concatenate([kept_bits[stay], bits[enter]])
-        slots = np.concatenate([slots[stay], targets])
+        if flips:
+            if drawn is not None:
+                lo, hi = np.searchsorted(drawn, (start, start + block.m))
+                enter, stay = drawn[lo:hi] - start, np.ones(len(slots), dtype=bool)
+            else:
+                keep = _most_damaging(np.concatenate([damages, _damage(traces)]), flips)
+                enter, stay = np.flatnonzero(keep[len(slots) :]), keep[: len(slots)]
+            evicted = slots[~stay]
+            fresh = np.arange(len(slots), len(slots) + len(enter) - len(evicted))
+            targets = np.concatenate([evicted, fresh])
+            store[targets] = block.frames[enter]
+            positions = np.concatenate([positions[stay], start + enter])
+            damages = np.concatenate([damages[stay], _damage(traces[enter])])
+            kept_bits = np.concatenate([kept_bits[stay], bits[enter]])
+            slots = np.concatenate([slots[stay], targets])
+        # drop the block now, or it stays alive through the next block's draw
+        del frames, block, traces, bits
     zeros = m - ones
     clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
     if not flips:
@@ -494,47 +496,49 @@ def _streamed_averages(
     return clean, noisy, positions
 
 
+def _block_answers(field: FieldKind, n: int, blocks, *stacks: np.ndarray):
+    """Uniform mode's pass loop: for each frame block of one ensemble,
+    validated as a MeasurementEnsemble, and each slice `rows` of
+    _INPUT_BLOCK signals, yield (rows, table, answers): the block's packed
+    projection table and, per stack, the uint8 answers of its rows. The
+    table is dropped before the next block is drawn, so a consumer must
+    drop what it was given before asking for more.
+    """
+    packed = [_packed_signals(field, stack) for stack in stacks]
+    for _, frames in blocks:
+        table = _pack_frames(field, MeasurementEnsemble(field, n, frames).frames)
+        del frames
+        for start in range(0, len(stacks[0]), _INPUT_BLOCK):
+            rows = slice(start, start + _INPUT_BLOCK)
+            yield rows, table, [_table_answers(signals[rows], table) for signals in packed]
+        del table
+
+
 def _streamed_stack_averages(
     field: FieldKind, n: int, m: int, blocks, signals: np.ndarray
 ) -> np.ndarray:
     """The empirical averages of a stack of signals' answers against one
     ensemble, in one pass over its frame blocks; (N, 2n) -> (N, 2n, 2n).
-
-    `blocks` yields (start, frames) in order, as `sampler._frame_blocks`
-    does; each block is validated by wrapping it in a MeasurementEnsemble.
-    The signs go through `_accumulate_table` in the chunks that
-    `average_stack(ens, _answers(trace_table(ens, signals)))` uses on the
-    materialized ensemble, so the two agree bit for bit.
-    """
+    The signs go through `_accumulate_table` in the chunks `average_stack`
+    uses on the materialized ensemble, so the two agree bit for bit."""
     d = 2 * n
-    packed = _packed_signals(field, signals)
     acc = np.zeros((len(signals), _packed_width(field, d)))
     ones = np.zeros(len(signals), dtype=np.intp)
-    for _, frames in blocks:
-        table = MeasurementEnsemble(field, n, frames).projection_table
-        for start in range(0, len(signals), _INPUT_BLOCK):
-            rows = slice(start, start + _INPUT_BLOCK)
-            bits = _table_answers(packed[rows], table)
-            ones[rows] += np.count_nonzero(bits, axis=1)
-            _accumulate_table(acc[rows], table, bits)
-        # drop the block now, or it stays alive through the next block's draw
-        del frames, table, bits
+    for rows, table, (bits,) in _block_answers(field, n, blocks, signals):
+        ones[rows] += np.count_nonzero(bits, axis=1)
+        _accumulate_table(acc[rows], table, bits)
+        del table, bits
     return _finalize_average(_unpack_hermitian(field, acc, d), m - ones, m)
 
 
 def _streamed_disagreements(field: FieldKind, n: int, blocks, a: np.ndarray, b: np.ndarray):
     """For two (N, 2n) stacks of unit vectors, the number of ensemble
     elements whose questions answer a_i and b_i differently, in one pass
-    over the ensemble's frame blocks (validated as above)."""
-    packed_a, packed_b = _packed_signals(field, a), _packed_signals(field, b)
+    over the ensemble's frame blocks."""
     counts = np.zeros(len(a), dtype=np.intp)
-    for _, frames in blocks:
-        table = MeasurementEnsemble(field, n, frames).projection_table
-        for start in range(0, len(a), _INPUT_BLOCK):
-            rows = slice(start, start + _INPUT_BLOCK)
-            bits = _table_answers(packed_a[rows], table)
-            counts[rows] += np.count_nonzero(bits != _table_answers(packed_b[rows], table), axis=1)
-        del frames, table, bits
+    for rows, table, (bits_a, bits_b) in _block_answers(field, n, blocks, a, b):
+        counts[rows] += np.count_nonzero(bits_a != bits_b, axis=1)
+        del table, bits_a, bits_b
     return counts
 
 
@@ -680,8 +684,9 @@ def _ks_statistic(samples: np.ndarray, cdf) -> float:
 def _check_beta_law(cfg: ExperimentConfig, root: SeedStream) -> CheckResult:
     n_samples = 20000
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0, 0)))
-    ens = sample_ensemble(cfg.field, cfg.n, n_samples, root.child(1))
-    traces = trace_values(ens, x)
+    blocks = _frame_blocks(cfg.field, cfg.n, n_samples, root.child(1))
+    ensembles = (MeasurementEnsemble(cfg.field, cfg.n, frames) for _, frames in blocks)
+    traces = np.concatenate([trace_values(ens, x) for ens in ensembles])
     bn = cfg.field.beta * cfg.n
     stat = _ks_statistic(traces, lambda t: betainc(bn, bn, t))
     threshold = 1.36 / math.sqrt(n_samples) + 0.005
@@ -741,8 +746,9 @@ def _check_eigenvalue_pairs(cfg: ExperimentConfig, root: SeedStream) -> list[Che
     if cfg.n < 2:
         return [CheckResult(name, True, 0.0, 0.0, "skipped: n < 2") for name in names]
     n_samples = 100000
-    ens = sample_ensemble(cfg.field, cfg.n, n_samples, root.child(1))
-    lam2, lam1 = np.linalg.eigvalsh(ens.compression(2)).T
+    blocks = _frame_blocks(cfg.field, cfg.n, n_samples, root.child(1))
+    ensembles = (MeasurementEnsemble(cfg.field, cfg.n, frames) for _, frames in blocks)
+    lam2, lam1 = np.concatenate([np.linalg.eigvalsh(ens.compression(2)) for ens in ensembles]).T
     estimate = float(np.mean((lam2 < 0.5) & (lam1 > 0.5)))
     closed = dsep_probability(cfg.field, cfg.n)
     se = math.sqrt(closed * (1.0 - closed) / n_samples)
@@ -773,7 +779,8 @@ def _check_soft_sandwich(cfg: ExperimentConfig, root: SeedStream) -> CheckResult
     d = 2 * cfg.n
     worst = -1.0
     for i in range(instances):
-        ens = sample_ensemble(cfg.field, cfg.n, m, root.child(1, i))
+        [(_, frames)] = _frame_blocks(cfg.field, cfg.n, m, root.child(1, i))  # m < _CHUNK
+        ens = MeasurementEnsemble(cfg.field, cfg.n, frames)
         x0v = sample_unit_vector(cfg.field, d, root.child(0, i, 0))
         y0v = sample_unit_vector(cfg.field, d, root.child(0, i, 1))
         bump_x = sample_unit_vector(cfg.field, d, root.child(0, i, 2))

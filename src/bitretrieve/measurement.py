@@ -15,15 +15,15 @@ An ensemble's answers come from one threshold kernel, `_answers`
 projection) and `soft_hamming` (a whole ensemble) is one elementwise
 kernel, `_t_separated`.
 
-Many signals against one ensemble go through its packed projection table
+Many signals against one ensemble go through packed projection tables
 (see the sampler), whose row j holds the unique real entries of P_j. A
 signal X is packed the same way with its off-diagonal entries doubled,
 because tr(PX) = Re sum_ab P_ab conj(X_ab) meets each off-diagonal pair
 twice; every trace is then one real dot product of d(d+1)/2 (over R) or
-d^2 (over C) float64 terms. `trace_table` is that product for a whole
-ensemble or one sampling block, and `_table_answers` thresholds it 1024
-projections at a time, so a streamed pass never holds a full slice of
-traces.
+d^2 (over C) float64 terms. `trace_table` takes that product for a held
+ensemble, one _CHUNK slice's table at a time, and `_table_answers`
+thresholds it against one sampling block's table 1024 projections at a
+time, so a streamed pass never holds a full slice of traces.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .core import (
     RankOneProjection,
     _check_same_space,
 )
-from .sampler import MeasurementEnsemble, SeedStream, _pack_hermitian
+from .sampler import _CHUNK, MeasurementEnsemble, SeedStream, _pack_frames, _pack_hermitian
 
 __all__ = [
     "binary_question",
@@ -83,16 +83,21 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
     """tr(P_j X_i) for a stack of unit vectors, as an (N, m) array.
 
     `vectors` has shape (N, 2n); row i is the representative of X_i.
-    One real product of the packed signals against the ensemble's packed
-    projection table (see the sampler): tr(P X) = Re sum_ab P_ab conj(X_ab)
-    counts each off-diagonal pair twice, so the signal's packed row holds
-    its diagonal once and its off-diagonal entries doubled. Called on one
-    sampling block's ensemble, it gives that block's columns.
+    One real product of the packed signals against the packed projection
+    table of each _CHUNK slice of the ensemble (see the sampler):
+    tr(P X) = Re sum_ab P_ab conj(X_ab) counts each off-diagonal pair
+    twice, so the signal's packed row holds its diagonal once and its
+    off-diagonal entries doubled.
     """
     vecs = np.asarray(vectors, dtype=ens.field.dtype)
     if vecs.ndim != 2 or vecs.shape[1] != ens.dim:
         raise InvalidInput(f"trace_table: expected shape (N, {ens.dim}), got {vecs.shape}")
-    return _packed_signals(ens.field, vecs) @ ens.projection_table.T
+    packed = _packed_signals(ens.field, vecs)
+    out = np.empty((len(vecs), ens.m))
+    for start in range(0, ens.m, _CHUNK):
+        stop = start + _CHUNK
+        out[:, start:stop] = packed @ _pack_frames(ens.field, ens.frames[start:stop]).T
+    return out
 
 
 def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:

@@ -15,16 +15,16 @@ which adds sum_j (2 b_j - 1) P_j into a d x d accumulator in chunks of
 the sampler's _CHUNK frame rows. A sampling block is a whole number of
 those chunks, so the experiment runners stream an ensemble through the
 kernel block by block and get `empirical_average`'s bytes without
-holding the ensemble. A stack of bit strings is averaged from the
-ensemble's packed projection table (see the sampler) by one kernel,
-`_accumulate_table`: a real product of +-1 signs against the table, in the
-same _CHUNK-row chunks, into one (N, w) packed sum per stack, unpacked to
-d x d only at the end. Over C this is a real GEMM on d^2 real columns, not
-a complex one. The whole-ensemble call and the uniform runner's block
-stream share it, so their sums agree bit for bit. Every average, single
-or stacked, streamed or held, is finished by one kernel, `_finalize_average`, and
-the expectation mu1 X + mu2 (I - X) of one signal or a stack comes from
-one kernel, `_expected_averages`.
+holding the ensemble. A stack of bit strings is averaged by one kernel,
+`_accumulate_table`: a real product of +-1 signs against the packed
+projection table of one _CHUNK slice or sampling block (see the sampler),
+into one (N, w) packed sum per stack, unpacked to d x d only at the end.
+Over C this is a real GEMM on d^2 real columns, not a complex one.
+`average_stack` walks a held ensemble's _CHUNK slices through it and the
+uniform runner its sampling blocks, so their sums agree bit for bit.
+Every average, single or stacked, streamed or held, is finished by one
+kernel, `_finalize_average`, and the expectation mu1 X + mu2 (I - X) of
+one signal or a stack comes from one kernel, `_expected_averages`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .core import (
     RankOneProjection,
     UnitVector,
 )
-from .sampler import _CHUNK, MeasurementEnsemble, _packed_width, _unpack_hermitian
+from .sampler import _CHUNK, MeasurementEnsemble, _pack_frames, _packed_width, _unpack_hermitian
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -124,29 +124,26 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != ens.m:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
     acc = np.zeros((rows.shape[0], _packed_width(ens.field, ens.dim)))
-    _accumulate_table(acc, ens.projection_table, rows)
+    for start in range(0, ens.m, _CHUNK):
+        stop = start + _CHUNK
+        _accumulate_table(acc, _pack_frames(ens.field, ens.frames[start:stop]), rows[:, start:stop])
     zeros = ens.m - np.count_nonzero(rows, axis=1)
     return _finalize_average(_unpack_hermitian(ens.field, acc, ens.dim), zeros, ens.m)
 
 
 def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) -> None:
     """acc += sum_j (2 bit_rows[:, j] - 1) table[j] for (N, count) bits and
-    a (count, w) packed projection table, into an (N, w) float64 sum.
+    the (count, w) packed table of at most _CHUNK projections, into an
+    (N, w) float64 sum.
 
-    The table rows are summed in chunks of _CHUNK rows, counted from its
-    first row, so a sampling block's table is one chunk and the blocks of
-    an ensemble, streamed in order, give the whole ensemble's sums. Each
-    chunk is one GEMM written as (table^T signs^T)^T: BLAS kernels sum an
-    edge tile in their own order, and on the pinned OpenBLAS build this
-    orientation gave the real averages of the unpacked (m, d^2) table bit
-    for bit at the golden configs, where signs @ table did not at d = 4.
+    One GEMM written as (table^T signs^T)^T: BLAS kernels sum an edge tile
+    in their own order, and on the pinned OpenBLAS build this orientation
+    gave the real averages of the unpacked (m, d^2) table bit for bit at
+    the golden configs, where signs @ table did not at d = 4.
     """
-    for start in range(0, table.shape[0], _CHUNK):
-        stop = start + _CHUNK
-        # one chunk of +-1 signs at a time: N x _CHUNK scalars whatever m is
-        signs = np.multiply(bit_rows[:, start:stop], 2.0, dtype=np.float64)
-        signs -= 1.0
-        acc += (table[start:stop].T @ signs.T).T
+    signs = np.multiply(bit_rows, 2.0, dtype=np.float64)
+    signs -= 1.0
+    acc += (table.T @ signs.T).T
 
 
 def principal_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -39,21 +39,21 @@ ensemble can be streamed block by block (`_frame_blocks`) with the sums
 of the materialized ensemble, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
-run on a packed projection table with one row per projection, built by
-`_pack_frames` per _CHUNK projections of a whole ensemble or of one
-sampling block alike. A row holds only the unique real entries of the
-Hermitian P_j: over R the d(d+1)/2 upper-triangle entries, row by row;
-over C d^2 real columns, the diagonal, then the real and then the
-imaginary parts of the strict upper triangle. At real n = 8 that is 136
-float64 (1088 bytes) per projection in place of 256, and over C it is
-d^2 float64 in place of d^2 complex128. `_pack_hermitian` and
-`_unpack_hermitian` map any Hermitian stack to and from that layout.
+run on packed projection tables with one row per projection. A table is
+one sampling block's value, built by `_pack_frames`; the kernels on a
+held ensemble walk its _CHUNK slices through it. A row holds only the
+unique real entries of the Hermitian P_j: over R the d(d+1)/2
+upper-triangle entries, row by row; over C d^2 real columns, the
+diagonal, then the real and then the imaginary parts of the strict upper
+triangle. At real n = 8 that is 136 float64 (1088 bytes) per projection
+in place of 256, and over C it is d^2 float64 in place of d^2
+complex128. `_pack_hermitian` and `_unpack_hermitian` map any Hermitian
+stack to and from that layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -199,24 +199,6 @@ class MeasurementEnsemble:
     def projection(self, j: int) -> OrthogonalProjection:
         return OrthogonalProjection(self.field, self.n, self.matrix(j))
 
-    @cached_property
-    def projection_table(self) -> np.ndarray:
-        """Read-only float64 (m, w) table whose row j packs P_j, built on
-        first use, _CHUNK projections at a time (see the module docstring).
-        It is the transpose of a C-ordered (w, m) array, so each packed
-        entry is one contiguous column over the projections.
-
-        The stacked kernels run on this table; it costs m * w scalars, so
-        the one-signal kernels stay on the frames.
-        """
-        columns = np.empty((_packed_width(self.field, self.dim), self.m))
-        for start in range(0, self.m, _CHUNK):
-            stop = start + _CHUNK
-            _pack_frames(self.field, self.frames[start:stop], columns[:, start:stop])
-        table = columns.T
-        table.setflags(write=False)
-        return table
-
     def compression(self, size: int) -> np.ndarray:
         """Top-left size x size blocks of every projection, shape (m, size, size)."""
         cols = self.frames[:, :, :size]
@@ -249,18 +231,22 @@ def _pack_hermitian(field: FieldKind, mats: np.ndarray) -> np.ndarray:
     return np.take(flat, _packed_index(field, d), axis=-1)
 
 
-def _pack_frames(field: FieldKind, frames: np.ndarray, out: np.ndarray) -> None:
-    """Write the packed P_j = F_j^H F_j of a (count, k, d) frame stack into
-    the (w, count) array `out`, column j for P_j.
+def _pack_frames(field: FieldKind, frames: np.ndarray) -> np.ndarray:
+    """The float64 (count, w) packed table of a (count, k, d) frame stack of
+    at most _CHUNK projections, row j packing P_j = F_j^H F_j. It is the
+    transpose of a C-ordered (w, count) array, so each packed entry is one
+    contiguous column over the projections.
 
     Each entry is sum_i conj(F_ia) F_ib, summed over i in order as
     np.einsum("mka,mkb->mab") sums it, with the frames laid out
     projection-last so every product is one contiguous row operation over
     the whole stack.
     """
+    count, k, d = frames.shape
+    # before the temporaries, so that freeing them leaves no hole below it
+    out = np.empty((_packed_width(field, d), count))
     cols = np.ascontiguousarray(frames.transpose(1, 2, 0))
     conj = np.conjugate(cols)
-    k, d, count = cols.shape
     upper = out if field is FieldKind.REAL else np.empty((d * (d + 1) // 2, count), cols.dtype)
     starts = np.cumsum([0, *range(d, 1, -1)])  # row a of the upper triangle
     for a, start in enumerate(starts):
@@ -273,6 +259,7 @@ def _pack_frames(field: FieldKind, frames: np.ndarray, out: np.ndarray) -> None:
         out[:d] = upper[starts].real
         out[d : d + len(strict)] = strict.real
         out[d + len(strict) :] = strict.imag
+    return out.T
 
 
 def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarray:
@@ -299,20 +286,16 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
         q = _orthonormalize_batch(_gaussian(field, (count, d, k), stream.child(b).generator()))
         frames = np.empty((count, k, d), dtype=field.dtype)
         np.conjugate(np.swapaxes(q, 1, 2), out=frames)
-        # drop Q now, or it stays alive through the next block's draw and QR
+        # drop Q, and the block once yielded, before the next draw and QR
         del q
         yield start, frames
+        del frames
 
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
-    """m independent Haar-uniform rank-n projections in dimension 2n.
-
-    Block b of _CHUNK = 8192 elements (elements [b * 8192, (b + 1) * 8192),
-    the last block holding the remainder) is one Gaussian draw of shape
-    (count, 2n, n) from the sub-stream `stream.child(b)`, orthonormalized
-    by one batched QR; the frames are the conjugate transposes of the Q
-    factors. Each block can be replayed independently, and the ensemble
-    is identical no matter how the generation work is scheduled.
+    """m independent Haar-uniform rank-n projections in dimension 2n: the
+    blocks of `_frame_blocks`, each one keyed stream (see the module
+    docstring), so the ensemble is the same however the work is scheduled.
     """
     if n < 1:
         raise InvalidInput(f"sample_ensemble: n must be >= 1, got {n}")

@@ -354,12 +354,12 @@ class TestCli:
 
 @pytest.fixture
 def no_sampling(monkeypatch):
-    """Fail the test if any ensemble is drawn, whole or block by block."""
+    """Fail the test if any ensemble block is drawn: `_frame_blocks` is the
+    runners' only way to sample one."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an ensemble was sampled although the bound is undefined")
 
-    monkeypatch.setattr(experiments, "sample_ensemble", forbidden)
     monkeypatch.setattr(experiments, "_frame_blocks", forbidden)
 
 
@@ -426,6 +426,32 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert main([*self.ARGV, "--threads", threads, "--out", str(out)]) == 2
         assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pointwise", "--m-grid", f"100,{2**32}"],
+            ["noise", "--m-grid", f"100,{2**32}"],
+            ["uniform", "--m-grid", f"100,{2**32}"],
+            ["pointwise", "--m-grid", "100", "--trials", str(2**32 + 1)],
+            ["uniform", "--m-grid", "100", "--inputs", str(2**32 + 1)],
+        ],
+        ids=["pointwise-m", "noise-m", "uniform-m", "trials", "inputs"],
+    )
+    def test_seed_path_index_past_32_bits_exits_two(
+        self, argv, no_sampling, monkeypatch, tmp_path, capsys
+    ):
+        # Each of these used to start the run, and sample the units below
+        # the bound, before SeedStream rejected a path index of 2^32. No
+        # signal may be drawn either: 2^32 + 1 trials or inputs would never end.
+        def forbidden(*args):
+            raise AssertionError("a signal was drawn although the config is out of bounds")
+
+        monkeypatch.setattr(experiments, "sample_unit_vector", forbidden)
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--field", "real", "--n", "2", "--out", str(out)]) == 2
+        assert "2^32" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

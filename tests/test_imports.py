@@ -1,7 +1,9 @@
-"""Every module-level import in the library's modules is used there.
+"""Every module-level import in the library's modules is used there, and
+every private module-level name is used somewhere in the library.
 
-No linter runs on the source tree, so this catches the dead imports a
-deletion leaves behind. `__init__.py` is skipped: its imports are the
+No linter runs on the source tree, so this catches the dead imports and
+the orphaned private helpers a deletion leaves behind. `__init__.py` is
+skipped as a module whose imports must be used: its imports are the
 package's re-exports.
 """
 
@@ -30,3 +32,34 @@ def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert bound_names(tree) - used == set()
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module defines at module level: functions,
+    classes and assigned constants, dunder names aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def uses(tree: ast.Module) -> set[str]:
+    """The names a module reads or imports from a sibling."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")]
+    used = set().union(*(uses(tree) for tree in trees))
+    assert private_definitions(ast.parse(path.read_text(encoding="utf-8"))) - used == set()

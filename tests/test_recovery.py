@@ -127,11 +127,10 @@ class TestEmpiricalAverage:
             assert np.array_equal(mat, _finalize_average(acc, int(count), 40))
 
     def test_average_stack_memory_does_not_grow_with_m(self):
-        # the signs are formed per accumulation chunk, so besides the table
-        # and the bits the traced peak is one chunk's working set
+        # the table and the signs are formed per accumulation chunk, so
+        # besides the bits the traced peak is one chunk's working set
         def traced_peak(m):
             ens = sample_ensemble(R, 2, m, SeedStream(61, (m,)))
-            ens.projection_table  # the input, built before tracing
             rows = np.random.default_rng(62).integers(0, 2, size=(64, m), dtype=np.uint8)
             tracemalloc.start()
             try:

@@ -7,7 +7,7 @@ tests check them against the public kernels on the materialized ensemble
 (`sample_ensemble`, `measure`, `empirical_average`, `corrupt_bits`,
 `trace_table`, `average_stack`) at m = 2 * 8192 + 17, so a pass crosses two
 block boundaries and ends on a partial block, and check that a unit's
-memory does not grow with m.
+memory, and that of the diagnostics that stream, does not grow with m.
 """
 
 import tracemalloc
@@ -17,6 +17,7 @@ import pytest
 
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection, UnitVector
 from bitretrieve.experiments import (
+    _check_eigenvalue_pairs,
     _streamed_averages,
     _streamed_disagreements,
     _streamed_stack_averages,
@@ -147,18 +148,32 @@ def test_pointwise_memory_does_not_grow_with_m():
     assert large <= small + 2**20, (small, large)
 
 
-def flip_peak(mode: str) -> int:
-    """Peak bytes traced while one noise unit at real n = 4, tau = 0.25 and
-    m = 16 * 8192 streams its ensemble and keeps its flip candidates."""
-    n, m = 4, 16 * _CHUNK
+def unit_peak(m: int, mode: str | None, tau: float) -> int:
+    """Peak bytes traced while one pointwise or noise unit at real n = 4
+    streams its ensemble of size m and keeps its flip candidates."""
+    n = 4
     x = RankOneProjection(sample_unit_vector(FieldKind.REAL, 2 * n, ROOT.child(0)))
     blocks = _frame_blocks(FieldKind.REAL, n, m, ROOT.child(0, m))
     tracemalloc.start()
     try:
-        _streamed_averages(FieldKind.REAL, n, m, blocks, x, mode, 0.25, ROOT.child(0, m, m))
+        _streamed_averages(FieldKind.REAL, n, m, blocks, x, mode, tau, ROOT.child(0, m, m))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode, tau", [(None, 0.0), ("random", 0.01), ("greedy", 0.01)])
+def test_streamed_unit_holds_one_block_at_a_time(mode, tau):
+    # A block the unit or the sampler still held through the next block's
+    # draw and QR would add about 2 MiB at m = 4 * 8192 and none at 8192.
+    small, large = unit_peak(_CHUNK, mode, tau), unit_peak(4 * _CHUNK, mode, tau)
+    assert large <= small + 2**20, (small, large)
+
+
+def flip_peak(mode: str) -> int:
+    """Peak bytes traced while one noise unit at real n = 4, tau = 0.25 and
+    m = 16 * 8192 streams its ensemble and keeps its flip candidates."""
+    return unit_peak(16 * _CHUNK, mode, 0.25)
 
 
 def test_greedy_flip_store_costs_no_more_than_random_flips():
@@ -215,3 +230,15 @@ def uniform_peak(m: int) -> int:
 def test_uniform_memory_does_not_grow_with_m():
     small, large = uniform_peak(4 * _CHUNK), uniform_peak(8 * _CHUNK)
     assert large <= small + 2**20, (small, large)
+
+
+def test_eigenvalue_pair_check_streams_its_ensemble():
+    # Holding its 100000 frames at real n = 4 would take 25.6 MB alone.
+    cfg = load_config(experiment="diagnostics", overrides={"field": "real", "n": 4})
+    tracemalloc.start()
+    try:
+        _check_eigenvalue_pairs(cfg, SeedStream(cfg.master_seed, (1004,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
