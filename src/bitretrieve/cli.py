@@ -13,11 +13,11 @@ Flags override config-file keys of the same name. Exit codes:
 1   a failure during the run: a failed diagnostic, a theory relation
     violated by a trial (CheckFailure), or an eigensolve that missed its
     residual tolerance (ArithmeticError). The message goes to stderr.
-2   a configuration or input error: an unknown or malformed key, an
-    unreadable config file, an unwritable output path, a --threads value
-    below 1, or a config whose bound is undefined (for example real n = 1,
-    where the spectral gap is zero). Errors in the config itself are
-    raised before any trial runs.
+2   a configuration or input error: an unknown, malformed or out-of-range
+    key (a seed, a seed-path index, a non-finite delta or D), an unreadable
+    config file, an unwritable output path, a --threads value below 1, or
+    a config whose bound is undefined (real n = 1, where the gap is zero).
+    Errors in the config itself are raised before any trial runs.
 """
 
 from __future__ import annotations

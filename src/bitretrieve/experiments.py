@@ -52,9 +52,9 @@ path [0]; the ensemble of trial t at size m from path [t, m] (its
 bit-corruption subset, drawn from [t, m, m]). The uniform protocol draws
 the ensemble for size m from [0, m] and signal i from [1, i]. Records for
 trial t therefore depend only on per-trial streams plus the shared signal,
-so prefixes of a run are stable when `trials` or `inputs` grow. Replaying
-an ensemble (uniform's pass 2) reads the same block streams again, so the
-layout is the same as when the ensemble was held whole.
+so prefixes of a run are stable when `trials` or `inputs` grow. Every
+ensemble is read, and replayed in uniform's pass 2, through the blocks of
+`sampler._frame_blocks`, each validated where it is drawn.
 
 Output: the primary CSV has exactly the columns
 trial,m,error,qdev,hamming_gap,degenerate,seed_path; auxiliary tables
@@ -105,7 +105,6 @@ from .recovery import (
     recover_from_average,
 )
 from .sampler import (
-    MeasurementEnsemble,
     SeedStream,
     _frame_blocks,
     _pack_frames,
@@ -201,10 +200,10 @@ class ExperimentConfig:
             raise ConfigError("trials", f"must lie in [1, 2^32], got {self.trials}")
         if not 1 <= self.inputs <= 1 << 32:
             raise ConfigError("inputs", f"must lie in [1, 2^32], got {self.inputs}")
-        if not self.delta > 0:
-            raise ConfigError("delta", f"must be positive, got {self.delta}")
-        if self.bound_D < 0:
-            raise ConfigError("bound_D", f"must be nonnegative, got {self.bound_D}")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta", f"must be positive and finite, got {self.delta}")
+        if not 0 <= self.bound_D < math.inf:
+            raise ConfigError("bound_D", f"must be nonnegative and finite, got {self.bound_D}")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError("tau", f"must lie in [0, 1), got {self.tau}")
         if self.flip_mode not in FLIP_MODES:
@@ -429,8 +428,6 @@ def _bounds_table(cfg: ExperimentConfig, level) -> AuxTable:
 
 
 def _streamed_averages(
-    field: FieldKind,
-    n: int,
     m: int,
     blocks,
     x: RankOneProjection,
@@ -438,19 +435,20 @@ def _streamed_averages(
     tau: float = 0.0,
     flip_stream: SeedStream | None = None,
 ) -> tuple[HermitianMatrix, HermitianMatrix, np.ndarray]:
-    """The clean and the corrupted empirical average of one ensemble, in
-    one pass over its frame blocks.
+    """The clean and the corrupted empirical average of one ensemble of m
+    elements, in one pass over its blocks.
 
-    `blocks` yields (start, frames) in order, as `sampler._frame_blocks`
-    does. Each block is validated by wrapping it in a MeasurementEnsemble,
-    measured against x and added into one signed accumulator, then
+    `blocks` yields (start, block) in order, as `sampler._frame_blocks`
+    does, each block a validated MeasurementEnsemble in the space of x.
+    Each is measured against x, added into one signed accumulator and
     dropped. With a flip mode, the positions `corrupt_bits(bits, tau,
     flip_mode, flip_stream, (ensemble, x))` would flip are chosen on the
     way (see the module docstring) and only their frames are kept.
     Returns the clean average, the corrupted one (the clean one when
     nothing is flipped) and the flipped positions in increasing order.
     """
-    acc = np.zeros((2 * n, 2 * n), dtype=field.dtype)
+    field, d = x.field, x.dim
+    acc = np.zeros((d, d), dtype=field.dtype)
     ones = 0
     flips = _flip_count(tau, m) if flip_mode is not None else 0
     drawn = None
@@ -461,9 +459,8 @@ def _streamed_averages(
     # entering frames are written into the slots its evicted ones free.
     positions, damages = np.empty(0, dtype=np.intp), np.empty(0)
     kept_bits, slots = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.intp)
-    store = np.empty((flips, n, 2 * n), dtype=field.dtype)
-    for start, frames in blocks:
-        block = MeasurementEnsemble(field, n, frames)
+    store = np.empty((flips, d // 2, d), dtype=field.dtype)
+    for start, block in blocks:
         traces = trace_values(block, x)
         bits = _answers(traces)
         _accumulate_signed(acc, block.frames, bits)
@@ -484,7 +481,7 @@ def _streamed_averages(
             kept_bits = np.concatenate([kept_bits[stay], bits[enter]])
             slots = np.concatenate([slots[stay], targets])
         # drop the block now, or it stays alive through the next block's draw
-        del frames, block, traces, bits
+        del block, traces, bits
     zeros = m - ones
     clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
     if not flips:
@@ -496,47 +493,44 @@ def _streamed_averages(
     return clean, noisy, positions
 
 
-def _block_answers(field: FieldKind, n: int, blocks, *stacks: np.ndarray):
-    """Uniform mode's pass loop: for each frame block of one ensemble,
-    validated as a MeasurementEnsemble, and each slice `rows` of
+def _block_answers(field: FieldKind, blocks, *stacks: np.ndarray):
+    """Uniform mode's pass loop: for each validated block of one ensemble,
+    as `sampler._frame_blocks` yields them, and each slice `rows` of
     _INPUT_BLOCK signals, yield (rows, table, answers): the block's packed
     projection table and, per stack, the uint8 answers of its rows. The
     table is dropped before the next block is drawn, so a consumer must
-    drop what it was given before asking for more.
-    """
+    drop what it was given before asking for more."""
     packed = [_packed_signals(field, stack) for stack in stacks]
-    for _, frames in blocks:
-        table = _pack_frames(field, MeasurementEnsemble(field, n, frames).frames)
-        del frames
+    for _, block in blocks:
+        table = _pack_frames(field, block.frames)
+        del block
         for start in range(0, len(stacks[0]), _INPUT_BLOCK):
             rows = slice(start, start + _INPUT_BLOCK)
             yield rows, table, [_table_answers(signals[rows], table) for signals in packed]
         del table
 
 
-def _streamed_stack_averages(
-    field: FieldKind, n: int, m: int, blocks, signals: np.ndarray
-) -> np.ndarray:
+def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray) -> np.ndarray:
     """The empirical averages of a stack of signals' answers against one
-    ensemble, in one pass over its frame blocks; (N, 2n) -> (N, 2n, 2n).
+    ensemble of m elements, in one pass over its blocks; (N, d) -> (N, d, d).
     The signs go through `_accumulate_table` in the chunks `average_stack`
     uses on the materialized ensemble, so the two agree bit for bit."""
-    d = 2 * n
+    d = signals.shape[1]
     acc = np.zeros((len(signals), _packed_width(field, d)))
     ones = np.zeros(len(signals), dtype=np.intp)
-    for rows, table, (bits,) in _block_answers(field, n, blocks, signals):
+    for rows, table, (bits,) in _block_answers(field, blocks, signals):
         ones[rows] += np.count_nonzero(bits, axis=1)
         _accumulate_table(acc[rows], table, bits)
         del table, bits
     return _finalize_average(_unpack_hermitian(field, acc, d), m - ones, m)
 
 
-def _streamed_disagreements(field: FieldKind, n: int, blocks, a: np.ndarray, b: np.ndarray):
+def _streamed_disagreements(field: FieldKind, blocks, a: np.ndarray, b: np.ndarray):
     """For two (N, 2n) stacks of unit vectors, the number of ensemble
     elements whose questions answer a_i and b_i differently, in one pass
-    over the ensemble's frame blocks."""
+    over the ensemble's blocks."""
     counts = np.zeros(len(a), dtype=np.intp)
-    for rows, table, (bits_a, bits_b) in _block_answers(field, n, blocks, a, b):
+    for rows, table, (bits_a, bits_b) in _block_answers(field, blocks, a, b):
         counts[rows] += np.count_nonzero(bits_a != bits_b, axis=1)
         del table, bits_a, bits_b
     return counts
@@ -568,7 +562,7 @@ def _run_fixed_signal(
         blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(t, m))
         mode = cfg.flip_mode if noisy else None
         clean_avg, noisy_avg, _ = _streamed_averages(
-            cfg.field, cfg.n, m, blocks, x, mode, cfg.tau, root.child(t, m, m)
+            m, blocks, x, mode, cfg.tau, root.child(t, m, m)
         )
         error, qdev, degenerate = recover(clean_avg)
         clean, path = (error, qdev), f"ens={t}/{m};x=0"
@@ -605,9 +599,9 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         def blocks():
             return _frame_blocks(cfg.field, cfg.n, m, root.child(0, m))
 
-        qhats = _streamed_stack_averages(cfg.field, cfg.n, m, blocks(), signals)
+        qhats = _streamed_stack_averages(cfg.field, m, blocks(), signals)
         _, estimates, margins = principal_eigenpairs(qhats)
-        hamming = _streamed_disagreements(cfg.field, cfg.n, blocks(), signals, estimates) / m
+        hamming = _streamed_disagreements(cfg.field, blocks(), signals, estimates) / m
         qdevs = _qdevs(qhats, signals, consts)
         recs: list[TrialRecord] = []
         max_rows: list[tuple] = []
@@ -685,8 +679,7 @@ def _check_beta_law(cfg: ExperimentConfig, root: SeedStream) -> CheckResult:
     n_samples = 20000
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0, 0)))
     blocks = _frame_blocks(cfg.field, cfg.n, n_samples, root.child(1))
-    ensembles = (MeasurementEnsemble(cfg.field, cfg.n, frames) for _, frames in blocks)
-    traces = np.concatenate([trace_values(ens, x) for ens in ensembles])
+    traces = np.concatenate([trace_values(ens, x) for _, ens in blocks])
     bn = cfg.field.beta * cfg.n
     stat = _ks_statistic(traces, lambda t: betainc(bn, bn, t))
     threshold = 1.36 / math.sqrt(n_samples) + 0.005
@@ -698,7 +691,7 @@ def _check_expectation_structure(cfg: ExperimentConfig, root: SeedStream) -> Che
     consts = theory_constants(cfg.field, cfg.n)
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0, 0)))
     blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(1))
-    qhat, _, _ = _streamed_averages(cfg.field, cfg.n, m, blocks, x)
+    qhat, _, _ = _streamed_averages(m, blocks, x)
     vals, vecs = np.linalg.eigh(qhat.matrix)
     top_dev = abs(float(vals[-1]) - consts.mu1)
     rest_dev = float(np.max(np.abs(vals[:-1] - consts.mu2)))
@@ -717,7 +710,7 @@ def _check_hamming_margin(cfg: ExperimentConfig, root: SeedStream) -> CheckResul
         [sample_unit_vector(cfg.field, d, root.child(0, i)).entries for i in range(2 * pairs)]
     )
     blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(1))
-    d_meas = _streamed_disagreements(cfg.field, cfg.n, blocks, vecs[0::2], vecs[1::2]) / m
+    d_meas = _streamed_disagreements(cfg.field, blocks, vecs[0::2], vecs[1::2]) / m
     overlaps = np.abs(np.einsum("id,id->i", vecs[0::2].conj(), vecs[1::2])) ** 2
     dists = np.sqrt(np.maximum(0.0, 1.0 - overlaps))
     stat = float(np.max(d_meas - dists))
@@ -747,8 +740,7 @@ def _check_eigenvalue_pairs(cfg: ExperimentConfig, root: SeedStream) -> list[Che
         return [CheckResult(name, True, 0.0, 0.0, "skipped: n < 2") for name in names]
     n_samples = 100000
     blocks = _frame_blocks(cfg.field, cfg.n, n_samples, root.child(1))
-    ensembles = (MeasurementEnsemble(cfg.field, cfg.n, frames) for _, frames in blocks)
-    lam2, lam1 = np.concatenate([np.linalg.eigvalsh(ens.compression(2)) for ens in ensembles]).T
+    lam2, lam1 = np.concatenate([np.linalg.eigvalsh(ens.compression(2)) for _, ens in blocks]).T
     estimate = float(np.mean((lam2 < 0.5) & (lam1 > 0.5)))
     closed = dsep_probability(cfg.field, cfg.n)
     se = math.sqrt(closed * (1.0 - closed) / n_samples)
@@ -779,8 +771,7 @@ def _check_soft_sandwich(cfg: ExperimentConfig, root: SeedStream) -> CheckResult
     d = 2 * cfg.n
     worst = -1.0
     for i in range(instances):
-        [(_, frames)] = _frame_blocks(cfg.field, cfg.n, m, root.child(1, i))  # m < _CHUNK
-        ens = MeasurementEnsemble(cfg.field, cfg.n, frames)
+        [(_, ens)] = _frame_blocks(cfg.field, cfg.n, m, root.child(1, i))  # m < _CHUNK
         x0v = sample_unit_vector(cfg.field, d, root.child(0, i, 0))
         y0v = sample_unit_vector(cfg.field, d, root.child(0, i, 1))
         bump_x = sample_unit_vector(cfg.field, d, root.child(0, i, 2))

@@ -45,10 +45,9 @@ held ensemble walk its _CHUNK slices through it. A row holds only the
 unique real entries of the Hermitian P_j: over R the d(d+1)/2
 upper-triangle entries, row by row; over C d^2 real columns, the
 diagonal, then the real and then the imaginary parts of the strict upper
-triangle. At real n = 8 that is 136 float64 (1088 bytes) per projection
-in place of 256, and over C it is d^2 float64 in place of d^2
-complex128. `_pack_hermitian` and `_unpack_hermitian` map any Hermitian
-stack to and from that layout.
+triangle. At real n = 8 that is 136 float64 (1088 bytes) per projection.
+`_pack_hermitian` and `_unpack_hermitian` map any Hermitian stack to and
+from that layout.
 """
 
 from __future__ import annotations
@@ -274,12 +273,12 @@ def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarra
 
 
 def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
-    """Yield (start, frames) for each sampling block of the ensemble that
-    `sample_ensemble(field, n, m, stream)` returns, in order.
-
-    `frames` is a fresh C-ordered (count, n, 2n) array holding elements
-    [start, start + count); it is not validated, and the caller owns it.
-    """
+    """Yield (start, block) for each sampling block of the ensemble that
+    `sample_ensemble(field, n, m, stream)` returns, in order: `block` is
+    the MeasurementEnsemble of elements [start, start + block.m), on fresh
+    C-ordered frames, validated where it is drawn. The generator drops it
+    after the yield, so a consumer that drops each block before asking for
+    the next holds one block at a time."""
     d, k = 2 * n, n
     for b, start in enumerate(range(0, m, _CHUNK)):
         count = min(_CHUNK, m - start)
@@ -288,7 +287,7 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
         np.conjugate(np.swapaxes(q, 1, 2), out=frames)
         # drop Q, and the block once yielded, before the next draw and QR
         del q
-        yield start, frames
+        yield start, MeasurementEnsemble(field, n, frames)
         del frames
 
 
@@ -303,6 +302,6 @@ def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> Mea
         raise InvalidInput(f"sample_ensemble: m must be >= 1, got {m}")
     frames = np.empty((m, n, 2 * n), dtype=field.dtype)
     for start, block in _frame_blocks(field, n, m, stream):
-        frames[start : start + len(block)] = block
+        frames[start : start + block.m] = block.frames
         del block  # or the last block stays alive through the validation below
     return MeasurementEnsemble(field, n, frames)

@@ -138,10 +138,10 @@ def _require_gap(field: FieldKind, n: int) -> float:
 
 def _check_delta_d(delta: float, big_d: float) -> tuple[float, float]:
     delta, big_d = float(delta), float(big_d)
-    if not delta > 0:
-        raise InvalidInput(f"delta must be positive, got {delta}")
-    if big_d < 0:
-        raise InvalidInput(f"D must be nonnegative, got {big_d}")
+    if not 0 < delta < math.inf:
+        raise InvalidInput(f"delta must be positive and finite, got {delta}")
+    if not 0 <= big_d < math.inf:
+        raise InvalidInput(f"D must be nonnegative and finite, got {big_d}")
     return delta, big_d
 
 
@@ -284,10 +284,8 @@ def dsep_probability(field: FieldKind, n: int) -> float:
 def noisy_error_bound(field: FieldKind, n: int, delta: float, tau: float) -> float:
     """Recovery error bound delta + 2 gap^-1 tau when up to a tau fraction
     of the measurement bits have been flipped."""
-    delta = float(delta)
+    delta, _ = _check_delta_d(delta, 0.0)
     tau = float(tau)
-    if not delta > 0:
-        raise InvalidInput(f"delta must be positive, got {delta}")
     if not 0.0 <= tau < 1.0:
         raise InvalidInput(f"tau must lie in [0, 1), got {tau}")
     gap = _require_gap(field, n)

@@ -454,6 +454,28 @@ class TestExitCodes:
         assert "2^32" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["pointwise", "--m-grid", "40", "--trials", "1", "--bound-D", "nan"], "bound_D"),
+            (["pointwise", "--m-grid", "40", "--trials", "1", "--bound-D", "inf"], "bound_D"),
+            (["noise", "--m-grid", "40", "--trials", "1", "--delta", "inf"], "delta"),
+            (["theory", "--bound-D", "nan"], "bound_D"),
+            (["theory", "--bound-D", "inf"], "bound_D"),
+            (["uniform", "--m-grid", "40", "--inputs", "3", "--bound-D", "nan"], "bound_D"),
+        ],
+        ids=["pointwise-D-nan", "pointwise-D-inf", "noise-delta-inf", "theory-D-nan",
+             "theory-D-inf", "uniform-D-nan"],
+    )
+    def test_non_finite_delta_or_bound_exits_two(self, argv, key, no_sampling, tmp_path, capsys):
+        # A nan or infinite D or delta used to run (writing a nan or inf
+        # bound, or a noise gate that never fires), crash with a traceback,
+        # or exit with a message that named no key.
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--field", "real", "--n", "2", "--out", str(out)]) == 2
+        assert f"config error at '{key}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_two(self, seed, no_sampling, tmp_path, capsys):
         # Masked to 64 bits, -1 would silently run as seed 2**64 - 1.

@@ -1,8 +1,9 @@
-"""Every module-level import in the library's modules is used there, and
-every private module-level name is used somewhere in the library.
+"""Every module-level import in the library's modules is used there,
+every private module-level name is used somewhere in the library, and
+every function reads each of its parameters.
 
-No linter runs on the source tree, so this catches the dead imports and
-the orphaned private helpers a deletion leaves behind. `__init__.py` is
+No linter runs on the source tree, so this catches the dead imports, the
+orphaned private helpers and the unread parameters a deletion leaves behind. `__init__.py` is
 skipped as a module whose imports must be used: its imports are the
 package's re-exports.
 """
@@ -63,3 +64,34 @@ def test_no_unused_private_definitions(path):
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")]
     used = set().union(*(uses(tree) for tree in trees))
     assert private_definitions(ast.parse(path.read_text(encoding="utf-8"))) - used == set()
+
+
+def unread_parameters(tree: ast.Module) -> set[str]:
+    """`function:parameter` for each parameter of a function or lambda in
+    the module that its body never reads; `self`, `cls` and names starting
+    with an underscore aside."""
+    unread = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        nodes = [n for stmt in body for n in ast.walk(stmt)]
+        loads = [n for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        # `acc += ...` reads acc, though its Name node is a store
+        updated = [n.target for n in nodes if isinstance(n, ast.AugAssign)]
+        read = {n.id for n in loads + updated if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        unread.update(
+            f"{name}:{p}"
+            for p in params
+            if p not in read and p not in ("self", "cls") and not p.startswith("_")
+        )
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(ast.parse(path.read_text(encoding="utf-8"))) == set()

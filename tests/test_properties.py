@@ -37,7 +37,7 @@ def test_corruption_flips_at_most_tau(field, n, m, tau, mode, seed):
     assert hamming_distance(bits, corrupted) == len(flipped) / m
     assert len(flipped) / m <= tau < (len(flipped) + 1) / m
     blocks = _frame_blocks(field, n, m, stream)
-    _, _, streamed = _streamed_averages(field, n, m, blocks, x, mode, tau, root.child(1, m, m))
+    _, _, streamed = _streamed_averages(m, blocks, x, mode, tau, root.child(1, m, m))
     assert np.array_equal(streamed, flipped)
 
 

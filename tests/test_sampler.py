@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+from bitretrieve import sampler
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection
 from bitretrieve.experiments import _ks_statistic
 from bitretrieve.measurement import trace_values
 from bitretrieve.sampler import (
+    _CHUNK,
     MeasurementEnsemble,
     SeedStream,
+    _frame_blocks,
     _orthonormalize_batch,
     sample_ensemble,
     sample_haar_projection,
@@ -196,6 +199,26 @@ class TestSampleEnsemble:
         bad[:, 1, 1] = 0.5  # second row not unit
         with pytest.raises(InvalidInput):
             MeasurementEnsemble(R, 2, bad)
+
+    def test_every_drawn_block_is_validated(self, monkeypatch):
+        # The third QR returns one frame off the unit sphere; the block
+        # source itself must refuse that block, before any consumer reads it.
+        calls = []
+
+        def skewed(g):
+            q = _orthonormalize_batch(g)
+            calls.append(len(q))
+            if len(calls) == 3:
+                q[5] *= 1.001
+            return q
+
+        monkeypatch.setattr(sampler, "_orthonormalize_batch", skewed)
+        blocks = _frame_blocks(R, 2, 2 * _CHUNK + 17, SeedStream(31, (0,)))
+        for start in (0, _CHUNK):
+            assert next(blocks)[0] == start
+        with pytest.raises(InvalidInput, match="not orthonormal"):
+            next(blocks)
+        assert calls == [_CHUNK, _CHUNK, 17]
 
     def test_compression_blocks(self):
         ens = sample_ensemble(R, 3, 10, SeedStream(12))

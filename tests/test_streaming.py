@@ -51,15 +51,19 @@ def signal(field: FieldKind) -> RankOneProjection:
     return RankOneProjection(sample_unit_vector(field, 2 * N, ROOT.child(0)))
 
 
-def blocks_of(frames: np.ndarray):
-    """The (start, frames) blocks of a materialized frame stack."""
-    return ((s, frames[s : s + _CHUNK].copy()) for s in range(0, len(frames), _CHUNK))
+def blocks_of(field: FieldKind, frames: np.ndarray):
+    """The (start, block) blocks of a materialized frame stack, each one
+    validated as a MeasurementEnsemble, as `_frame_blocks` yields them."""
+    return (
+        (s, MeasurementEnsemble(field, N, frames[s : s + _CHUNK].copy()))
+        for s in range(0, len(frames), _CHUNK)
+    )
 
 
 def streamed(field, x, mode=None, tau=0.0, blocks=None):
     if blocks is None:
         blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
-    return _streamed_averages(field, N, M, blocks, x, mode, tau, FLIP_STREAM)
+    return _streamed_averages(M, blocks, x, mode, tau, FLIP_STREAM)
 
 
 def flipped_positions(bits, corrupted) -> np.ndarray:
@@ -115,7 +119,7 @@ def test_greedy_ties_across_a_block_boundary(field):
     bits = measure(ens, x)
     tau = 25.5 / M
     corrupted = corrupt_bits(bits, tau, "greedy", FLIP_STREAM, (ens, x))
-    clean, noisy, flipped = streamed(field, x, "greedy", tau, blocks_of(frames))
+    clean, noisy, flipped = streamed(field, x, "greedy", tau, blocks_of(field, frames))
     assert np.array_equal(flipped, tied[:25])
     assert np.array_equal(flipped, flipped_positions(bits, corrupted))
     assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
@@ -126,7 +130,15 @@ def test_every_block_is_validated():
     frames = sample_ensemble(FieldKind.REAL, N, M, ENSEMBLE_STREAM).frames.copy()
     frames[2 * _CHUNK + 3] *= 1.001
     with pytest.raises(InvalidInput, match="not orthonormal"):
-        streamed(FieldKind.REAL, signal(FieldKind.REAL), blocks=blocks_of(frames))
+        streamed(FieldKind.REAL, signal(FieldKind.REAL), blocks=blocks_of(FieldKind.REAL, frames))
+
+
+@pytest.mark.parametrize("field, n", [(FieldKind.REAL, N + 1), (FieldKind.COMPLEX, N)])
+def test_a_block_from_another_space_is_refused(field, n):
+    # The unit reads the field and the dimension from x alone.
+    blocks = _frame_blocks(field, n, 5, ENSEMBLE_STREAM)
+    with pytest.raises(InvalidInput, match="mismatch"):
+        _streamed_averages(5, blocks, signal(FieldKind.REAL))
 
 
 def traced_peak(m: int) -> int:
@@ -156,7 +168,7 @@ def unit_peak(m: int, mode: str | None, tau: float) -> int:
     blocks = _frame_blocks(FieldKind.REAL, n, m, ROOT.child(0, m))
     tracemalloc.start()
     try:
-        _streamed_averages(FieldKind.REAL, n, m, blocks, x, mode, tau, ROOT.child(0, m, m))
+        _streamed_averages(m, blocks, x, mode, tau, ROOT.child(0, m, m))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,7 +207,7 @@ def test_streamed_stack_averages_match_average_stack(field):
     ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
     expected = average_stack(ens, _answers(trace_table(ens, signals)))
     blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
-    streamed = _streamed_stack_averages(field, N, M, blocks, signals)
+    streamed = _streamed_stack_averages(field, M, blocks, signals)
     if field is FieldKind.REAL:
         assert np.array_equal(streamed, expected)
     else:
@@ -210,7 +222,7 @@ def test_streamed_disagreements_match_the_materialized_bits(field):
     ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
     expected = np.count_nonzero(_answers(trace_table(ens, a)) != _answers(trace_table(ens, b)), axis=1)
     blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
-    assert np.array_equal(_streamed_disagreements(field, N, blocks, a, b), expected)
+    assert np.array_equal(_streamed_disagreements(field, blocks, a, b), expected)
 
 
 def uniform_peak(m: int) -> int:

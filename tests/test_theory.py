@@ -206,6 +206,26 @@ class TestSampleSizes:
         with pytest.raises(InvalidInput):
             pointwise_m(R, 8, 0.1, -1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bad: pointwise_m(R, 8, bad, 2),
+            lambda bad: pointwise_m(R, 8, 0.3, bad),
+            lambda bad: uniform_m(R, 8, bad, 2),
+            lambda bad: uniform_m(R, 8, 0.3, bad),
+            lambda bad: pointwise_error_level(R, 8, 1000, bad),
+            lambda bad: noisy_error_bound(R, 8, bad, 0.05),
+        ],
+        ids=["pointwise_m-delta", "pointwise_m-D", "uniform_m-delta", "uniform_m-D",
+             "pointwise_error_level-D", "noisy_error_bound-delta"],
+    )
+    def test_rejects_non_finite_delta_or_d(self, call):
+        # An infinite delta gave m = 0 or an infinite bound; a nan or
+        # infinite D gave a nan or infinite level, or an error from math.ceil.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInput, match="finite"):
+                call(bad)
+
     def test_uniform_m_decimal_oracle(self):
         gap = exact_gap(R, 8)
         eps = gap * Fraction(1, 16)  # delta = 0.5 -> gap * delta / 8
