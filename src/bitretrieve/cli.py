@@ -32,6 +32,7 @@ from .experiments import (
     DiagnosticsReport,
     EXPERIMENTS,
     _CONFIG_KEYS,
+    _check_output_dir,
     load_config,
     run_diagnostics,
     run_experiment,
@@ -99,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
                 return 1
             return 0
+        _check_output_dir(cfg.output_path)
         result = run_experiment(cfg, threads=args.threads)
         for path in write_result(result, cfg.output_path):
             print(f"wrote {path}")

@@ -67,12 +67,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import betainc, chdtrc
 
 from .core import (
     FieldKind,
@@ -80,6 +82,7 @@ from .core import (
     InvalidInput,
     RankOneProjection,
     UnitVector,
+    _check_same_space,
     _hermitian_opnorm,
     _vector_distance,
     rank_one_distance,
@@ -347,7 +350,7 @@ def _fmt(value) -> str:
 
 def emit_csv(records: list[TrialRecord], path: str) -> None:
     """Write records with the exact header trial,m,error,qdev,hamming_gap,degenerate,seed_path."""
-    _emit_table(CSV_HEADER, [astuple(rec) for rec in records], path)
+    _emit_table(CSV_HEADER, list(map(attrgetter(*CSV_HEADER), records)), path)
 
 
 def parse_csv(path: str) -> list[TrialRecord]:
@@ -381,6 +384,17 @@ def _emit_table(header: tuple[str, ...], rows: list[tuple], path: str) -> None:
                 handle.write(",".join(_fmt(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
+
+
+def _check_output_dir(path: str) -> None:
+    """Raise the OSError that writing the CSVs to `path` would, before any
+    trial runs, when the directory that receives them (the primary CSV and
+    every auxiliary table) is missing or not writable."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise OSError(f"cannot write CSV to {path!r}: no directory {directory!r}")
+    if not os.access(directory, os.W_OK):
+        raise OSError(f"cannot write CSV to {path!r}: directory {directory!r} is not writable")
 
 
 def write_result(result: ExperimentResult, path: str) -> list[str]:
@@ -499,9 +513,12 @@ def _block_answers(field: FieldKind, blocks, *stacks: np.ndarray):
     _INPUT_BLOCK signals, yield (rows, table, answers): the block's packed
     projection table and, per stack, the uint8 answers of its rows. The
     table is dropped before the next block is drawn, so a consumer must
-    drop what it was given before asking for more."""
+    drop what it was given before asking for more. A block from another
+    space than the signals' raises InvalidInput."""
+    space = SimpleNamespace(field=field, dim=stacks[0].shape[1])
     packed = [_packed_signals(field, stack) for stack in stacks]
     for _, block in blocks:
+        _check_same_space(block, space)
         table = _pack_frames(field, block.frames)
         del block
         for start in range(0, len(stacks[0]), _INPUT_BLOCK):
@@ -676,6 +693,9 @@ def _ks_statistic(samples: np.ndarray, cdf) -> float:
 
 
 def _check_beta_law(cfg: ExperimentConfig, root: SeedStream) -> CheckResult:
+    # Local: scipy.special costs every other run 0.25 s and 26 MB at import.
+    from scipy.special import betainc
+
     n_samples = 20000
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0, 0)))
     blocks = _frame_blocks(cfg.field, cfg.n, n_samples, root.child(1))
@@ -735,6 +755,9 @@ def _eigen_pair_cell_probs(cfg: ExperimentConfig, grid: int) -> np.ndarray:
 def _check_eigenvalue_pairs(cfg: ExperimentConfig, root: SeedStream) -> list[CheckResult]:
     """The separation probability and the eigenvalue-pair density fit, both
     read off the eigenvalues of one sample of top-left 2 x 2 compressions."""
+    # Local: scipy.special costs every other run 0.25 s and 26 MB at import.
+    from scipy.special import chdtrc
+
     names = ("separation_probability_mc", "eigen_pair_density_chi2")
     if cfg.n < 2:
         return [CheckResult(name, True, 0.0, 0.0, "skipped: n < 2") for name in names]

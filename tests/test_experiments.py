@@ -306,12 +306,30 @@ class TestCli:
             text=True,
         )
 
-    def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats would add about 1 s and 46 MB to every run's startup.
-        code = "import sys, bitretrieve.cli; print('scipy.stats' in sys.modules)"
+    def test_import_leaves_out_scipy_stats(self, tmp_path):
+        # scipy.special alone would add about 0.25 s and 26 MB to every
+        # run's startup; only the diagnostics load it. No scipy module may
+        # be loaded by the import, nor by a run of any other experiment.
+        code = f"""
+import contextlib, io, sys
+from bitretrieve.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+print(scipy_modules())
+tiny = ["--field", "real", "--n", "2", "--m-grid", "40", "--trials", "1", "--inputs", "3",
+        "--out", {str(tmp_path / "x.csv")!r}]
+runs = [["pointwise", *tiny], ["uniform", *tiny], ["noise", "--flip-mode", "greedy", *tiny],
+        ["theory"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes)
+print(scipy_modules())
+"""
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0]", "[]"]
 
     def test_theory_subcommand(self):
         proc = self.run_cli("theory", "--field", "real", "--n", "8", "--delta", "0.1", "--bound-D", "3")
@@ -419,6 +437,18 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "gap is zero" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("experiment", ["pointwise", "uniform", "noise"])
+    def test_unwritable_output_exits_two_before_sampling(
+        self, experiment, no_sampling, tmp_path, capsys
+    ):
+        # A missing directory used to be found only when the CSV was
+        # written, after every trial had run.
+        out = tmp_path / "missing" / "x.csv"
+        argv = [experiment, "--field", "real", "--n", "2", "--m-grid", "40", "--trials", "1"]
+        assert main([*argv, "--inputs", "3", "--out", str(out)]) == 2
+        assert f"cannot write CSV to {str(out)!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_two(self, threads, no_sampling, tmp_path, capsys):

@@ -133,12 +133,36 @@ def test_every_block_is_validated():
         streamed(FieldKind.REAL, signal(FieldKind.REAL), blocks=blocks_of(FieldKind.REAL, frames))
 
 
-@pytest.mark.parametrize("field, n", [(FieldKind.REAL, N + 1), (FieldKind.COMPLEX, N)])
-def test_a_block_from_another_space_is_refused(field, n):
-    # The unit reads the field and the dimension from x alone.
+def averages(blocks):
+    return _streamed_averages(5, blocks, signal(FieldKind.REAL))
+
+
+def stack_averages(blocks):
+    return _streamed_stack_averages(FieldKind.REAL, 5, blocks, signal_stack(FieldKind.REAL))
+
+
+def disagreements(blocks):
+    signals = signal_stack(FieldKind.REAL)
+    return _streamed_disagreements(FieldKind.REAL, blocks, signals, signals)
+
+
+@pytest.mark.parametrize(
+    "kernel, field, n",
+    [
+        pytest.param(averages, FieldKind.REAL, N + 1, id="real-3"),
+        pytest.param(averages, FieldKind.COMPLEX, N, id="complex-2"),
+        pytest.param(stack_averages, FieldKind.REAL, N + 1, id="stack-averages-real-3"),
+        pytest.param(stack_averages, FieldKind.COMPLEX, N, id="stack-averages-complex-2"),
+        pytest.param(disagreements, FieldKind.REAL, N + 1, id="disagreements-real-3"),
+        pytest.param(disagreements, FieldKind.COMPLEX, N, id="disagreements-complex-2"),
+    ],
+)
+def test_a_block_from_another_space_is_refused(kernel, field, n):
+    # Each kernel is given real signals in dimension 2N, and reads their
+    # space from them alone.
     blocks = _frame_blocks(field, n, 5, ENSEMBLE_STREAM)
     with pytest.raises(InvalidInput, match="mismatch"):
-        _streamed_averages(5, blocks, signal(FieldKind.REAL))
+        kernel(blocks)
 
 
 def traced_peak(m: int) -> int:
