@@ -17,7 +17,8 @@ Flags override config-file keys of the same name. Exit codes:
     key (a seed, a seed-path index, a non-finite delta or D), an unreadable
     config file, an unwritable output path, a --threads value below 1, or
     a config whose bound is undefined (real n = 1, where the gap is zero).
-    Errors in the config itself are raised before any trial runs.
+    Errors in the config itself, and an output directory that is missing
+    or not writable, are reported before any trial runs.
 """
 
 from __future__ import annotations

@@ -693,7 +693,7 @@ def _ks_statistic(samples: np.ndarray, cdf) -> float:
 
 
 def _check_beta_law(cfg: ExperimentConfig, root: SeedStream) -> CheckResult:
-    # Local: scipy.special costs every other run 0.25 s and 26 MB at import.
+    # Imported here: scipy.special adds 0.25 s and 26 MB to every run that loads it.
     from scipy.special import betainc
 
     n_samples = 20000
@@ -755,7 +755,7 @@ def _eigen_pair_cell_probs(cfg: ExperimentConfig, grid: int) -> np.ndarray:
 def _check_eigenvalue_pairs(cfg: ExperimentConfig, root: SeedStream) -> list[CheckResult]:
     """The separation probability and the eigenvalue-pair density fit, both
     read off the eigenvalues of one sample of top-left 2 x 2 compressions."""
-    # Local: scipy.special costs every other run 0.25 s and 26 MB at import.
+    # Imported here: scipy.special adds 0.25 s and 26 MB to every run that loads it.
     from scipy.special import chdtrc
 
     names = ("separation_probability_mc", "eigen_pair_density_chi2")
