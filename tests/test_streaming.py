@@ -269,7 +269,11 @@ def test_uniform_memory_does_not_grow_with_m():
 
 
 def test_eigenvalue_pair_check_streams_its_ensemble():
-    # Holding its 100000 frames at real n = 4 would take 25.6 MB alone.
+    # Holding its 100000 frames at real n = 4 would take 25.6 MB alone. The
+    # check imports scipy.special on its first call; load it before tracing,
+    # so the peak does not depend on which test ran first.
+    import scipy.special  # noqa: F401
+
     cfg = load_config(experiment="diagnostics", overrides={"field": "real", "n": 4})
     tracemalloc.start()
     try:
