@@ -16,15 +16,15 @@ uniform      one ensemble per m, many random signals recovered against it;
              records per-signal errors, the running maximum, and the
              inverted uniform accuracy bound. The ensemble is never held
              whole: both passes walk its sampling blocks [0, m, b] through
-             one loop, `_block_answers`, which answers the signals against
-             each block's packed projection table. Pass 1 adds the +-1
-             signs against the table into one (inputs, w) sum, then one
-             batched eigensolve gives the estimates; pass 2 replays the
-             same blocks, which the block streams make identical, and
-             counts where the estimates' answers differ from the signals'.
-             Memory is O(inputs d^2 + one block) whatever m is: the bits
-             and signs of at most _INPUT_BLOCK = 512 signals x 8192
-             projections are held at a time, their traces 1024 at a time.
+             one loop, `_block_answers`, which packs each block's
+             1024-projection slices one at a time and answers the signals
+             against each slice's table. Pass 1 adds the +-1 signs against
+             the table into one (inputs, w) sum, then one batched
+             eigensolve gives the estimates; pass 2 replays the same
+             blocks, which the block streams make identical, and counts
+             where the estimates' answers differ from the signals'. Memory
+             is O(inputs d^2 + one block) whatever m is: one slice's table
+             and the traces, bits and signs of 512 signals against it.
 noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
@@ -94,7 +94,6 @@ from .measurement import (
     _most_damaging,
     _packed_signals,
     _random_flips,
-    _table_answers,
     soft_hamming,
     trace_values,
 )
@@ -108,6 +107,8 @@ from .recovery import (
     recover_from_average,
 )
 from .sampler import (
+    _INPUT_BLOCK,
+    _TRACE_SLICE,
     SeedStream,
     _frame_blocks,
     _pack_frames,
@@ -155,8 +156,6 @@ __all__ = [
 EXPERIMENTS = ("pointwise", "uniform", "noise", "diagnostics", "theory")
 FLIP_MODES = ("random", "greedy")
 CSV_HEADER = ("trial", "m", "error", "qdev", "hamming_gap", "degenerate", "seed_path")
-
-_INPUT_BLOCK = 512
 
 
 class ConfigError(ValueError):
@@ -509,28 +508,30 @@ def _streamed_averages(
 
 def _block_answers(field: FieldKind, blocks, *stacks: np.ndarray):
     """Uniform mode's pass loop: for each validated block of one ensemble,
-    as `sampler._frame_blocks` yields them, and each slice `rows` of
-    _INPUT_BLOCK signals, yield (rows, table, answers): the block's packed
-    projection table and, per stack, the uint8 answers of its rows. The
-    table is dropped before the next block is drawn, so a consumer must
-    drop what it was given before asking for more. A block from another
-    space than the signals' raises InvalidInput."""
+    as `sampler._frame_blocks` yields them, each _TRACE_SLICE slice of the
+    block and each slice `rows` of _INPUT_BLOCK signals, yield (rows,
+    table, answers): the slice's packed projection table and, per stack,
+    the uint8 answers of its rows. The block is held while its slices are
+    packed, and each slice's table is dropped before the next is built, so
+    a consumer must drop what it was given before asking for more. A block
+    from another space than the signals' raises InvalidInput."""
     space = SimpleNamespace(field=field, dim=stacks[0].shape[1])
     packed = [_packed_signals(field, stack) for stack in stacks]
     for _, block in blocks:
         _check_same_space(block, space)
-        table = _pack_frames(field, block.frames)
+        for start in range(0, block.m, _TRACE_SLICE):
+            table = _pack_frames(field, block.frames[start : start + _TRACE_SLICE])
+            for first in range(0, len(stacks[0]), _INPUT_BLOCK):
+                rows = slice(first, first + _INPUT_BLOCK)
+                yield rows, table, [_answers(signals[rows] @ table.T) for signals in packed]
+            del table
         del block
-        for start in range(0, len(stacks[0]), _INPUT_BLOCK):
-            rows = slice(start, start + _INPUT_BLOCK)
-            yield rows, table, [_table_answers(signals[rows], table) for signals in packed]
-        del table
 
 
 def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray) -> np.ndarray:
     """The empirical averages of a stack of signals' answers against one
     ensemble of m elements, in one pass over its blocks; (N, d) -> (N, d, d).
-    The signs go through `_accumulate_table` in the chunks `average_stack`
+    The signs go through `_accumulate_table` in the slices `average_stack`
     uses on the materialized ensemble, so the two agree bit for bit."""
     d = signals.shape[1]
     acc = np.zeros((len(signals), _packed_width(field, d)))

@@ -21,9 +21,8 @@ signal X is packed the same way with its off-diagonal entries doubled,
 because tr(PX) = Re sum_ab P_ab conj(X_ab) meets each off-diagonal pair
 twice; every trace is then one real dot product of d(d+1)/2 (over R) or
 d^2 (over C) float64 terms. `trace_table` takes that product for a held
-ensemble, one _CHUNK slice's table at a time, and `_table_answers`
-thresholds it against one sampling block's table 1024 projections at a
-time, so a streamed pass never holds a full slice of traces.
+ensemble one _TRACE_SLICE table at a time, as uniform mode's streamed
+passes do for each sampling block's slices.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .core import (
     RankOneProjection,
     _check_same_space,
 )
-from .sampler import _CHUNK, MeasurementEnsemble, SeedStream, _pack_frames, _pack_hermitian
+from .sampler import _TRACE_SLICE, MeasurementEnsemble, SeedStream, _pack_frames, _pack_hermitian
 
 __all__ = [
     "binary_question",
@@ -55,9 +54,6 @@ __all__ = [
     "trace_values",
     "trace_table",
 ]
-
-# Traces thresholded per slice of projections: 512 signals x 1024 float64 is 4 MiB.
-_TRACE_SLICE = 1024
 
 
 def trace_value(p: OrthogonalProjection, x: RankOneProjection) -> float:
@@ -84,7 +80,7 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
 
     `vectors` has shape (N, 2n); row i is the representative of X_i.
     One real product of the packed signals against the packed projection
-    table of each _CHUNK slice of the ensemble (see the sampler):
+    table of each _TRACE_SLICE slice of the ensemble (see the sampler):
     tr(P X) = Re sum_ab P_ab conj(X_ab) counts each off-diagonal pair
     twice, so the signal's packed row holds its diagonal once and its
     off-diagonal entries doubled.
@@ -94,8 +90,8 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"trace_table: expected shape (N, {ens.dim}), got {vecs.shape}")
     packed = _packed_signals(ens.field, vecs)
     out = np.empty((len(vecs), ens.m))
-    for start in range(0, ens.m, _CHUNK):
-        stop = start + _CHUNK
+    for start in range(0, ens.m, _TRACE_SLICE):
+        stop = start + _TRACE_SLICE
         out[:, start:stop] = packed @ _pack_frames(ens.field, ens.frames[start:stop]).T
     return out
 
@@ -106,18 +102,6 @@ def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:
     tr(P X_i); (N, d) -> (N, w)."""
     signals = np.einsum("ia,ib->iab", vectors, vectors.conj())
     return _pack_hermitian(field, 2.0 * signals - signals * np.eye(vectors.shape[1]))
-
-
-def _table_answers(packed_signals: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The uint8 answers of N packed signals to the projections of a
-    packed table, (N, w) and (count, w) -> (N, count): trace_table then
-    _answers, _TRACE_SLICE projections at a time, so each slice of traces
-    is thresholded while it is still in cache."""
-    bits = np.empty((len(packed_signals), len(table)), dtype=np.uint8)
-    for start in range(0, len(table), _TRACE_SLICE):
-        stop = start + _TRACE_SLICE
-        bits[:, start:stop] = _answers(packed_signals @ table[start:stop].T)
-    return bits
 
 
 def binary_question(p: OrthogonalProjection, x: RankOneProjection) -> int:

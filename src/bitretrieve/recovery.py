@@ -17,11 +17,11 @@ those chunks, so the experiment runners stream an ensemble through the
 kernel block by block and get `empirical_average`'s bytes without
 holding the ensemble. A stack of bit strings is averaged by one kernel,
 `_accumulate_table`: a real product of +-1 signs against the packed
-projection table of one _CHUNK slice or sampling block (see the sampler),
-into one (N, w) packed sum per stack, unpacked to d x d only at the end.
-Over C this is a real GEMM on d^2 real columns, not a complex one.
-`average_stack` walks a held ensemble's _CHUNK slices through it and the
-uniform runner its sampling blocks, so their sums agree bit for bit.
+projection table of one _TRACE_SLICE slice (see the sampler), into one
+(N, w) packed sum per stack, unpacked to d x d only at the end. Over C
+this is a real GEMM on d^2 real columns, not a complex one.
+`average_stack` walks a held ensemble's slices through it and the uniform
+runner each sampling block's slices, so their sums agree bit for bit.
 Every average, single or stacked, streamed or held, is finished by one
 kernel, `_finalize_average`, and the expectation mu1 X + mu2 (I - X) of
 one signal or a stack comes from one kernel, `_expected_averages`.
@@ -42,7 +42,15 @@ from .core import (
     RankOneProjection,
     UnitVector,
 )
-from .sampler import _CHUNK, MeasurementEnsemble, _pack_frames, _packed_width, _unpack_hermitian
+from .sampler import (
+    _CHUNK,
+    _INPUT_BLOCK,
+    _TRACE_SLICE,
+    MeasurementEnsemble,
+    _pack_frames,
+    _packed_width,
+    _unpack_hermitian,
+)
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -124,26 +132,26 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != ens.m:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
     acc = np.zeros((rows.shape[0], _packed_width(ens.field, ens.dim)))
-    for start in range(0, ens.m, _CHUNK):
-        stop = start + _CHUNK
+    ones = np.zeros(rows.shape[0], dtype=np.intp)
+    for start in range(0, ens.m, _TRACE_SLICE):
+        stop = start + _TRACE_SLICE
+        ones += np.count_nonzero(rows[:, start:stop], axis=1)
         _accumulate_table(acc, _pack_frames(ens.field, ens.frames[start:stop]), rows[:, start:stop])
-    zeros = ens.m - np.count_nonzero(rows, axis=1)
-    return _finalize_average(_unpack_hermitian(ens.field, acc, ens.dim), zeros, ens.m)
+    return _finalize_average(_unpack_hermitian(ens.field, acc, ens.dim), ens.m - ones, ens.m)
 
 
 def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) -> None:
     """acc += sum_j (2 bit_rows[:, j] - 1) table[j] for (N, count) bits and
-    the (count, w) packed table of at most _CHUNK projections, into an
-    (N, w) float64 sum.
-
-    One GEMM written as (table^T signs^T)^T: BLAS kernels sum an edge tile
-    in their own order, and on the pinned OpenBLAS build this orientation
-    gave the real averages of the unpacked (m, d^2) table bit for bit at
-    the golden configs, where signs @ table did not at d = 4.
-    """
-    signs = np.multiply(bit_rows, 2.0, dtype=np.float64)
-    signs -= 1.0
-    acc += (table.T @ signs.T).T
+    the (count, w) packed table of at most _TRACE_SLICE projections, into an
+    (N, w) float64 sum. One GEMM per _INPUT_BLOCK rows keeps the GEMM shapes,
+    which pick OpenBLAS's kernel and so the last bits, the same for every
+    caller. (table^T signs^T)^T took 4.3 ms against 4.5-4.7 ms for signs @
+    table at a real n = 8 slice (w = 136), one OpenBLAS thread."""
+    for start in range(0, len(bit_rows), _INPUT_BLOCK):
+        rows = slice(start, start + _INPUT_BLOCK)
+        signs = np.multiply(bit_rows[rows], 2.0, dtype=np.float64)
+        signs -= 1.0
+        acc[rows] += (table.T @ signs.T).T
 
 
 def principal_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

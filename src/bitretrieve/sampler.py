@@ -39,10 +39,11 @@ ensemble can be streamed block by block (`_frame_blocks`) with the sums
 of the materialized ensemble, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
-run on packed projection tables with one row per projection. A table is
-one sampling block's value, built by `_pack_frames`; the kernels on a
-held ensemble walk its _CHUNK slices through it. A row holds only the
-unique real entries of the Hermitian P_j: over R the d(d+1)/2
+run on packed projection tables, one row per projection and one table per
+slice of _TRACE_SLICE = 1024 projections, packed by `_pack_frames` from
+one batched F^H F product. A block is held while its slices are packed,
+and each slice's table is dropped before the next is built. A row holds
+the unique real entries of the Hermitian P_j: over R the d(d+1)/2
 upper-triangle entries, row by row; over C d^2 real columns, the
 diagonal, then the real and then the imaginary parts of the strict upper
 triangle. At real n = 8 that is 136 float64 (1088 bytes) per projection.
@@ -68,6 +69,9 @@ __all__ = [
 
 _FRAME_TOL = 1e-12
 _CHUNK = 8192
+# Projections per packed table and signals per product with it: 512 x 1024 float64 is 4 MiB.
+_TRACE_SLICE = 1024
+_INPUT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -231,34 +235,11 @@ def _pack_hermitian(field: FieldKind, mats: np.ndarray) -> np.ndarray:
 
 
 def _pack_frames(field: FieldKind, frames: np.ndarray) -> np.ndarray:
-    """The float64 (count, w) packed table of a (count, k, d) frame stack of
-    at most _CHUNK projections, row j packing P_j = F_j^H F_j. It is the
-    transpose of a C-ordered (w, count) array, so each packed entry is one
-    contiguous column over the projections.
-
-    Each entry is sum_i conj(F_ia) F_ib, summed over i in order as
-    np.einsum("mka,mkb->mab") sums it, with the frames laid out
-    projection-last so every product is one contiguous row operation over
-    the whole stack.
-    """
-    count, k, d = frames.shape
-    # before the temporaries, so that freeing them leaves no hole below it
-    out = np.empty((_packed_width(field, d), count))
-    cols = np.ascontiguousarray(frames.transpose(1, 2, 0))
-    conj = np.conjugate(cols)
-    upper = out if field is FieldKind.REAL else np.empty((d * (d + 1) // 2, count), cols.dtype)
-    starts = np.cumsum([0, *range(d, 1, -1)])  # row a of the upper triangle
-    for a, start in enumerate(starts):
-        row = upper[start : start + d - a]
-        np.multiply(conj[0, a], cols[0, a:], out=row)
-        for i in range(1, k):
-            row += conj[i, a] * cols[i, a:]
-    if field is FieldKind.COMPLEX:
-        strict = np.delete(upper, starts, axis=0)
-        out[:d] = upper[starts].real
-        out[d : d + len(strict)] = strict.real
-        out[d + len(strict) :] = strict.imag
-    return out.T
+    """The float64 (count, w) packed table of a (count, k, d) frame stack,
+    row j packing P_j = F_j^H F_j: one batched product, packed by
+    `_pack_hermitian`. Callers pass at most _TRACE_SLICE projections: the
+    (count, d, d) products take about twice the table's bytes."""
+    return _pack_hermitian(field, np.conjugate(frames.swapaxes(1, 2)) @ frames)
 
 
 def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarray:

@@ -13,14 +13,15 @@ Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
 seeded through numpy's SeedSequence, ensembles sampled as one Gaussian
 draw per 8192-element block and one batched QR, the noise protocol's
 corrupted average taken as a sparse update of the clean one, and uniform
-mode's stacked averages summed as a real GEMM over the packed projection
-table (over C that replaced a complex GEMM and moved the last bits of the
-`uniform-complex` averages, by at most 1.1e-16). The Gaussian
-streams depend on the numpy version and the reductions on the BLAS build
-and its thread count (the stacked averages' GEMM splits its work by
-thread), so `tests/conftest.py` pins the BLAS to one thread, and another
-stack may need a fresh capture; run this file as a script, with the BLAS
-pinned the same way, to print one.
+mode's projection tables packed from batched F^H F products, one table per
+1024-projection slice, with the stacked averages summed slice by slice as a
+real GEMM over them (that moved the last bits of the uniform averages, by
+at most 1.1e-16, and no answer bit). The Gaussian streams depend on the
+numpy version and the reductions on the BLAS build and its thread count
+(the stacked averages' GEMM splits its work by thread), so
+`tests/conftest.py` pins the BLAS to one thread, and another stack may need
+a fresh capture; run this file as a script, with the BLAS pinned the same
+way, to print one.
 """
 
 import hashlib
@@ -95,18 +96,18 @@ GOLDEN = {
     },
     "uniform-complex": {
         ".bounds.csv": "de7141d2f23b8030ebb47bd2f676d821ebaafa6edd626a3869573ad46601da71",
-        ".csv": "8972f490cd2f41b54a7216f3100710161c9485098bf61a131af701741dcd175a",
-        ".max.csv": "216c4045b35641a16d3757c306406dbf60109ef8cdae06da0fcb02d80c4e2b8b",
+        ".csv": "7fa5783db598f217d2f0993f0c36bc8af8703e48aabfefa1b3fdc14ae6e8642a",
+        ".max.csv": "c1079206b2f5956f33bff4aec1432006a7bc1bcf9e847c66cad350eac9772135",
     },
     "uniform-real": {
         ".bounds.csv": "d4e353997c92d16820ffef45c27ff2883668f1fcd50f52499044173a72cbd1c3",
-        ".csv": "37dc9c04d4370a7747bc29005eae22826ff14909633821a8d97bccbe0da8f8a7",
-        ".max.csv": "d2cf71d2937fdfb99f68d0bd6dab20f6543781ad5936d15e4104355f95f4ebec",
+        ".csv": "e58ba0d2b017a2217b922cb9cf1a61412e4608325f510a1d232f781c4eaf45da",
+        ".max.csv": "4506d538706d8ca07930e6c687365cbe19850b1805a324a679a416d1c5622b49",
     },
     "uniform-real-block": {
         ".bounds.csv": "cd038271980f164f6579e68b9c29f125f4535837f91e4ed30384d92169dfb308",
-        ".csv": "2edaa567f2002bc91a9e195f37b89f3d7983c2df1ff365363999dff1cb4046ce",
-        ".max.csv": "921da2f26b7fd23c79df3cff50da9acc79e89968c09416d5aef752bdff0c31dd",
+        ".csv": "3f7e3bb1898e35b0c099cb26111323a9dfab100ec7bb31e287c7858bfddb4b0a",
+        ".max.csv": "cae06e7594c7f0a561e1927621814f2c939306313d075f0a7a34f05feb68671b",
     },
 }
 

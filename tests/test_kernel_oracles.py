@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bitretrieve.core import FieldKind, RankOneProjection
 from bitretrieve.measurement import trace_table, trace_value
 from bitretrieve.recovery import average_stack, flipped_projection
-from bitretrieve.sampler import SeedStream, sample_ensemble, sample_unit_vector
+from bitretrieve.sampler import _TRACE_SLICE, SeedStream, sample_ensemble, sample_unit_vector
 
 EPS = np.finfo(np.float64).eps
 
@@ -89,3 +89,15 @@ def test_average_stack_crosses_accumulation_chunk():
         bit_rows = np.random.default_rng(72).integers(0, 2, size=(2, m), dtype=np.uint8)
         for bits, q in zip(bit_rows, average_stack(ens, bit_rows)):
             check_average_row(ens, bits, q)
+
+
+def test_trace_table_crosses_a_table_slice():
+    # m > 1024 packs the projections into more than one table slice.
+    m = _TRACE_SLICE + 3
+    for field, n in ((FieldKind.REAL, 2), (FieldKind.COMPLEX, 1)):
+        ens = sample_ensemble(field, n, m, SeedStream(73, (0,)))
+        xs = [sample_unit_vector(field, ens.dim, SeedStream(73, (1, i))) for i in range(2)]
+        table = trace_table(ens, np.stack([x.entries for x in xs]))
+        for row, x in zip(table, xs):
+            direct = [trace_value(ens.projection(j), RankOneProjection(x)) for j in range(m)]
+            assert np.max(np.abs(row - direct)) <= table_tol(ens.dim)

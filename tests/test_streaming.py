@@ -40,7 +40,6 @@ M = 2 * _CHUNK + 17
 N = 2
 # More signals than one 512-signal slice of the uniform passes.
 SIGNALS = 600
-EPS = np.finfo(np.float64).eps
 FIELDS = [FieldKind.REAL, FieldKind.COMPLEX]
 ROOT = SeedStream(31)
 ENSEMBLE_STREAM = ROOT.child(0, M)
@@ -231,12 +230,7 @@ def test_streamed_stack_averages_match_average_stack(field):
     ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
     expected = average_stack(ens, _answers(trace_table(ens, signals)))
     blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
-    streamed = _streamed_stack_averages(field, M, blocks, signals)
-    if field is FieldKind.REAL:
-        assert np.array_equal(streamed, expected)
-    else:
-        # two orders of summing M terms of magnitude at most 1, over M
-        assert np.max(np.abs(streamed - expected)) <= 2 * M * EPS
+    assert np.array_equal(_streamed_stack_averages(field, M, blocks, signals), expected)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
