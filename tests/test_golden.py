@@ -42,8 +42,8 @@ CONFIGS = {
         "pointwise", "--field", "real", "--n", "2", "--m-grid", "16401",
         "--trials", "2", "--seed", "16",
     ),
-    # inputs > 512 crosses the uniform runner's signal block, and m = 9000 the
-    # 8192-element accumulation chunk of the stacked average.
+    # inputs > 512 crosses the uniform runner's signal block, and m = 9000 a
+    # sampling block and the 1024-projection slices of its packed tables.
     "uniform-real": (
         "uniform", "--field", "real", "--n", "4", "--m-grid", "300,9000",
         "--inputs", "700", "--seed", "12",

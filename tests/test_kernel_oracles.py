@@ -82,7 +82,7 @@ def test_average_stack_rows_match_flipped_mean(data, rows):
 
 
 def test_average_stack_crosses_accumulation_chunk():
-    # m > 8192 puts the sum in more than one accumulation chunk.
+    # m = 8200 spans nine table slices and more than one 8192-element block.
     m = 8200
     for field, n in ((FieldKind.REAL, 2), (FieldKind.COMPLEX, 1)):
         ens = sample_ensemble(field, n, m, SeedStream(71, (0,)))

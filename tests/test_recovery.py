@@ -127,8 +127,8 @@ class TestEmpiricalAverage:
             assert np.array_equal(mat, _finalize_average(acc, int(count), 40))
 
     def test_average_stack_memory_does_not_grow_with_m(self):
-        # the table and the signs are formed per accumulation chunk, so
-        # besides the bits the traced peak is one chunk's working set
+        # the table, the signs and the counts of ones are formed per table
+        # slice, so besides the bits the traced peak is one slice's working set
         def traced_peak(m):
             ens = sample_ensemble(R, 2, m, SeedStream(61, (m,)))
             rows = np.random.default_rng(62).integers(0, 2, size=(64, m), dtype=np.uint8)
