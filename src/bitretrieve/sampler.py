@@ -32,7 +32,9 @@ is all the library reads from Q.
 An ensemble of m projections is sampled in blocks of _CHUNK = 8192
 elements: block b (elements [b * 8192, (b + 1) * 8192)) is one
 Gaussian draw of shape (count, d, k) from `path + (b,)`, orthonormalized
-by one batched QR call. The block size is therefore part of the
+by one QR call per slice of _TRACE_SLICE = 1024 matrices, whose frames
+overwrite the bytes the slice's draw held. QR factors each matrix on its
+own, so the slices change no bit, but the block size is part of the
 reproducibility contract. The same _CHUNK sizes the recovery module's
 accumulation chunks, so a sampling block is a whole number of them and an
 ensemble can be streamed block by block (`_frame_blocks`) with the sums
@@ -107,7 +109,9 @@ def _gaussian(field: FieldKind, shape: tuple[int, ...], rng: np.random.Generator
     if field is FieldKind.REAL:
         return rng.standard_normal(shape)
     parts = rng.standard_normal((2, *shape))
-    return parts[0] + 1j * parts[1]
+    g = np.empty(shape, dtype=complex)
+    g.real, g.imag = parts
+    return g
 
 
 def sample_unit_vector(field: FieldKind, d: int, stream: SeedStream) -> UnitVector:
@@ -120,8 +124,9 @@ def sample_unit_vector(field: FieldKind, d: int, stream: SeedStream) -> UnitVect
 def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of each matrix in a (m, d, k) stack.
 
-    The thin Q factor of one batched QR call; Q spans the same columns
-    as the input, with no phase fix (see the module docstring).
+    The thin Q factor of one batched QR call, in a new array; Q spans the
+    same columns as the input, with no phase fix (see the module
+    docstring). `_frame_blocks` calls it once per _TRACE_SLICE slice.
     """
     q, r = np.linalg.qr(g)
     if not np.all(np.diagonal(r, axis1=1, axis2=2)):
@@ -170,10 +175,11 @@ class MeasurementEnsemble:
         if frames.shape[0] < 1:
             raise InvalidInput("MeasurementEnsemble: need at least one projection")
         eye = np.eye(self.n)
-        for start in range(0, frames.shape[0], _CHUNK):
-            block = frames[start : start + _CHUNK]
-            gram = block @ block.conj().swapaxes(1, 2)
-            dev = float(np.max(np.abs(gram - eye), initial=0.0))
+        for start in range(0, frames.shape[0], _TRACE_SLICE):
+            part = frames[start : start + _TRACE_SLICE]
+            gram = part @ part.conj().swapaxes(1, 2)
+            gram -= eye
+            dev = float(np.max(np.abs(gram), initial=0.0))
             if dev > _FRAME_TOL:
                 raise InvalidInput(f"ensemble frame not orthonormal (deviation {dev:.2e})")
         frames.setflags(write=False)
@@ -256,20 +262,24 @@ def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarra
 def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
     """Yield (start, block) for each sampling block of the ensemble that
     `sample_ensemble(field, n, m, stream)` returns, in order: `block` is
-    the MeasurementEnsemble of elements [start, start + block.m), on fresh
-    C-ordered frames, validated where it is drawn. The generator drops it
-    after the yield, so a consumer that drops each block before asking for
-    the next holds one block at a time."""
+    the MeasurementEnsemble of elements [start, start + block.m), validated
+    where it is drawn. Its frames are the block's own (count, d, k) draw:
+    each _TRACE_SLICE slice's conj(Q^T) is written over the d * k elements
+    per matrix that the slice occupied (QR returns a new Q, and later slices
+    are disjoint from it). The generator drops the block after the yield, so
+    a consumer that drops each block before asking for the next holds one
+    block at a time."""
     d, k = 2 * n, n
     for b, start in enumerate(range(0, m, _CHUNK)):
         count = min(_CHUNK, m - start)
-        q = _orthonormalize_batch(_gaussian(field, (count, d, k), stream.child(b).generator()))
-        frames = np.empty((count, k, d), dtype=field.dtype)
-        np.conjugate(np.swapaxes(q, 1, 2), out=frames)
-        # drop Q, and the block once yielded, before the next draw and QR
-        del q
+        g = _gaussian(field, (count, d, k), stream.child(b).generator())
+        frames = g.reshape(count, k, d)
+        for s in range(0, count, _TRACE_SLICE):
+            q = _orthonormalize_batch(g[s : s + _TRACE_SLICE])
+            np.conjugate(np.swapaxes(q, 1, 2), out=frames[s : s + _TRACE_SLICE])
+            del q  # before the next slice's QR
         yield start, MeasurementEnsemble(field, n, frames)
-        del frames
+        del g, frames  # before the next block's draw
 
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bitretrieve.experiments import _ks_statistic
 from bitretrieve.measurement import trace_values
 from bitretrieve.sampler import (
     _CHUNK,
+    _TRACE_SLICE,
     MeasurementEnsemble,
     SeedStream,
     _frame_blocks,
@@ -21,6 +23,21 @@ from bitretrieve.sampler import (
 
 R = FieldKind.REAL
 C = FieldKind.COMPLEX
+
+
+def whole_block_frames(field: FieldKind, n: int, count: int, stream: SeedStream) -> np.ndarray:
+    """The frames of one sampling block as the sampler's contract states
+    them: one Gaussian draw from `stream` (complex: real parts, then
+    imaginary parts, in one call), one QR call over the whole block, and
+    the conjugate transpose of each Q."""
+    rng = stream.generator()
+    if field is R:
+        g = rng.standard_normal((count, 2 * n, n))
+    else:
+        parts = rng.standard_normal((2, count, 2 * n, n))
+        g = parts[0] + 1j * parts[1]
+    q = np.linalg.qr(g)[0]
+    return np.conjugate(np.swapaxes(q, 1, 2))
 
 
 class TestSeedStream:
@@ -145,23 +162,46 @@ class TestOrthonormalize:
 class TestSampleEnsemble:
     @pytest.mark.parametrize("field", [R, C])
     def test_blocks_match_child_streams(self, field):
-        # block b of 8192 elements is one Gaussian draw from stream.child(b)
-        # (complex: real parts, then imaginary parts, in one call) and one QR
+        # block b of 8192 elements is drawn and orthonormalized from stream.child(b)
         n, block = 2, 8192
         m = 2 * block + 17
         stream = SeedStream(99, (3, m))
         ens = sample_ensemble(field, n, m, stream)
         for b, start in enumerate(range(0, m, block)):
             count = min(block, m - start)
-            rng = stream.child(b).generator()
-            if field is R:
-                g = rng.standard_normal((count, 2 * n, n))
-            else:
-                parts = rng.standard_normal((2, count, 2 * n, n))
-                g = parts[0] + 1j * parts[1]
-            q = np.linalg.qr(g)[0]
-            frames = np.conjugate(np.swapaxes(q, 1, 2))
+            frames = whole_block_frames(field, n, count, stream.child(b))
             assert np.array_equal(ens.frames[start : start + count], frames)
+
+    @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("m", [17, _TRACE_SLICE, _TRACE_SLICE + 1, _CHUNK, 2 * _CHUNK + 17])
+    def test_sliced_blocks_match_one_whole_block_qr(self, field, m):
+        # Each block is orthonormalized one 1024-matrix slice at a time, in
+        # its draw's buffer; QR factors each matrix alone, so every frame is
+        # the one a single QR over the whole block gives, bit for bit.
+        n = 2
+        stream = SeedStream(57, (2, m))
+        blocks = [block for _, block in _frame_blocks(field, n, m, stream)]
+        assert sum(block.m for block in blocks) == m
+        for b, block in enumerate(blocks):
+            frames = block.frames
+            assert frames.flags.c_contiguous and not frames.flags.writeable
+            assert np.array_equal(frames, whole_block_frames(field, n, block.m, stream.child(b)))
+        for i, first in enumerate(blocks):
+            for later in blocks[i + 1 :]:
+                assert not np.shares_memory(first.frames, later.frames)
+
+    @pytest.mark.parametrize("field, n, ratio", [(R, 8, 1.5), (C, 4, 2.1)])
+    def test_one_block_costs_little_beyond_its_frames(self, field, n, ratio):
+        # The block's frames are its draw; besides them only one slice's QR
+        # and Gram buffers live (and over C the draw's real parts, once).
+        blocks = _frame_blocks(field, n, _CHUNK, SeedStream(58))
+        tracemalloc.start()
+        try:
+            _, block = next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * block.frames.nbytes, (peak, block.frames.nbytes)
 
     def test_replay_identical(self):
         a = sample_ensemble(C, 2, 50, SeedStream(1, (0, 50)))
@@ -200,25 +240,35 @@ class TestSampleEnsemble:
         with pytest.raises(InvalidInput):
             MeasurementEnsemble(R, 2, bad)
 
-    def test_every_drawn_block_is_validated(self, monkeypatch):
-        # The third QR returns one frame off the unit sphere; the block
-        # source itself must refuse that block, before any consumer reads it.
-        calls = []
-
-        def skewed(g):
-            q = _orthonormalize_batch(g)
-            calls.append(len(q))
-            if len(calls) == 3:
-                q[5] *= 1.001
-            return q
-
-        monkeypatch.setattr(sampler, "_orthonormalize_batch", skewed)
-        blocks = _frame_blocks(R, 2, 2 * _CHUNK + 17, SeedStream(31, (0,)))
-        for start in (0, _CHUNK):
-            assert next(blocks)[0] == start
+    def test_held_ensemble_validates_its_last_slice(self):
+        frames = sample_ensemble(R, 2, 2 * _CHUNK + 17, SeedStream(32)).frames.copy()
+        frames[-1] *= 1.001
         with pytest.raises(InvalidInput, match="not orthonormal"):
-            next(blocks)
-        assert calls == [_CHUNK, _CHUNK, 17]
+            MeasurementEnsemble(R, 2, frames)
+
+    def test_every_drawn_block_is_validated(self, monkeypatch):
+        # Each block is orthonormalized in slices of 1024 matrices. One slice
+        # of the third block, its first or its last, returns a frame off the
+        # unit sphere; the block source itself must refuse that block, before
+        # any consumer reads it.
+        per_block = _CHUNK // _TRACE_SLICE
+        for skewed_call in (2 * per_block + 1, 2 * per_block + 2):
+            calls = []
+
+            def skewed(g):
+                q = _orthonormalize_batch(g)
+                calls.append(len(q))
+                if len(calls) == skewed_call:
+                    q[5] *= 1.001
+                return q
+
+            monkeypatch.setattr(sampler, "_orthonormalize_batch", skewed)
+            blocks = _frame_blocks(R, 2, 2 * _CHUNK + _TRACE_SLICE + 17, SeedStream(31, (0,)))
+            for start in (0, _CHUNK):
+                assert next(blocks)[0] == start
+            with pytest.raises(InvalidInput, match="not orthonormal"):
+                next(blocks)
+            assert calls == [_TRACE_SLICE] * (2 * per_block + 1) + [17]
 
     def test_compression_blocks(self):
         ens = sample_ensemble(R, 3, 10, SeedStream(12))
