@@ -56,6 +56,11 @@ so prefixes of a run are stable when `trials` or `inputs` grow. Every
 ensemble is read, and replayed in uniform's pass 2, through the blocks of
 `sampler._frame_blocks`, each validated where it is drawn.
 
+`run_experiment` and `run_diagnostics` hold numpy's bundled OpenBLAS at one
+thread for the run and then restore the caller's count, so the bytes do not
+depend on the BLAS thread count the environment asks for; with any other
+BLAS they print one line to stderr and run as they are.
+
 Output: the primary CSV has exactly the columns
 trial,m,error,qdev,hamming_gap,degenerate,seed_path; auxiliary tables
 (bound curves, running maxima, clean/noisy error pairs) are written next
@@ -66,9 +71,13 @@ byte-identical across reruns and thread counts.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -419,6 +428,48 @@ def _pool_map(worker, units, threads: int) -> list:
         return list(pool.map(worker, units))
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    build record names, from the copy numpy's wheel bundles in `numpy.libs`;
+    None for any other BLAS or layout."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if blas.get("name") != "scipy-openblas":
+        return None
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))  # the library numpy already loaded
+        for suffix in ("64_", ""):
+            names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
+            get, set_ = (getattr(lib, name, None) for name in names)
+            if get and set_:
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS at one thread and restore the caller's count after.
+    The pinned bytes are those of a one-thread BLAS: a GEMM split over
+    threads sums in another order. The count is process-wide, so runs made
+    at once from several threads of one process share it."""
+    threads = _openblas_threads()
+    if threads is None:
+        print(
+            "bitretrieve: cannot set this numpy's BLAS thread count; the output"
+            " bytes may differ from those of a one-thread BLAS",
+            file=sys.stderr,
+        )
+        yield
+        return
+    get, set_ = threads
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
 def _qdevs(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants) -> np.ndarray:
     """||Q_i - (mu1 X_i + mu2 (I - X_i))|| for stacked averages and signals."""
     return _hermitian_opnorm(qhats - _expected_averages(signals, consts.mu1, consts.mu2))
@@ -677,7 +728,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     runner = {"pointwise": run_pointwise, "uniform": run_uniform, "noise": run_noise}
     if cfg.experiment not in runner:
         raise ConfigError("experiment", f"{cfg.experiment!r} does not produce trial records")
-    return runner[cfg.experiment](cfg, threads)
+    with _one_blas_thread():
+        return runner[cfg.experiment](cfg, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -816,13 +868,14 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
     """Distributional spot checks; each yields a named pass/fail line."""
     _require_experiment(cfg, "diagnostics")
     root = SeedStream(cfg.master_seed)
-    checks = [
-        _check_beta_law(cfg, root.child(1001)),
-        _check_expectation_structure(cfg, root.child(1002)),
-        _check_hamming_margin(cfg, root.child(1003)),
-        *_check_eigenvalue_pairs(cfg, root.child(1004)),
-        _check_soft_sandwich(cfg, root.child(1005)),
-    ]
+    with _one_blas_thread():
+        checks = [
+            _check_beta_law(cfg, root.child(1001)),
+            _check_expectation_structure(cfg, root.child(1002)),
+            _check_hamming_margin(cfg, root.child(1003)),
+            *_check_eigenvalue_pairs(cfg, root.child(1004)),
+            _check_soft_sandwich(cfg, root.child(1005)),
+        ]
     return DiagnosticsReport(cfg, checks)
 
 

@@ -513,3 +513,36 @@ class TestExitCodes:
         assert main([*self.ARGV, "--seed", seed, "--out", str(out)]) == 2
         assert "master seed must lie in [0, 2^64)" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBlasThreads:
+    def test_run_holds_one_blas_thread_and_restores_the_callers(self, monkeypatch):
+        threads = experiments._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
+        get, set_ = threads
+        seen = []
+        runner = experiments.run_pointwise
+
+        def spy(cfg, threads=1):
+            seen.append(get())
+            return runner(cfg, threads)
+
+        monkeypatch.setattr(experiments, "run_pointwise", spy)
+        caller = get()
+        set_(2)
+        try:
+            experiments.run_experiment(make_cfg(n=2, m_grid="40", trials=1))
+            after = get()
+        finally:
+            set_(caller)
+        assert seen == [1] and after == 2
+
+    def test_unknown_blas_runs_with_one_stderr_line(self, monkeypatch, capsys):
+        cfg = make_cfg(n=2, m_grid="40", trials=1)
+        expected = experiments.run_experiment(cfg).records
+        capsys.readouterr()
+        monkeypatch.setattr(experiments, "_openblas_threads", lambda: None)
+        assert experiments.run_experiment(cfg).records == expected
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "BLAS" in err

@@ -9,22 +9,26 @@ say why. `DIAGNOSTICS` pins every check of `diagnostics --n 3` for both
 fields at the default seed, floats compared exactly through their repr.
 
 Captured with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on OpenBLAS
-0.3.31 (scipy-openblas, DYNAMIC_ARCH) at one BLAS thread, with streams
-seeded through numpy's SeedSequence, ensembles sampled as one Gaussian
-draw per 8192-element block and one batched QR, the noise protocol's
-corrupted average taken as a sparse update of the clean one, and uniform
-mode's projection tables packed from batched F^H F products, one table per
-1024-projection slice, with the stacked averages summed slice by slice as a
-real GEMM over them (that moved the last bits of the uniform averages, by
-at most 1.1e-16, and no answer bit). The Gaussian streams depend on the
-numpy version and the reductions on the BLAS build and its thread count
-(the stacked averages' GEMM splits its work by thread), so
-`tests/conftest.py` pins the BLAS to one thread, and another stack may need
-a fresh capture; run this file as a script, with the BLAS pinned the same
-way, to print one.
+0.3.31 (scipy-openblas, DYNAMIC_ARCH), with streams seeded through numpy's
+SeedSequence, ensembles sampled as one Gaussian draw per 8192-element block
+and one batched QR, the noise protocol's corrupted average taken as a sparse
+update of the clean one, and uniform mode's projection tables packed from
+batched F^H F products, one table per 1024-projection slice, with the
+stacked averages summed slice by slice as a real GEMM over them (that moved
+the last bits of the uniform averages, by at most 1.1e-16, and no answer
+bit). The Gaussian streams depend on the numpy version and the reductions on
+the BLAS build and its thread count (a GEMM split over threads sums in
+another order), so `run_experiment` and `run_diagnostics` hold numpy's
+bundled OpenBLAS at one thread, `tests/conftest.py` pins the BLAS to one
+thread too, and `test_digests_hold_at_two_blas_threads` runs a config whose
+bytes move at two BLAS threads. Another stack may need a fresh capture; run
+this file as a script to print one.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,21 +135,45 @@ DIAGNOSTICS = {
 }
 
 
-def csv_digests(argv: tuple[str, ...], threads: int, directory: Path) -> dict[str, str]:
-    """Run one config through the CLI and hash every CSV it wrote, keyed by
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def written_digests(directory: Path) -> dict[str, str]:
+    """The SHA-256 of every CSV of the run `run.csv` in `directory`, keyed by
     the file name with the common stem removed."""
-    out = directory / "run.csv"
-    assert main([*argv, "--threads", str(threads), "--out", str(out)]) == 0
     return {
         path.name[len("run") :]: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(directory.glob("run*.csv"))
     }
 
 
+def csv_digests(argv: tuple[str, ...], threads: int, directory: Path) -> dict[str, str]:
+    """Run one config through the CLI in this process and hash every CSV it wrote."""
+    assert main([*argv, "--threads", str(threads), "--out", str(directory / "run.csv")]) == 0
+    return written_digests(directory)
+
+
+def child_digests(argv: tuple[str, ...], blas_threads: int, directory: Path) -> dict[str, str]:
+    """Run the CLI in a child process whose BLAS thread variables all ask for
+    `blas_threads`, and hash every CSV it wrote."""
+    env = dict(os.environ, **{var: str(blas_threads) for var in BLAS_VARIABLES})
+    command = [sys.executable, "-m", "bitretrieve", *argv, "--out", str(directory / "run.csv")]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return written_digests(directory)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests(name, threads, tmp_path):
     assert csv_digests(CONFIGS[name], threads, tmp_path) == GOLDEN[name]
+
+
+def test_digests_hold_at_two_blas_threads(tmp_path):
+    # A run holds the BLAS at one thread whatever the environment asks for;
+    # left at two, OpenBLAS splits the stacked averages' GEMM and the last
+    # bits of the uniform averages move.
+    assert child_digests(CONFIGS["uniform-real"], 2, tmp_path) == GOLDEN["uniform-real"]
 
 
 def diagnostics_pin(field: str) -> tuple[tuple, ...]:
@@ -164,32 +192,52 @@ def test_diagnostics_pin(field):
 
 
 if __name__ == "__main__":
-    # Print fresh GOLDEN and DIAGNOSTICS mappings to paste above, after
-    # checking that threads 1 and 2 write the same bytes. Run from the
-    # repository root, with the BLAS pinned as tests/conftest.py pins it:
-    #   OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+    # Print fresh GOLDEN and DIAGNOSTICS mappings to paste above. Every config
+    # runs in child processes at --threads 1 and 2, each with the BLAS thread
+    # variables at 1 and at 2, and the diagnostics at both BLAS settings; any
+    # difference stops the script before it prints. From the repository root:
     #   PYTHONPATH=src python tests/test_golden.py
-    import contextlib
-    import sys
+    import ast
+    import itertools
     import tempfile
 
-    print("GOLDEN = {")
+    if sys.argv[1:2] == ["--diagnostics"]:
+        print(repr(diagnostics_pin(sys.argv[2])))
+        raise SystemExit
+
+    golden = {}
     for name in sorted(CONFIGS):
-        runs = []
-        for threads in (1, 2):
-            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
-                runs.append(csv_digests(CONFIGS[name], threads, Path(tmp)))
-        if runs[0] != runs[1]:
-            raise SystemExit(f"{name}: threads 1 and 2 wrote different bytes")
+        runs = {}
+        for threads, blas in itertools.product((1, 2), (1, 2)):
+            with tempfile.TemporaryDirectory() as tmp:
+                argv = (*CONFIGS[name], "--threads", str(threads))
+                runs[threads, blas] = child_digests(argv, blas, Path(tmp))
+        if any(run != runs[1, 1] for run in runs.values()):
+            raise SystemExit(f"{name}: (--threads, BLAS threads) runs differ: {runs}")
+        golden[name] = runs[1, 1]
+    diagnostics = {}
+    for field in ("complex", "real"):
+        pins = []
+        for blas in (1, 2):
+            env = dict(os.environ, **{var: str(blas) for var in BLAS_VARIABLES})
+            command = [sys.executable, __file__, "--diagnostics", field]
+            out = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+            pins.append(ast.literal_eval(out.stdout))
+        if pins[0] != pins[1]:
+            raise SystemExit(f"diagnostics over {field}: BLAS threads 1 and 2 differ")
+        diagnostics[field] = pins[0]
+
+    print("GOLDEN = {")
+    for name, digests in golden.items():
         print(f'    "{name}": {{')
-        for suffix, digest in runs[0].items():
+        for suffix, digest in digests.items():
             print(f'        "{suffix}": "{digest}",')
         print("    },")
     print("}")
     print("DIAGNOSTICS = {")
-    for field in ("complex", "real"):
+    for field, checks in diagnostics.items():
         print(f'    "{field}": (')
-        for check in diagnostics_pin(field):
+        for check in checks:
             print(f"        {check!r},")
         print("    ),")
     print("}")
