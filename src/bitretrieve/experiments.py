@@ -6,25 +6,25 @@ pointwise    one fixed signal, fresh ensembles per (trial, m); records the
              recovery error and the deviation of the empirical average from
              its expectation, plus the inverted fixed-signal accuracy bound
              as an auxiliary table. Each (trial, m) ensemble is streamed one
-             sampling block at a time and never held whole: the block is
-             drawn, validated, measured and added into one d x d
-             accumulator, so a unit's memory is one block's working set
-             whatever m is. The sampler and the accumulation kernel share
-             one 8192-element _CHUNK, so the averages equal those of the
-             materialized ensemble bit for bit.
+             1024-projection slice at a time and never held whole: the
+             slice is drawn, validated, measured and added into one d x d
+             accumulator, one GEMM per slice, so a unit's memory is one
+             slice's working set, and over R its block's draw, whatever m
+             is. The accumulation kernel sums a held ensemble in the same
+             slices, so the averages equal those of the materialized
+             ensemble bit for bit.
 uniform      one ensemble per m, many random signals recovered against it;
              records per-signal errors, the running maximum, and the
              inverted uniform accuracy bound. The ensemble is never held
-             whole: both passes walk its sampling blocks [0, m, b] through
-             one loop, `_block_answers`, which packs each block's
-             1024-projection slices one at a time and answers the signals
-             against each slice's table. Pass 1 adds the +-1 signs against
-             the table into one (inputs, w) sum, then one batched
-             eigensolve gives the estimates; pass 2 replays the same
-             blocks, which the block streams make identical, and counts
-             where the estimates' answers differ from the signals'. Memory
-             is O(inputs d^2 + one block) whatever m is: one slice's table
-             and the traces, bits and signs of 512 signals against it.
+             whole: both passes walk the slices of its sampling blocks
+             [0, m, b] through one loop, `_block_answers`, which packs each
+             slice's table and answers the signals against it. Pass 1 adds
+             the +-1 signs against the table into one (inputs, w) sum, then
+             one batched eigensolve gives the estimates; pass 2 replays the
+             same blocks, which the block streams make identical, and
+             counts where the estimates' answers differ from the signals'.
+             Memory is O(inputs d^2 + one block) whatever m is: one slice's
+             table and the traces, bits and signs of 512 signals against it.
 noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
@@ -33,14 +33,15 @@ noise        the pointwise protocol plus a corruption stage: after the
              materialized ensemble: random mode draws it from the same flip
              stream [t, m, m] with the same call before the pass, and greedy
              mode keeps a running top floor(tau m) by damage during the pass,
-             holding only the frames that may still be flipped. The noisy
-             average is then a sparse update of the clean one:
+             holding only the frames that may still be flipped, plus one
+             slice's worth of spare rows so that it prunes them seldom. The
+             noisy average is then a sparse update of the clean one:
              acc - 2 sum_F s_j P_j and zeros + sum_F s_j, with s_j = 2 b_j - 1
              and the sum in index order.
 diagnostics  distributional spot checks (trace law, expected-average
              eigenstructure, Hamming-vs-operator-norm margin, separation
              probability, eigenvalue-pair density fit, soft-distance
-             sandwich), each streaming its ensembles block by block;
+             sandwich), each streaming its ensembles slice by slice;
              nonzero exit on any failure.
 theory       prints the closed-form constants and sample-size bounds.
 
@@ -53,7 +54,7 @@ bit-corruption subset, drawn from [t, m, m]). The uniform protocol draws
 the ensemble for size m from [0, m] and signal i from [1, i]. Records for
 trial t therefore depend only on per-trial streams plus the shared signal,
 so prefixes of a run are stable when `trials` or `inputs` grow. Every
-ensemble is read, and replayed in uniform's pass 2, through the blocks of
+ensemble is read, and replayed in uniform's pass 2, through the slices of
 `sampler._frame_blocks`, each validated where it is drawn.
 
 `run_experiment` and `run_diagnostics` hold numpy's bundled OpenBLAS at one
@@ -500,10 +501,10 @@ def _streamed_averages(
     flip_stream: SeedStream | None = None,
 ) -> tuple[HermitianMatrix, HermitianMatrix, np.ndarray]:
     """The clean and the corrupted empirical average of one ensemble of m
-    elements, in one pass over its blocks.
+    elements, in one pass over its slices.
 
-    `blocks` yields (start, block) in order, as `sampler._frame_blocks`
-    does, each block a validated MeasurementEnsemble in the space of x.
+    `blocks` yields (start, part) in order, as `sampler._frame_blocks`
+    does, each part a validated MeasurementEnsemble in the space of x.
     Each is measured against x, added into one signed accumulator and
     dropped. With a flip mode, the positions `corrupt_bits(bits, tau,
     flip_mode, flip_stream, (ensemble, x))` would flip are chosen on the
@@ -515,68 +516,89 @@ def _streamed_averages(
     acc = np.zeros((d, d), dtype=field.dtype)
     ones = 0
     flips = _flip_count(tau, m) if flip_mode is not None else 0
-    drawn = None
-    if flips and flip_mode == "random":
-        drawn = np.sort(_random_flips(m, flips, flip_stream))
-    # The flip candidates' positions, damages and bits in index order, and
-    # the slot of each one's frame in a preallocated store: a block's
-    # entering frames are written into the slots its evicted ones free.
-    positions, damages = np.empty(0, dtype=np.intp), np.empty(0)
-    kept_bits, slots = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.intp)
-    store = np.empty((flips, d // 2, d), dtype=field.dtype)
-    for start, block in blocks:
-        traces = trace_values(block, x)
+    greedy = flips > 0 and flip_mode == "greedy"
+    # The flip candidates in position order: their positions, damages and
+    # bits, and the row of each one's frame in a preallocated store. Random
+    # mode's candidates are its drawn positions, final from the start. Greedy
+    # mode appends every damage above `cut`, the least one the last pruning
+    # kept, and prunes to the `flips` most damaging only when a slice might
+    # not fit in the store's spare rows, so its cost per projection does not
+    # grow with flips. Ties go to the lower position and the cut only rises,
+    # so a damage at or below it can never be flipped.
+    capacity = flips + _TRACE_SLICE if greedy else flips
+    store = np.empty((capacity, d // 2, d), dtype=field.dtype)
+    kept_bits = np.empty(capacity, dtype=np.uint8)
+    damages, slots, free = np.empty(capacity), np.arange(capacity), np.arange(capacity)
+    count, cut = 0 if greedy else flips, -1.0
+    if greedy:
+        positions = np.empty(capacity, dtype=np.intp)
+    else:
+        positions = np.sort(_random_flips(m, flips, flip_stream)) if flips else slots
+
+    def prune():
+        nonlocal count, cut, free
+        keep = _most_damaging(damages[:count], flips)
+        free = np.concatenate([slots[:count][~keep], free])
+        for column in (positions, damages, kept_bits, slots):
+            column[:flips] = column[:count][keep]
+        count, cut = flips, float(damages[:flips].min())
+
+    for start, part in blocks:
+        traces = trace_values(part, x)
         bits = _answers(traces)
-        _accumulate_signed(acc, block.frames, bits)
+        _accumulate_signed(acc, part.frames, bits)
         ones += int(bits.sum())
-        if flips:
-            if drawn is not None:
-                lo, hi = np.searchsorted(drawn, (start, start + block.m))
-                enter, stay = drawn[lo:hi] - start, np.ones(len(slots), dtype=bool)
-            else:
-                keep = _most_damaging(np.concatenate([damages, _damage(traces)]), flips)
-                enter, stay = np.flatnonzero(keep[len(slots) :]), keep[: len(slots)]
-            evicted = slots[~stay]
-            fresh = np.arange(len(slots), len(slots) + len(enter) - len(evicted))
-            targets = np.concatenate([evicted, fresh])
-            store[targets] = block.frames[enter]
-            positions = np.concatenate([positions[stay], start + enter])
-            damages = np.concatenate([damages[stay], _damage(traces[enter])])
-            kept_bits = np.concatenate([kept_bits[stay], bits[enter]])
-            slots = np.concatenate([slots[stay], targets])
-        # drop the block now, or it stays alive through the next block's draw
-        del block, traces, bits
+        if greedy:
+            damage = _damage(traces)
+            new = np.flatnonzero(damage > cut)
+            if count + len(new) > capacity:
+                prune()
+                new = new[damage[new] > cut]
+            end = count + len(new)
+            slots[count:end], free = free[: len(new)], free[len(new) :]
+            positions[count:end] = start + new
+            damages[count:end] = damage[new]
+            kept_bits[count:end] = bits[new]
+            store[slots[count:end]] = part.frames[new]
+            count = end
+        elif flips:
+            rows = slice(*np.searchsorted(positions, (start, start + part.m)))
+            store[rows] = part.frames[positions[rows] - start]
+            kept_bits[rows] = bits[positions[rows] - start]
+        # drop the slice now, or it stays alive through the next one's draw
+        del part, traces, bits
     zeros = m - ones
     clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
     if not flips:
         return clean, clean, np.empty(0, dtype=np.intp)
+    if count > flips:
+        prune()
+    kept_bits = kept_bits[:flips]
     flipped = np.zeros_like(acc)
-    _accumulate_signed(flipped, store[slots], kept_bits)
+    _accumulate_signed(flipped, store[slots[:flips]], kept_bits)
     sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
     noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
-    return clean, noisy, positions
+    return clean, noisy, positions[:flips]
 
 
 def _block_answers(field: FieldKind, blocks, *stacks: np.ndarray):
-    """Uniform mode's pass loop: for each validated block of one ensemble,
-    as `sampler._frame_blocks` yields them, each _TRACE_SLICE slice of the
-    block and each slice `rows` of _INPUT_BLOCK signals, yield (rows,
-    table, answers): the slice's packed projection table and, per stack,
-    the uint8 answers of its rows. The block is held while its slices are
-    packed, and each slice's table is dropped before the next is built, so
-    a consumer must drop what it was given before asking for more. A block
-    from another space than the signals' raises InvalidInput."""
+    """Uniform mode's pass loop: for each validated slice of one ensemble,
+    as `sampler._frame_blocks` yields them, and each slice `rows` of
+    _INPUT_BLOCK signals, yield (rows, table, answers): the slice's packed
+    projection table and, per stack, the uint8 answers of its rows. Each
+    table is dropped before the next slice is drawn, so a consumer must drop
+    what it was given before asking for more. A slice from another space
+    than the signals' raises InvalidInput."""
     space = SimpleNamespace(field=field, dim=stacks[0].shape[1])
     packed = [_packed_signals(field, stack) for stack in stacks]
-    for _, block in blocks:
-        _check_same_space(block, space)
-        for start in range(0, block.m, _TRACE_SLICE):
-            table = _pack_frames(field, block.frames[start : start + _TRACE_SLICE])
-            for first in range(0, len(stacks[0]), _INPUT_BLOCK):
-                rows = slice(first, first + _INPUT_BLOCK)
-                yield rows, table, [_answers(signals[rows] @ table.T) for signals in packed]
-            del table
-        del block
+    for _, part in blocks:
+        _check_same_space(part, space)
+        table = _pack_frames(field, part.frames)
+        del part
+        for first in range(0, len(stacks[0]), _INPUT_BLOCK):
+            rows = slice(first, first + _INPUT_BLOCK)
+            yield rows, table, [_answers(signals[rows] @ table.T) for signals in packed]
+        del table
 
 
 def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray) -> np.ndarray:
@@ -847,7 +869,7 @@ def _check_soft_sandwich(cfg: ExperimentConfig, root: SeedStream) -> CheckResult
     d = 2 * cfg.n
     worst = -1.0
     for i in range(instances):
-        [(_, ens)] = _frame_blocks(cfg.field, cfg.n, m, root.child(1, i))  # m < _CHUNK
+        [(_, ens)] = _frame_blocks(cfg.field, cfg.n, m, root.child(1, i))  # m < _TRACE_SLICE
         x0v = sample_unit_vector(cfg.field, d, root.child(0, i, 0))
         y0v = sample_unit_vector(cfg.field, d, root.child(0, i, 1))
         bump_x = sample_unit_vector(cfg.field, d, root.child(0, i, 2))

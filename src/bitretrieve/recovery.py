@@ -11,11 +11,11 @@ eigendecomposition.
 Averages are accumulated in a fixed chunk order, which makes the result
 bit-stable across any scheduling of the surrounding work. One bit string
 is averaged from the ensemble frames by one kernel, `_accumulate_signed`,
-which adds sum_j (2 b_j - 1) P_j into a d x d accumulator in chunks of
-the sampler's _CHUNK frame rows. A sampling block is a whole number of
-those chunks, so the experiment runners stream an ensemble through the
-kernel block by block and get `empirical_average`'s bytes without
-holding the ensemble. A stack of bit strings is averaged by one kernel,
+which adds sum_j (2 b_j - 1) P_j into a d x d accumulator one GEMM per
+chunk of _TRACE_SLICE projections, the sampler's slice. The experiment
+runners stream an ensemble through the kernel one slice at a time and get
+`empirical_average`'s bytes without holding the ensemble. A stack of bit
+strings is averaged by one kernel,
 `_accumulate_table`: a real product of +-1 signs against the packed
 projection table of one _TRACE_SLICE slice (see the sampler), into one
 (N, w) packed sum per stack, unpacked to d x d only at the end. Over C
@@ -43,7 +43,6 @@ from .core import (
     UnitVector,
 )
 from .sampler import (
-    _CHUNK,
     _INPUT_BLOCK,
     _TRACE_SLICE,
     MeasurementEnsemble,
@@ -105,16 +104,14 @@ def empirical_average(ens: MeasurementEnsemble, bits: BitString) -> HermitianMat
 def _accumulate_signed(acc: np.ndarray, frames: np.ndarray, bits: np.ndarray) -> None:
     """acc += sum_j (2 bits[j] - 1) F_j^H F_j for a (count, k, d) frame stack.
 
-    The frame rows are summed in chunks of _CHUNK rows, counted from the
-    stack's first row.
+    The projections are summed in chunks of _TRACE_SLICE, counted from the
+    stack's first one, one GEMM over each chunk's frame rows.
     """
-    d = frames.shape[2]
-    flat = frames.reshape(-1, d)
-    signs = np.repeat(2.0 * bits.astype(np.float64) - 1.0, frames.shape[1])
-    for start in range(0, flat.shape[0], _CHUNK):
-        stop = start + _CHUNK
-        block = flat[start:stop]
-        acc += (block.conj() * signs[start:stop, None]).T @ block
+    k, d = frames.shape[1:]
+    signs = np.repeat(2.0 * bits.astype(np.float64) - 1.0, k)
+    for start in range(0, len(frames), _TRACE_SLICE):
+        rows = frames[start : start + _TRACE_SLICE].reshape(-1, d)
+        acc += (rows.conj() * signs[start * k : start * k + len(rows), None]).T @ rows
 
 
 def _finalize_average(acc: np.ndarray, zeros, m: int) -> np.ndarray:

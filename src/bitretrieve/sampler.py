@@ -18,9 +18,9 @@ Gaussian variates come from numpy's Generator.standard_normal
 (ziggurat transform of the PCG64 bit stream); together with the seeding
 above this pins the exact sequence of every stream for a given numpy
 version, which is the reproducibility contract of the experiment
-harness. Each stream is consumed by exactly one draw call; complex
-draws take real parts from the first half of that call and imaginary
-parts from the second.
+harness. A complex draw takes its real parts from the first half of its
+stream and its imaginary parts from the second, in the order of one call
+of shape (2, *shape).
 
 Projections are generated by orthonormalizing a d x k Gaussian matrix
 with a QR factorization; the projection onto the column span of a
@@ -29,22 +29,27 @@ phase fix is applied to Q (the step that makes Q itself Haar): a
 projection F* F and the norms ||F x|| depend only on the span, which
 is all the library reads from Q.
 
-An ensemble of m projections is sampled in blocks of _CHUNK = 8192
-elements: block b (elements [b * 8192, (b + 1) * 8192)) is one
-Gaussian draw of shape (count, d, k) from `path + (b,)`, orthonormalized
-by one QR call per slice of _TRACE_SLICE = 1024 matrices, whose frames
-overwrite the bytes the slice's draw held. QR factors each matrix on its
-own, so the slices change no bit, but the block size is part of the
-reproducibility contract. The same _CHUNK sizes the recovery module's
-accumulation chunks, so a sampling block is a whole number of them and an
-ensemble can be streamed block by block (`_frame_blocks`) with the sums
-of the materialized ensemble, bit for bit.
+An ensemble of m projections is drawn in blocks of _CHUNK = 8192
+elements and computed in slices of _TRACE_SLICE = 1024. The block is the
+unit of the seed stream: block b (elements [b * 8192, (b + 1) * 8192)) is
+one Gaussian draw of shape (count, d, k) from `path + (b,)`, so the block
+size is part of the reproducibility contract. The slice is the unit of
+every computation: `_frame_blocks` orthonormalizes a block by one QR call
+per slice and yields it slice by slice, and every streamed consumer takes
+one slice at a time. Over R a block's draw is held whole and each slice's
+frames overwrite the bytes its draw held. Over C a block holds only its
+real half, count * d * k float64 (half the block's complex frames); each
+slice's imaginary parts are drawn when the slice is orthonormalized, in
+the stream's order, into a slice-sized complex array that then holds its
+frames. QR factors each matrix on its own, so neither the slices nor the
+split draw change a bit of the frames a single draw and QR of the whole
+block give. A slice's projections are also one chunk of the recovery
+module's accumulations, so an ensemble streamed slice by slice gives the
+sums of the materialized ensemble, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on packed projection tables, one row per projection and one table per
-slice of _TRACE_SLICE = 1024 projections, packed by `_pack_frames` from
-one batched F^H F product. A block is held while its slices are packed,
-and each slice's table is dropped before the next is built. A row holds
+slice, packed by `_pack_frames` from one batched F^H F product. A row holds
 the unique real entries of the Hermitian P_j: over R the d(d+1)/2
 upper-triangle entries, row by row; over C d^2 real columns, the
 diagonal, then the real and then the imaginary parts of the strict upper
@@ -105,7 +110,8 @@ class SeedStream:
 
 def _gaussian(field: FieldKind, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """An array of i.i.d. standard Gaussians; for C, real and imaginary
-    parts are each standard Gaussian, drawn in one call of shape (2, *shape)."""
+    parts are each standard Gaussian, drawn in one call of shape (2, *shape).
+    `_frame_blocks` draws the same stream in parts."""
     if field is FieldKind.REAL:
         return rng.standard_normal(shape)
     parts = rng.standard_normal((2, *shape))
@@ -126,7 +132,7 @@ def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
 
     The thin Q factor of one batched QR call, in a new array; Q spans the
     same columns as the input, with no phase fix (see the module
-    docstring). `_frame_blocks` calls it once per _TRACE_SLICE slice.
+    docstring). `_frame_blocks` calls it once per slice.
     """
     q, r = np.linalg.qr(g)
     if not np.all(np.diagonal(r, axis1=1, axis2=2)):
@@ -260,39 +266,46 @@ def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarra
 
 
 def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
-    """Yield (start, block) for each sampling block of the ensemble that
-    `sample_ensemble(field, n, m, stream)` returns, in order: `block` is
-    the MeasurementEnsemble of elements [start, start + block.m), validated
-    where it is drawn. Its frames are the block's own (count, d, k) draw:
-    each _TRACE_SLICE slice's conj(Q^T) is written over the d * k elements
-    per matrix that the slice occupied (QR returns a new Q, and later slices
-    are disjoint from it). The generator drops the block after the yield, so
-    a consumer that drops each block before asking for the next holds one
-    block at a time."""
+    """Yield (start, part) for each _TRACE_SLICE slice of the ensemble that
+    `sample_ensemble(field, n, m, stream)` returns, in order: `part` is the
+    MeasurementEnsemble of elements [start, start + part.m), validated where
+    it is drawn. Each _CHUNK block is one draw from its block stream (see the
+    module docstring), orthonormalized one slice at a time, and each slice's
+    conj(Q^T) is written over the d * k elements per matrix that its (d, k)
+    draw occupied (QR returns a new Q). Over R the block's draw is held whole
+    and the slices are views into it; over C only its real half is held, and
+    each slice's imaginary parts are drawn into a fresh slice-sized complex
+    array when the slice is orthonormalized. The generator drops each slice
+    after the yield, so a consumer that drops each one before asking for the
+    next holds one slice at a time, and over R its block's draw."""
     d, k = 2 * n, n
-    for b, start in enumerate(range(0, m, _CHUNK)):
-        count = min(_CHUNK, m - start)
-        g = _gaussian(field, (count, d, k), stream.child(b).generator())
-        frames = g.reshape(count, k, d)
-        for s in range(0, count, _TRACE_SLICE):
-            q = _orthonormalize_batch(g[s : s + _TRACE_SLICE])
-            np.conjugate(np.swapaxes(q, 1, 2), out=frames[s : s + _TRACE_SLICE])
-            del q  # before the next slice's QR
-        yield start, MeasurementEnsemble(field, n, frames)
-        del g, frames  # before the next block's draw
+    for b, first in enumerate(range(0, m, _CHUNK)):
+        rng = stream.child(b).generator()
+        draw = rng.standard_normal((min(_CHUNK, m - first), d, k))  # over C the real parts
+        for start in range(0, len(draw), _TRACE_SLICE):
+            g = draw[start : start + _TRACE_SLICE]
+            if field is FieldKind.COMPLEX:
+                g = g.astype(complex)
+                g.imag = rng.standard_normal(g.shape)
+            frames = g.reshape(len(g), k, d)
+            np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2), out=frames)
+            yield first + start, MeasurementEnsemble(field, n, frames)
+            del g, frames  # before the next slice's draw and QR
+        del draw  # before the next block's draw
 
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
     """m independent Haar-uniform rank-n projections in dimension 2n: the
-    blocks of `_frame_blocks`, each one keyed stream (see the module
-    docstring), so the ensemble is the same however the work is scheduled.
+    slices of `_frame_blocks`, each block of them one keyed stream (see the
+    module docstring), so the ensemble is the same however the work is
+    scheduled.
     """
     if n < 1:
         raise InvalidInput(f"sample_ensemble: n must be >= 1, got {n}")
     if m < 1:
         raise InvalidInput(f"sample_ensemble: m must be >= 1, got {m}")
     frames = np.empty((m, n, 2 * n), dtype=field.dtype)
-    for start, block in _frame_blocks(field, n, m, stream):
-        frames[start : start + block.m] = block.frames
-        del block  # or the last block stays alive through the validation below
+    for start, part in _frame_blocks(field, n, m, stream):
+        frames[start : start + part.m] = part.frames
+        del part  # or the last slice stays alive through the validation below
     return MeasurementEnsemble(field, n, frames)

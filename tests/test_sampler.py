@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -175,33 +176,40 @@ class TestSampleEnsemble:
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("m", [17, _TRACE_SLICE, _TRACE_SLICE + 1, _CHUNK, 2 * _CHUNK + 17])
     def test_sliced_blocks_match_one_whole_block_qr(self, field, m):
-        # Each block is orthonormalized one 1024-matrix slice at a time, in
-        # its draw's buffer; QR factors each matrix alone, so every frame is
-        # the one a single QR over the whole block gives, bit for bit.
+        # The sampler yields each block one 1024-matrix slice at a time; QR
+        # factors each matrix alone, so the slices of a block, concatenated,
+        # are the frames one QR over the whole block's draw gives, bit for bit.
         n = 2
         stream = SeedStream(57, (2, m))
-        blocks = [block for _, block in _frame_blocks(field, n, m, stream)]
-        assert sum(block.m for block in blocks) == m
-        for b, block in enumerate(blocks):
-            frames = block.frames
-            assert frames.flags.c_contiguous and not frames.flags.writeable
-            assert np.array_equal(frames, whole_block_frames(field, n, block.m, stream.child(b)))
-        for i, first in enumerate(blocks):
-            for later in blocks[i + 1 :]:
-                assert not np.shares_memory(first.frames, later.frames)
+        parts = list(_frame_blocks(field, n, m, stream))
+        assert [start for start, _ in parts] == list(range(0, m, _TRACE_SLICE))
+        for start, part in parts:
+            assert part.m == min(_TRACE_SLICE, m - start)
+            assert part.frames.flags.c_contiguous and not part.frames.flags.writeable
+        for b, first in enumerate(range(0, m, _CHUNK)):
+            count = min(_CHUNK, m - first)
+            frames = np.concatenate([p.frames for s, p in parts if first <= s < first + count])
+            assert np.array_equal(frames, whole_block_frames(field, n, count, stream.child(b)))
+        for i, (_, part) in enumerate(parts):
+            for _, later in parts[i + 1 :]:
+                assert not np.shares_memory(part.frames, later.frames)
 
-    @pytest.mark.parametrize("field, n, ratio", [(R, 8, 1.5), (C, 4, 2.1)])
+    @pytest.mark.parametrize("field, n, ratio", [(R, 8, 1.5), (C, 4, 1.0)])
     def test_one_block_costs_little_beyond_its_frames(self, field, n, ratio):
-        # The block's frames are its draw; besides them only one slice's QR
-        # and Gram buffers live (and over C the draw's real parts, once).
+        # Bounds the traced peak of drawing a block's first slice, against
+        # the frame bytes of a whole block. Over R the block's frames are its
+        # draw, and only one slice's QR and Gram buffers live beside it. Over
+        # C the block holds only the real half of its draw (0.5), besides one
+        # slice's frames and QR's copy, Q and R (0.125 each at n = 4).
         blocks = _frame_blocks(field, n, _CHUNK, SeedStream(58))
         tracemalloc.start()
         try:
-            _, block = next(blocks)
+            next(blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ratio * block.frames.nbytes, (peak, block.frames.nbytes)
+        block_bytes = _CHUNK * n * 2 * n * np.dtype(field.dtype).itemsize
+        assert peak <= ratio * block_bytes, (peak, block_bytes)
 
     def test_replay_identical(self):
         a = sample_ensemble(C, 2, 50, SeedStream(1, (0, 50)))
@@ -247,12 +255,14 @@ class TestSampleEnsemble:
             MeasurementEnsemble(R, 2, frames)
 
     def test_every_drawn_block_is_validated(self, monkeypatch):
-        # Each block is orthonormalized in slices of 1024 matrices. One slice
-        # of the third block, its first or its last, returns a frame off the
-        # unit sphere; the block source itself must refuse that block, before
-        # any consumer reads it.
-        per_block = _CHUNK // _TRACE_SLICE
-        for skewed_call in (2 * per_block + 1, 2 * per_block + 2):
+        # One QR call per 1024-matrix slice, made when the slice is asked
+        # for. The first or the last slice of the third block returns a frame
+        # off the unit sphere; the sampler must refuse that slice before any
+        # consumer reads it, having yielded every slice before it.
+        m = 2 * _CHUNK + _TRACE_SLICE + 17
+        starts = list(range(0, m, _TRACE_SLICE))
+        third_block = 2 * _CHUNK // _TRACE_SLICE + 1
+        for field, skewed_call in itertools.product((R, C), (third_block, len(starts))):
             calls = []
 
             def skewed(g):
@@ -263,12 +273,12 @@ class TestSampleEnsemble:
                 return q
 
             monkeypatch.setattr(sampler, "_orthonormalize_batch", skewed)
-            blocks = _frame_blocks(R, 2, 2 * _CHUNK + _TRACE_SLICE + 17, SeedStream(31, (0,)))
-            for start in (0, _CHUNK):
+            blocks = _frame_blocks(field, 2, m, SeedStream(31, (0,)))
+            for start in starts[: skewed_call - 1]:
                 assert next(blocks)[0] == start
             with pytest.raises(InvalidInput, match="not orthonormal"):
                 next(blocks)
-            assert calls == [_TRACE_SLICE] * (2 * per_block + 1) + [17]
+            assert calls == [min(_TRACE_SLICE, m - s) for s in starts[:skewed_call]]
 
     def test_compression_blocks(self):
         ens = sample_ensemble(R, 3, 10, SeedStream(12))

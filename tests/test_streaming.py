@@ -29,6 +29,7 @@ from bitretrieve.measurement import _answers, corrupt_bits, measure, trace_table
 from bitretrieve.recovery import average_stack, empirical_average
 from bitretrieve.sampler import (
     _CHUNK,
+    _TRACE_SLICE,
     MeasurementEnsemble,
     SeedStream,
     _frame_blocks,
@@ -51,11 +52,11 @@ def signal(field: FieldKind) -> RankOneProjection:
 
 
 def blocks_of(field: FieldKind, frames: np.ndarray):
-    """The (start, block) blocks of a materialized frame stack, each one
+    """The (start, part) slices of a materialized frame stack, each one
     validated as a MeasurementEnsemble, as `_frame_blocks` yields them."""
     return (
-        (s, MeasurementEnsemble(field, N, frames[s : s + _CHUNK].copy()))
-        for s in range(0, len(frames), _CHUNK)
+        (s, MeasurementEnsemble(field, N, frames[s : s + _TRACE_SLICE].copy()))
+        for s in range(0, len(frames), _TRACE_SLICE)
     )
 
 
@@ -105,24 +106,26 @@ def test_tau_zero_returns_the_clean_average(field, mode):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
 def test_greedy_ties_across_a_block_boundary(field):
     # x = e_1 and coordinate frames give tr(P X) = 1 (rows e_1..e_n) or 0
-    # (rows e_{n+1}..e_2n), so 40 elements around the first block boundary
-    # all have the largest damage, 1. With 25 flips the lowest 25 of them win:
-    # 20 from the first block and 5 from the second.
-    frames = sample_ensemble(field, N, M, ENSEMBLE_STREAM).frames.copy()
+    # (rows e_{n+1}..e_2n), so 40 elements around a slice boundary, the
+    # first one inside a block or the first block boundary, all have the
+    # largest damage, 1. With 25 flips the lowest 25 of them win: 20 from the
+    # slice before the boundary and 5 from the one after it.
     eye = np.eye(2 * N, dtype=field.dtype)
-    tied = np.arange(_CHUNK - 20, _CHUNK + 20)
-    for i, j in enumerate(tied):
-        frames[j] = eye[:N] if i % 2 == 0 else eye[N:]
     x = RankOneProjection(UnitVector(field, eye[0]))
-    ens = MeasurementEnsemble(field, N, frames)
-    bits = measure(ens, x)
     tau = 25.5 / M
-    corrupted = corrupt_bits(bits, tau, "greedy", FLIP_STREAM, (ens, x))
-    clean, noisy, flipped = streamed(field, x, "greedy", tau, blocks_of(field, frames))
-    assert np.array_equal(flipped, tied[:25])
-    assert np.array_equal(flipped, flipped_positions(bits, corrupted))
-    assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
-    assert np.max(np.abs(noisy.matrix - empirical_average(ens, corrupted).matrix)) <= 1e-13
+    for boundary in (_TRACE_SLICE, _CHUNK):
+        frames = sample_ensemble(field, N, M, ENSEMBLE_STREAM).frames.copy()
+        tied = np.arange(boundary - 20, boundary + 20)
+        for i, j in enumerate(tied):
+            frames[j] = eye[:N] if i % 2 == 0 else eye[N:]
+        ens = MeasurementEnsemble(field, N, frames)
+        bits = measure(ens, x)
+        corrupted = corrupt_bits(bits, tau, "greedy", FLIP_STREAM, (ens, x))
+        clean, noisy, flipped = streamed(field, x, "greedy", tau, blocks_of(field, frames))
+        assert np.array_equal(flipped, tied[:25])
+        assert np.array_equal(flipped, flipped_positions(bits, corrupted))
+        assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
+        assert np.max(np.abs(noisy.matrix - empirical_average(ens, corrupted).matrix)) <= 1e-13
 
 
 def test_every_block_is_validated():
