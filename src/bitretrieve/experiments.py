@@ -443,6 +443,8 @@ def _openblas_threads():
             names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
             get, set_ = (getattr(lib, name, None) for name in names)
             if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
 
@@ -527,13 +529,13 @@ def _streamed_averages(
     # so a damage at or below it can never be flipped.
     capacity = flips + _TRACE_SLICE if greedy else flips
     store = np.empty((capacity, d // 2, d), dtype=field.dtype)
-    kept_bits = np.empty(capacity, dtype=np.uint8)
-    damages, slots, free = np.empty(capacity), np.arange(capacity), np.arange(capacity)
-    count, cut = 0 if greedy else flips, -1.0
+    kept_bits, damages = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
+    slots, free = np.arange(capacity), np.arange(capacity)
+    count, cut = 0, -1.0
     if greedy:
         positions = np.empty(capacity, dtype=np.intp)
-    else:
-        positions = np.sort(_random_flips(m, flips, flip_stream)) if flips else slots
+    elif flips:
+        positions = np.sort(_random_flips(m, flips, flip_stream))
 
     def prune():
         nonlocal count, cut, free

@@ -22,7 +22,7 @@ because tr(PX) = Re sum_ab P_ab conj(X_ab) meets each off-diagonal pair
 twice; every trace is then one real dot product of d(d+1)/2 (over R) or
 d^2 (over C) float64 terms. `trace_table` takes that product for a held
 ensemble one _TRACE_SLICE table at a time, as uniform mode's streamed
-passes do for each sampling block's slices.
+passes do for each slice they are given.
 """
 
 from __future__ import annotations

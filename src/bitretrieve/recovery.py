@@ -15,13 +15,12 @@ which adds sum_j (2 b_j - 1) P_j into a d x d accumulator one GEMM per
 chunk of _TRACE_SLICE projections, the sampler's slice. The experiment
 runners stream an ensemble through the kernel one slice at a time and get
 `empirical_average`'s bytes without holding the ensemble. A stack of bit
-strings is averaged by one kernel,
-`_accumulate_table`: a real product of +-1 signs against the packed
-projection table of one _TRACE_SLICE slice (see the sampler), into one
+strings is averaged by one kernel, `_accumulate_table`: a real product of
++-1 signs against the packed projection table of one slice, into one
 (N, w) packed sum per stack, unpacked to d x d only at the end. Over C
 this is a real GEMM on d^2 real columns, not a complex one.
 `average_stack` walks a held ensemble's slices through it and the uniform
-runner each sampling block's slices, so their sums agree bit for bit.
+runner the streamed slices, so their sums agree bit for bit.
 Every average, single or stacked, streamed or held, is finished by one
 kernel, `_finalize_average`, and the expectation mu1 X + mu2 (I - X) of
 one signal or a stack comes from one kernel, `_expected_averages`.

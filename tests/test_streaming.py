@@ -2,7 +2,8 @@
 
 `experiments._streamed_averages` (the fixed-signal unit) and uniform mode's
 two passes, `_streamed_stack_averages` and `_streamed_disagreements`, walk
-an ensemble's sampling blocks and never hold the whole ensemble. These
+an ensemble one 1024-projection slice at a time and never hold the whole
+ensemble. These
 tests check them against the public kernels on the materialized ensemble
 (`sample_ensemble`, `measure`, `empirical_average`, `corrupt_bits`,
 `trace_table`, `average_stack`) at m = 2 * 8192 + 17, so a pass crosses two
