@@ -432,20 +432,19 @@ def _pool_map(worker, units, threads: int) -> list:
 @functools.cache
 def _openblas_threads():
     """The (get, set) thread-count functions of the OpenBLAS that numpy's
-    build record names, from the copy numpy's wheel bundles in `numpy.libs`;
-    None for any other BLAS or layout."""
+    build record names, from the ILP64 copy numpy's wheel bundles in
+    `numpy.libs`; None for any other BLAS or layout."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if blas.get("name") != "scipy-openblas":
         return None
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*")):
         lib = ctypes.CDLL(str(path))  # the library numpy already loaded
-        for suffix in ("64_", ""):
-            names = (f"scipy_openblas_{op}_num_threads{suffix}" for op in ("get", "set"))
-            get, set_ = (getattr(lib, name, None) for name in names)
-            if get and set_:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get and set_:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -506,8 +505,8 @@ def _streamed_averages(
     elements, in one pass over its slices.
 
     `blocks` yields (start, part) in order, as `sampler._frame_blocks`
-    does, each part a validated MeasurementEnsemble in the space of x.
-    Each is measured against x, added into one signed accumulator and
+    does, each part a validated MeasurementEnsemble of at most _TRACE_SLICE
+    elements in the space of x. Each is measured against x, added into one signed accumulator and
     dropped. With a flip mode, the positions `corrupt_bits(bits, tau,
     flip_mode, flip_stream, (ensemble, x))` would flip are chosen on the
     way (see the module docstring) and only their frames are kept.

@@ -269,15 +269,12 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
     """Yield (start, part) for each _TRACE_SLICE slice of the ensemble that
     `sample_ensemble(field, n, m, stream)` returns, in order: `part` is the
     MeasurementEnsemble of elements [start, start + part.m), validated where
-    it is drawn. Each _CHUNK block is one draw from its block stream (see the
-    module docstring), orthonormalized one slice at a time, and each slice's
-    conj(Q^T) is written over the d * k elements per matrix that its (d, k)
-    draw occupied (QR returns a new Q). Over R the block's draw is held whole
-    and the slices are views into it; over C only its real half is held, and
-    each slice's imaginary parts are drawn into a fresh slice-sized complex
-    array when the slice is orthonormalized. The generator drops each slice
-    after the yield, so a consumer that drops each one before asking for the
-    next holds one slice at a time, and over R its block's draw."""
+    it is drawn (the module docstring says how a block is drawn and
+    sliced). Each slice's conj(Q^T) is written over the d * k elements per
+    matrix that its (d, k) draw occupied; QR returns a new Q. The generator
+    drops each slice after the yield, so a consumer that drops each one
+    before asking for the next holds one slice at a time, and over R its
+    block's draw."""
     d, k = 2 * n, n
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
