@@ -433,3 +433,49 @@ def test_log_space_forms_match_naive_evaluation():
                     bsq = (math.gamma(n - 1) ** 2 / math.gamma(2 * n - 2)) ** 2
                     naive_dsep = 0.5 + (8 * n - 4) / ((n - 1) ** 2 * 2 ** (4 * n - 3) * bsq)
                 assert dsep_probability(field, n) == pytest.approx(naive_dsep, rel=1e-10)
+
+
+# The repr of the gap and of the net-bound sample sizes at a few points over
+# both fields, errors included. No golden CSV holds these values, so any
+# rewrite of their formulas that moves a bit, or changes a message, shows here.
+ZERO_GAP = "InvalidInput: gap is zero for field={}, n=1; bound undefined"
+THEORY_PINS = [
+    (spectral_gap, R, (1,), "(0.0, None, None)"),
+    (spectral_gap, R, (2,), "(0.16666666666666669, None, None)"),
+    (spectral_gap, R, (8,), "(0.12760416666666657, 0.12314190716463862, 0.18120550397005156)"),
+    (spectral_gap, C, (1,), "(0.0, None, None)"),
+    (spectral_gap, C, (2,), "(0.12500000000000008, 0.11516471649044516, 0.16946692618069023)"),
+    (spectral_gap, C, (8,), "(0.0916442871093748, 0.09013064713874425, 0.13262884840728678)"),
+    (uniform_m, R, (1, 0.3, 2.0), ZERO_GAP.format("real")),
+    (uniform_m, R, (2, 0.3, 2.0), "3579352"),
+    (uniform_m, R, (8, 0.05, 0.5), "1147672681"),
+    (uniform_m, C, (1, 0.3, 2.0), ZERO_GAP.format("complex")),
+    (uniform_m, C, (2, 0.3, 2.0), "13637104"),
+    (uniform_m, C, (8, 0.05, 0.5), "4716395703"),
+    # real n = 1: sqrt(2 bn - 1) = 0, so the log term vanishes
+    (hamming_conc_m, R, (1, 0.3, 2.0), "60"),
+    (hamming_conc_m, R, (1, 0.01, 0.0), "13863"),
+    (hamming_conc_m, R, (8, 0.3, 2.0), "3915"),
+    (hamming_conc_m, C, (1, 0.01, 0.0), "1269144"),
+    (hamming_conc_m, C, (2, 0.3, 2.0), "1838"),
+    (hamming_conc_m, C, (8, 0.01, 0.0), "11788892"),
+    (invert_uniform_delta, R, (1, 100000, 2.0), ZERO_GAP.format("real")),
+    (invert_uniform_delta, R, (2, 100000, 2.0), "1.6129903795270013"),
+    (invert_uniform_delta, R, (8, 10**10, 0.5), "0.017693520574591642"),
+    (invert_uniform_delta, C, (1, 100000, 2.0), ZERO_GAP.format("complex")),
+    (invert_uniform_delta, C, (2, 10**10, 0.5), "0.012763024363701823"),
+    (invert_uniform_delta, C, (8, 100000, 2.0), "8.265952110773906"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, field, args, pinned",
+    THEORY_PINS,
+    ids=[f"{f.__name__}-{field}-{args}" for f, field, args, _ in THEORY_PINS],
+)
+def test_theory_pins(func, field, args, pinned):
+    try:
+        got = repr(func(field, *args))
+    except InvalidInput as exc:
+        got = f"InvalidInput: {exc}"
+    assert got == pinned
