@@ -76,20 +76,6 @@ def mu_pair(field: FieldKind, n: int) -> tuple[float, float]:
     return mu1, mu2
 
 
-def _gap_value(field: FieldKind, n: int) -> float:
-    if n == 1:
-        return 0.0
-    bn = field.beta * n
-    log_gap = (
-        math.log(2.0 * (n - 1))
-        - math.log(bn)
-        - math.log(2.0 * n - 1.0)
-        - bn * math.log(4.0)
-        - log_beta(bn, bn)
-    )
-    return math.exp(log_gap)
-
-
 def spectral_gap(field: FieldKind, n: int) -> tuple[float, float | None, float | None]:
     """The gap constant 2(n-1)/(bn (2n-1) 4^bn B(bn, bn)) with Stirling bounds.
 
@@ -103,7 +89,13 @@ def spectral_gap(field: FieldKind, n: int) -> tuple[float, float | None, float |
     """
     n = _check_n(n)
     bn = field.beta * n
-    gap = _gap_value(field, n)
+    gap = 0.0 if n == 1 else math.exp(
+        math.log(2.0 * (n - 1))
+        - math.log(bn)
+        - math.log(2.0 * n - 1.0)
+        - bn * math.log(4.0)
+        - log_beta(bn, bn)
+    )
     if bn < 2:
         return gap, None, None
     common = (n - 1) * math.sqrt(2 * bn - 1) / (math.sqrt(2 * math.pi) * bn * (2 * n - 1))
@@ -130,7 +122,7 @@ def theory_constants(field: FieldKind, n: int) -> TheoryConstants:
 
 
 def _require_gap(field: FieldKind, n: int) -> float:
-    gap = _gap_value(field, _check_n(n))
+    gap = spectral_gap(field, n)[0]
     if gap <= 0.0:
         raise InvalidInput(f"gap is zero for field={field}, n={n}; bound undefined")
     return gap
@@ -157,17 +149,17 @@ def pointwise_m(field: FieldKind, n: int, delta: float, big_d: float) -> int:
     return math.ceil(value)
 
 
-def _log_margin_coeff(bn: float) -> float:
-    # 128 sqrt(2 bn - 1) / (2 sqrt(2 pi)); zero makes the log term vanish
-    return 128.0 * math.sqrt(max(0.0, 2.0 * bn - 1.0)) / (2.0 * math.sqrt(2.0 * math.pi))
+def _net_bound(bn: float, eps: float, logs: float, big_d: float) -> float:
+    """The covering-net bound of uniform_m and hamming_conc_m (see uniform_m);
+    its log term vanishes at real n = 1, where 2 bn - 1 = 0."""
+    coeff = 128.0 * math.sqrt(max(0.0, 2.0 * bn - 1.0)) / (2.0 * math.sqrt(2.0 * math.pi))
+    log_term = math.log1p(coeff / eps)
+    return 2.0 / (eps * eps) * (8.0 * bn * log_term + logs * math.log(2.0) + big_d)
 
 
 def _uniform_bound(field: FieldKind, n: int, delta: float, big_d: float) -> float:
     gap = _require_gap(field, n)
-    eps = gap * delta / 8.0
-    bn = field.beta * n
-    log_term = math.log1p(_log_margin_coeff(bn) / eps)
-    return 2.0 / (eps * eps) * (8.0 * bn * log_term + 2.0 * math.log(2.0) + big_d)
+    return _net_bound(field.beta * n, gap * delta / 8.0, 2.0, big_d)
 
 
 def uniform_m(field: FieldKind, n: int, delta: float, big_d: float) -> int:
@@ -188,10 +180,7 @@ def hamming_conc_m(field: FieldKind, n: int, delta: float, big_d: float) -> int:
     directly and a single log 2 term.
     """
     delta, big_d = _check_delta_d(delta, big_d)
-    bn = field.beta * _check_n(n)
-    log_term = math.log1p(_log_margin_coeff(bn) / delta)
-    value = 2.0 / (delta * delta) * (8.0 * bn * log_term + math.log(2.0) + big_d)
-    return math.ceil(value)
+    return math.ceil(_net_bound(field.beta * _check_n(n), delta, 1.0, big_d))
 
 
 def net_log_cardinality(field: FieldKind, n: int, eps: float) -> float:
