@@ -93,6 +93,18 @@ def _as_field_array(field: FieldKind, values, ndim: int, what: str) -> np.ndarra
     return arr
 
 
+def _hermitian_array(field: FieldKind, values, what: str) -> np.ndarray:
+    """`values` as a read-only, finite, square, self-adjoint field array."""
+    mat = _as_field_array(field, values, 2, what)
+    d = mat.shape[0]
+    if mat.shape != (d, d):
+        raise InvalidInput(f"{what}: matrix must be square, got {mat.shape}")
+    herm = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
+    if herm > HERMITIAN_TOL:
+        raise InvalidInput(f"{what}: not self-adjoint (deviation {herm:.2e})")
+    return mat
+
+
 def _check_same_space(a, b) -> None:
     if a.field is not b.field:
         raise InvalidInput(f"field mismatch: {a.field} vs {b.field}")
@@ -156,15 +168,10 @@ class OrthogonalProjection:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _as_field_array(self.field, self.matrix, 2, "OrthogonalProjection")
+        mat = _hermitian_array(self.field, self.matrix, "OrthogonalProjection")
         d = mat.shape[0]
-        if mat.shape != (d, d):
-            raise InvalidInput(f"OrthogonalProjection: matrix must be square, got {mat.shape}")
         if not 0 <= self.rank <= d:
             raise InvalidInput(f"OrthogonalProjection: rank {self.rank} outside [0, {d}]")
-        herm = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if herm > HERMITIAN_TOL:
-            raise InvalidInput(f"OrthogonalProjection: not Hermitian (deviation {herm:.2e})")
         idem = float(np.max(np.abs(mat @ mat - mat), initial=0.0))
         if idem > IDEMPOTENT_TOL:
             raise InvalidInput(f"OrthogonalProjection: not idempotent (deviation {idem:.2e})")
@@ -193,13 +200,7 @@ class HermitianMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _as_field_array(self.field, self.matrix, 2, "HermitianMatrix")
-        d = mat.shape[0]
-        if mat.shape != (d, d):
-            raise InvalidInput(f"HermitianMatrix: matrix must be square, got {mat.shape}")
-        herm = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-        if herm > HERMITIAN_TOL:
-            raise InvalidInput(f"HermitianMatrix: not self-adjoint (deviation {herm:.2e})")
+        mat = _hermitian_array(self.field, self.matrix, "HermitianMatrix")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -276,19 +277,14 @@ def operator_norm(h) -> float:
     """Largest absolute eigenvalue of a self-adjoint matrix.
 
     Accepts a HermitianMatrix, an OrthogonalProjection, a RankOneProjection,
-    or a raw square array (validated for self-adjointness).
+    or a raw square array (validated as a finite self-adjoint matrix).
     """
     if isinstance(h, (HermitianMatrix, OrthogonalProjection)):
         return float(_hermitian_opnorm(h.matrix))
     if isinstance(h, RankOneProjection):
         return float(_hermitian_opnorm(h.matrix()))
-    mat = np.asarray(h)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidInput(f"operator_norm: expected a square matrix, got shape {mat.shape}")
-    dev = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-    if dev > HERMITIAN_TOL:
-        raise InvalidInput(f"operator_norm: matrix not self-adjoint (deviation {dev:.2e})")
-    return float(_hermitian_opnorm(mat))
+    field = FieldKind.COMPLEX if np.iscomplexobj(h) else FieldKind.REAL
+    return float(_hermitian_opnorm(_hermitian_array(field, h, "operator_norm")))
 
 
 def rank_one_distance(x: RankOneProjection, y: RankOneProjection) -> float:

@@ -158,6 +158,16 @@ class TestOperatorNorm:
         with pytest.raises(InvalidInput):
             operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "mat",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.inf], [np.inf, 1.0]]],
+        ids=["nan-diagonal", "inf-off-diagonal"],
+    )
+    def test_rejects_non_finite(self, mat):
+        # A raw array skipped the finiteness check: these gave 0.0 and nan.
+        with pytest.raises(InvalidInput, match="non-finite"):
+            operator_norm(np.array(mat))
+
 
 class TestRankOneDistance:
     def test_identical(self):
