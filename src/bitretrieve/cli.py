@@ -7,7 +7,7 @@ Usage:
                 [--inputs N] [--delta X] [--bound-D X] [--tau X]
                 [--flip-mode MODE]
 
-Flags override config-file keys of the same name. Exit codes:
+Flags override config-file keys of the same name, parsed alike. Exit codes:
 
 0   success (for diagnostics: every check passed).
 1   a failure during the run: a failed diagnostic, a theory relation
@@ -51,24 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument(
-        "--seed", dest="master_seed", metavar="SEED", type=int,
-        help="master seed (overrides master_seed)",
-    )
-    parser.add_argument(
-        "--out", dest="output_path", metavar="OUT",
-        help="output CSV path (overrides output_path)",
-    )
     parser.add_argument("--threads", type=int, default=1, help="worker threads for trials")
-    parser.add_argument("--field", help="real or complex")
-    parser.add_argument("--n", type=int, help="half-dimension n (signals live in F^(2n))")
-    parser.add_argument("--m-grid", dest="m_grid", help="comma-separated measurement counts")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--inputs", type=int)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--bound-D", dest="bound_D", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--flip-mode", dest="flip_mode", choices=["random", "greedy"])
+    # One flag per config key, read as text: load_config parses and checks
+    # every value, from a file or a flag, by the same rules.
+    names = {"master_seed": "--seed", "output_path": "--out"}
+    for key in _CONFIG_KEYS:
+        if key != "experiment":
+            flag = names.get(key, "--" + key.replace("_", "-"))
+            parser.add_argument(flag, dest=key, help=f"overrides {key}")
     return parser
 
 
@@ -106,14 +96,11 @@ def main(argv: list[str] | None = None) -> int:
         for path in write_result(result, cfg.output_path):
             print(f"wrote {path}")
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)

@@ -514,6 +514,43 @@ class TestExitCodes:
         assert "master seed must lie in [0, 2^64)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--n", "four", "n"),
+            ("--n", "08", "n"),
+            ("--trials", "1.5", "trials"),
+            ("--inputs", "x", "inputs"),
+            ("--delta", "x", "delta"),
+            ("--bound-D", "x", "bound_D"),
+            ("--tau", "x", "tau"),
+            ("--seed", "x", "master_seed"),
+            ("--flip-mode", "evil", "flip_mode"),
+        ],
+    )
+    def test_malformed_flag_value_exits_two(self, flag, value, key, no_sampling, tmp_path, capsys):
+        # argparse used to parse these flags itself and exit through
+        # SystemExit, naming no config key; "08" it read as 8.
+        out = tmp_path / "x.csv"
+        argv = ["noise", "--field", "real", "--n", "2", "--m-grid", "40", "--trials", "1"]
+        assert main([*argv, flag, value, "--out", str(out)]) == 2
+        assert f"config error at '{key}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_flag_integers_read_as_in_a_config_file(self, tmp_path):
+        hex_out, dec_out = tmp_path / "hex.csv", tmp_path / "dec.csv"
+        assert main([*self.ARGV, "--seed", "0x10", "--out", str(hex_out)]) == 0
+        assert main([*self.ARGV, "--seed", "16", "--out", str(dec_out)]) == 0
+        assert hex_out.read_bytes() == dec_out.read_bytes()
+
+
+def test_parser_has_one_flag_per_config_key():
+    actions = [a for a in cli.build_parser()._actions if a.option_strings and a.dest != "help"]
+    keys = [key for key in experiments._CONFIG_KEYS if key != "experiment"]
+    assert sorted(a.dest for a in actions) == sorted([*keys, "config", "threads"])
+    flags = {a.dest: a.option_strings for a in actions}
+    assert flags["master_seed"] == ["--seed"] and flags["output_path"] == ["--out"]
+
 
 class TestBlasThreads:
     def test_run_holds_one_blas_thread_and_restores_the_callers(self, monkeypatch):
