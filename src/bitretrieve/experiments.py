@@ -114,7 +114,6 @@ from .recovery import (
     _expected_averages,
     _finalize_average,
     principal_eigenpairs,
-    recover_from_average,
 )
 from .sampler import (
     _INPUT_BLOCK,
@@ -472,11 +471,6 @@ def _one_blas_thread():
         set_(caller)
 
 
-def _qdevs(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants) -> np.ndarray:
-    """||Q_i - (mu1 X_i + mu2 (I - X_i))|| for stacked averages and signals."""
-    return _hermitian_opnorm(qhats - _expected_averages(signals, consts.mu1, consts.mu2))
-
-
 def _require_experiment(cfg: ExperimentConfig, expected: str) -> None:
     cfg.validate()
     if cfg.experiment != expected:
@@ -628,26 +622,38 @@ def _streamed_disagreements(field: FieldKind, blocks, a: np.ndarray, b: np.ndarr
     return counts
 
 
+def _scores(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants):
+    """Recover from a stack of averages and score each estimate against its
+    signal; (N, d, d), (N, d) -> (N, d) estimates and N triples (error, qdev,
+    degenerate). One batched eigensolve gives the estimates as its strided
+    top eigenvector columns, used as they are. `error` is the operator-norm
+    distance between signal and estimate, `qdev` is ||Q_i - (mu1 X_i + mu2
+    (I - X_i))||, and `degenerate` says the top two eigenvalues lie within
+    DEGENERACY_TOL."""
+    _, estimates, margins = principal_eigenpairs(qhats)
+    qdevs = _hermitian_opnorm(qhats - _expected_averages(signals, consts.mu1, consts.mu2))
+    scores = [
+        (_vector_distance(signal, estimate), float(qdev), bool(margin < DEGENERACY_TOL))
+        for signal, estimate, qdev, margin in zip(signals, estimates, qdevs, margins)
+    ]
+    return estimates, scores
+
+
 def _run_fixed_signal(
     cfg: ExperimentConfig, consts: TheoryConstants, threads: int
 ) -> list[tuple[TrialRecord, tuple]]:
     """The pointwise pipeline, shared by the pointwise and noise protocols.
 
     Each (trial, m) unit streams its ensemble through `_streamed_averages`,
-    recovers from the average and scores the estimate by (error, qdev).
-    The noise protocol also recovers from the corrupted average. Returns,
+    then recovers from the average and scores the estimate through
+    `_scores`; the noise protocol stacks the corrupted average under the
+    clean one and scores both in the same call. Returns,
     per unit in (trial, m) order, the record of the last recovery and the
     clean (error, qdev).
     """
     root = SeedStream(cfg.master_seed)
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0)))
     noisy = cfg.experiment == "noise"
-
-    def recover(qhat):
-        rec = recover_from_average(qhat)
-        error = rank_one_distance(x, rec.estimate)
-        qdev = float(_qdevs(qhat.matrix[None], x.vector.entries[None], consts)[0])
-        return error, qdev, rec.degenerate
 
     def worker(unit: tuple[int, int]) -> tuple[TrialRecord, tuple]:
         t, m = unit
@@ -656,12 +662,12 @@ def _run_fixed_signal(
         clean_avg, noisy_avg, _ = _streamed_averages(
             m, blocks, x, mode, cfg.tau, root.child(t, m, m)
         )
-        error, qdev, degenerate = recover(clean_avg)
-        clean, path = (error, qdev), f"ens={t}/{m};x=0"
-        if noisy:
-            error, qdev, degenerate = recover(noisy_avg)
-            path += f";flip={t}/{m}/{m}"
-        return TrialRecord(t, m, error, qdev, None, degenerate, path), clean
+        averages = (clean_avg, noisy_avg) if noisy else (clean_avg,)
+        signals = np.stack([x.vector.entries] * len(averages))
+        _, scores = _scores(np.stack([avg.matrix for avg in averages]), signals, consts)
+        path = f"ens={t}/{m};x=0" + (f";flip={t}/{m}/{m}" if noisy else "")
+        error, qdev, degenerate = scores[-1]
+        return TrialRecord(t, m, error, qdev, None, degenerate, path), scores[0][:2]
 
     units = [(t, m) for t in range(cfg.trials) for m in cfg.m_grid]
     return _pool_map(worker, units, threads)
@@ -692,28 +698,16 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             return _frame_blocks(cfg.field, cfg.n, m, root.child(0, m))
 
         qhats = _streamed_stack_averages(cfg.field, m, blocks(), signals)
-        _, estimates, margins = principal_eigenpairs(qhats)
+        estimates, scores = _scores(qhats, signals, consts)
         hamming = _streamed_disagreements(cfg.field, blocks(), signals, estimates) / m
-        qdevs = _qdevs(qhats, signals, consts)
-        recs: list[TrialRecord] = []
-        max_rows: list[tuple] = []
-        running_max = 0.0
-        for i in range(cfg.inputs):
-            error = _vector_distance(signals[i], estimates[i])
-            running_max = max(running_max, error)
-            recs.append(
-                TrialRecord(
-                    i,
-                    m,
-                    error,
-                    float(qdevs[i]),
-                    float(hamming[i]) - error,
-                    bool(margins[i] < DEGENERACY_TOL),
-                    f"ens=0/{m};x=1/{i}",
-                )
+        recs = [
+            TrialRecord(
+                i, m, error, qdev, float(hamming[i]) - error, degenerate, f"ens=0/{m};x=1/{i}"
             )
-            max_rows.append((i, m, running_max))
-        return recs, max_rows
+            for i, (error, qdev, degenerate) in enumerate(scores)
+        ]
+        running_max = np.maximum.accumulate([error for error, _, _ in scores])
+        return recs, [(i, m, running_max[i]) for i in range(cfg.inputs)]
 
     outputs = _pool_map(worker, list(cfg.m_grid), threads)
     records = sorted(

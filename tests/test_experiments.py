@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from bitretrieve import cli, experiments, recovery
+from bitretrieve import cli, experiments
 from bitretrieve.cli import main
 from bitretrieve.core import FieldKind, InvalidInput
 from bitretrieve.experiments import (
@@ -409,10 +409,15 @@ class TestExitCodes:
         assert "check failure: noisy error exceeds bound" in capsys.readouterr().err
 
     def test_eigensolver_failure_exits_one(self, monkeypatch, tmp_path, capsys):
-        def failing(h):
-            raise ArithmeticError("eigendecomposition residual 1.0e-03 exceeds tolerance")
+        # Perturbed eigenvectors miss the residual check, whichever path of
+        # the library asks for the eigensolve.
+        eigh = np.linalg.eigh
 
-        monkeypatch.setattr(recovery, "principal_eigenpair", failing)
+        def perturbed(mats):
+            vals, vecs = eigh(mats)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
         assert main([*self.ARGV, "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert "eigendecomposition residual" in err
