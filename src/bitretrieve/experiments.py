@@ -80,7 +80,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -226,6 +226,11 @@ class ExperimentConfig:
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
+def _integer(value) -> int:
+    """Text by Python's int(text, 0); any other value only if it is an integer."""
+    return int(value.strip(), 0) if isinstance(value, str) else index(value)
+
+
 def _coerce(key: str, value):
     """Parse a config value from its text form (typed values pass through)."""
     try:
@@ -234,12 +239,10 @@ def _coerce(key: str, value):
         if key == "field":
             return value if isinstance(value, FieldKind) else FieldKind.parse(value)
         if key in ("n", "trials", "inputs", "master_seed"):
-            return int(str(value).strip(), 0) if isinstance(value, str) else int(value)
+            return _integer(value)
         if key == "m_grid":
-            if isinstance(value, str):
-                parts = [p.strip() for p in value.split(",") if p.strip()]
-                return tuple(int(p) for p in parts)
-            return tuple(int(v) for v in value)
+            parts = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
+            return tuple(_integer(p) for p in parts)
         if key in ("delta", "bound_D", "tau"):
             return float(value)
         if key == "flip_mode":
@@ -623,13 +626,11 @@ def _streamed_disagreements(field: FieldKind, blocks, a: np.ndarray, b: np.ndarr
 
 
 def _scores(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants):
-    """Recover from a stack of averages and score each estimate against its
-    signal; (N, d, d), (N, d) -> (N, d) estimates and N triples (error, qdev,
-    degenerate). One batched eigensolve gives the estimates as its strided
-    top eigenvector columns, used as they are. `error` is the operator-norm
-    distance between signal and estimate, `qdev` is ||Q_i - (mu1 X_i + mu2
-    (I - X_i))||, and `degenerate` says the top two eigenvalues lie within
-    DEGENERACY_TOL."""
+    """One batched eigensolve recovers an estimate from each of a stack of
+    averages, its strided top eigenvector column used as it is; (N, d, d),
+    (N, d) -> the (N, d) estimates and per row (error, qdev, degenerate):
+    the operator-norm distance to the signal, ||Q_i - (mu1 X_i + mu2 (I -
+    X_i))||, and whether the top eigenvalue's margin is below DEGENERACY_TOL."""
     _, estimates, margins = principal_eigenpairs(qhats)
     qdevs = _hermitian_opnorm(qhats - _expected_averages(signals, consts.mu1, consts.mu2))
     scores = [
@@ -644,10 +645,9 @@ def _run_fixed_signal(
 ) -> list[tuple[TrialRecord, tuple]]:
     """The pointwise pipeline, shared by the pointwise and noise protocols.
 
-    Each (trial, m) unit streams its ensemble through `_streamed_averages`,
-    then recovers from the average and scores the estimate through
-    `_scores`; the noise protocol stacks the corrupted average under the
-    clean one and scores both in the same call. Returns,
+    Each (trial, m) unit streams its ensemble through `_streamed_averages`
+    and scores its average, and for noise the corrupted one too, in one
+    `_scores` call. Returns,
     per unit in (trial, m) order, the record of the last recovery and the
     clean (error, qdev).
     """
@@ -662,9 +662,8 @@ def _run_fixed_signal(
         clean_avg, noisy_avg, _ = _streamed_averages(
             m, blocks, x, mode, cfg.tau, root.child(t, m, m)
         )
-        averages = (clean_avg, noisy_avg) if noisy else (clean_avg,)
-        signals = np.stack([x.vector.entries] * len(averages))
-        _, scores = _scores(np.stack([avg.matrix for avg in averages]), signals, consts)
+        qhats = np.stack([clean_avg.matrix, noisy_avg.matrix] if noisy else [clean_avg.matrix])
+        _, scores = _scores(qhats, np.stack([x.vector.entries] * len(qhats)), consts)
         path = f"ens={t}/{m};x=0" + (f";flip={t}/{m}/{m}" if noisy else "")
         error, qdev, degenerate = scores[-1]
         return TrialRecord(t, m, error, qdev, None, degenerate, path), scores[0][:2]
@@ -701,10 +700,8 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         estimates, scores = _scores(qhats, signals, consts)
         hamming = _streamed_disagreements(cfg.field, blocks(), signals, estimates) / m
         recs = [
-            TrialRecord(
-                i, m, error, qdev, float(hamming[i]) - error, degenerate, f"ens=0/{m};x=1/{i}"
-            )
-            for i, (error, qdev, degenerate) in enumerate(scores)
+            TrialRecord(i, m, error, qdev, float(hamming[i]) - error, flag, f"ens=0/{m};x=1/{i}")
+            for i, (error, qdev, flag) in enumerate(scores)
         ]
         running_max = np.maximum.accumulate([error for error, _, _ in scores])
         return recs, [(i, m, running_max[i]) for i in range(cfg.inputs)]

@@ -88,6 +88,37 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(experiment="pointwise", overrides={"n": "four"})
 
+    def test_m_grid_entries_read_as_the_other_integers(self, tmp_path):
+        # m_grid entries were read by int(p): "08" gave 8 where n = 08 is
+        # refused, and "0x10" was refused where seed = 0x10 is 16.
+        path = tmp_path / "cfg.txt"
+        path.write_text("experiment = pointwise\nm_grid = 0x10, 0o40, 1_000\n")
+        assert load_config(str(path)).m_grid == (16, 32, 1000)
+        path.write_text("experiment = pointwise\nm_grid = 08\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.key == "m_grid"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 4.5), ("trials", 2.0), ("inputs", 3.7), ("master_seed", 1.5),
+         ("m_grid", (10.9, 20.2)), ("m_grid", (10, np.float64(20.0)))],
+    )
+    def test_typed_non_integer_is_refused(self, key, value):
+        # int(value) used to truncate these: n = 4.5 ran as n = 4.
+        with pytest.raises(ConfigError) as err:
+            load_config(experiment="pointwise", overrides={key: value})
+        assert err.value.key == key
+
+    def test_typed_integers_pass(self):
+        cfg = load_config(experiment="pointwise", overrides={"n": np.int64(3), "m_grid": (10, 20)})
+        assert (cfg.n, cfg.m_grid) == (3, (10, 20))
+
+    def test_experiment_word_is_case_insensitive_in_a_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("experiment = Theory\n")
+        assert load_config(str(path)).experiment == "theory"
+
 
 class TestCsv:
     RECORDS = [
@@ -548,6 +579,27 @@ class TestExitCodes:
         assert main([*self.ARGV, "--seed", "16", "--out", str(dec_out)]) == 0
         assert hex_out.read_bytes() == dec_out.read_bytes()
 
+    def test_m_grid_flag_read_as_the_other_integers(self, tmp_path, capsys):
+        hex_out, dec_out = tmp_path / "hex.csv", tmp_path / "dec.csv"
+        argv = ["pointwise", "--field", "real", "--n", "2", "--trials", "1"]
+        assert main([*argv, "--m-grid", "0x28", "--out", str(hex_out)]) == 0
+        assert main([*argv, "--m-grid", "40", "--out", str(dec_out)]) == 0
+        assert hex_out.read_bytes() == dec_out.read_bytes()
+        assert main([*argv, "--m-grid", "08", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error at 'm_grid'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_experiment_word_is_case_insensitive_on_the_command_line(self, capsys):
+        # argparse's choices used to refuse "Theory", which a config file's
+        # experiment = Theory selects.
+        assert main(["Theory", "--field", "real", "--n", "2"]) == 0
+        assert "uniform_m=3579352" in capsys.readouterr().out
+
+    def test_unknown_experiment_exits_two_with_the_key(self, no_sampling, capsys):
+        # argparse used to exit through SystemExit, naming no config key.
+        assert main(["bogus"]) == 2
+        assert "config error at 'experiment'" in capsys.readouterr().err
+
 
 def test_parser_has_one_flag_per_config_key():
     actions = [a for a in cli.build_parser()._actions if a.option_strings and a.dest != "help"]
@@ -555,6 +607,25 @@ def test_parser_has_one_flag_per_config_key():
     assert sorted(a.dest for a in actions) == sorted([*keys, "config", "threads"])
     flags = {a.dest: a.option_strings for a in actions}
     assert flags["master_seed"] == ["--seed"] and flags["output_path"] == ["--out"]
+
+
+@pytest.mark.parametrize("experiment", ["pointwise", "uniform", "noise"])
+def test_runners_hand_their_units_to_the_module_pool_map(experiment, monkeypatch):
+    # perfbench's child replaces experiments._pool_map to time setup_s, and
+    # fails every benchmark run if a runner never calls it: each runner must
+    # look the name up in the module when it runs.
+    handed = []
+    pool_map = experiments._pool_map
+
+    def spy(worker, units, threads):
+        handed.append(list(units))
+        return pool_map(worker, units, threads)
+
+    monkeypatch.setattr(experiments, "_pool_map", spy)
+    cfg = make_cfg(experiment=experiment, n=2, m_grid="40,60", trials=2, inputs=3)
+    experiments.run_experiment(cfg)
+    fixed_signal = [(t, m) for t in range(2) for m in (40, 60)]
+    assert handed == [[40, 60] if experiment == "uniform" else fixed_signal]
 
 
 class TestBlasThreads:
