@@ -22,12 +22,13 @@ slice, with the stacked averages summed slice by slice as a real GEMM over
 them, and every recovery scored from the strided top eigenvector columns of
 one batched eigensolve (that moved the last bits of 20 error cells of the
 real pointwise and noise configs, by at most 1.25e-14, and no qdev,
-degenerate flag, flipped position or answer bit). The Gaussian streams depend on the numpy version and the reductions on
-the BLAS build and its thread count (a GEMM split over threads sums in
-another order), so `run_experiment` and `run_diagnostics` hold numpy's
-bundled OpenBLAS at one thread, `tests/conftest.py` pins the BLAS to one
-thread too, and `test_digests_hold_at_two_blas_threads` runs a config whose
-bytes move at two BLAS threads. Another stack may need a fresh capture; run
+degenerate flag, flipped position or answer bit). The Gaussian streams
+depend on the numpy version and the reductions on the BLAS build and its
+thread count (a GEMM split over threads sums in another order), so
+`run_experiment` and `run_diagnostics` hold numpy's bundled OpenBLAS at one
+thread, `tests/conftest.py` pins the BLAS to one thread too, and
+`test_digests_hold_at_two_blas_threads` runs a config whose bytes move at
+two BLAS threads. Another stack may need a fresh capture; run
 this file as a script to print one.
 """
 

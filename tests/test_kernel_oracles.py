@@ -2,7 +2,9 @@
 
 `trace_table` and `average_stack` run on the ensemble's projection table;
 the references below build each projection as a validated matrix, one at a
-time, and apply the paper's definitions directly. Tolerances are fixed from
+time, and apply the paper's definitions directly. The runners' batched
+recover-and-score stage is checked against the scalar recovery and
+distance on one average. Tolerances are fixed from
 float64's machine epsilon and the sizes involved before anything runs: a sum
 of N terms of magnitude at most 1 is off by at most about N * eps.
 """
@@ -11,10 +13,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitretrieve.core import FieldKind, RankOneProjection
-from bitretrieve.measurement import trace_table, trace_value
-from bitretrieve.recovery import average_stack, flipped_projection
+from bitretrieve.core import (
+    FieldKind,
+    HermitianMatrix,
+    RankOneProjection,
+    operator_norm,
+    rank_one_distance,
+)
+from bitretrieve.experiments import _scores
+from bitretrieve.measurement import measure, trace_table, trace_value
+from bitretrieve.recovery import (
+    average_stack,
+    empirical_average,
+    expected_average,
+    flipped_projection,
+    recover_from_average,
+)
 from bitretrieve.sampler import _TRACE_SLICE, SeedStream, sample_ensemble, sample_unit_vector
+from bitretrieve.theory import theory_constants
 
 EPS = np.finfo(np.float64).eps
 
@@ -27,6 +43,12 @@ def table_tol(d: int) -> float:
 def average_tol(m: int, d: int) -> float:
     """Bound on an entry of |average_stack - mean of flipped projections|."""
     return 4 * (m + d * d) * EPS
+
+
+def overlap_tol(d: int) -> float:
+    """Bound on |<x, v>|^2 = 1 - error^2 between two d-term inner products
+    with the same unit vectors, summed in different orders."""
+    return 4 * d * EPS
 
 
 def reference_average(ens, bits) -> np.ndarray:
@@ -101,3 +123,18 @@ def test_trace_table_crosses_a_table_slice():
         for row, x in zip(table, xs):
             direct = [trace_value(ens.projection(j), RankOneProjection(x)) for j in range(m)]
             assert np.max(np.abs(row - direct)) <= table_tol(ens.dim)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=ensembles())
+def test_scores_match_the_scalar_recovery(data):
+    ens, seed = data
+    x = RankOneProjection(sample_unit_vector(ens.field, ens.dim, SeedStream(seed, (1,))))
+    qhat = empirical_average(ens, measure(ens, x))
+    consts = theory_constants(ens.field, ens.n)
+    _, [(error, qdev, degenerate)] = _scores(qhat.matrix[None], x.vector.entries[None], consts)
+    rec = recover_from_average(qhat)
+    expected = expected_average(x, consts.mu1, consts.mu2).matrix
+    assert degenerate == rec.degenerate
+    assert qdev == operator_norm(HermitianMatrix(ens.field, qhat.matrix - expected))
+    assert abs(error**2 - rank_one_distance(x, rec.estimate) ** 2) <= overlap_tol(ens.dim)

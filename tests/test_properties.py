@@ -1,22 +1,48 @@
-"""Property-based checks of the corruption stage and of recovery's invariance.
+"""Property-based checks of the corruption stage, recovery's invariance,
+the streamed kernels, the config parser and the theory's sample sizes.
 
 For random tau and m in both flip modes, `corrupt_bits` flips the largest
 number of bits whose fraction stays at or below tau, and the streamed
 noise unit flips the same positions. Recovery reads a signal only through
 tr(P X), so its estimate cannot depend on the representative's global phase.
+
+The streamed kernels walk an ensemble one 1024-projection slice at a time
+and its signals 512 at a time; at m and input counts on either side of
+those boundaries and of the 8192-element sampling block, each returns the
+bytes of its kernel on the materialized ensemble. A config gives the same
+`ExperimentConfig` from a file and from flags, whatever way each integer is
+written. The sample sizes reach the accuracy they are computed for.
 """
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitretrieve import cli
 from bitretrieve.core import FieldKind, RankOneProjection, UnitVector, rank_one_distance
-from bitretrieve.experiments import _streamed_averages
+from bitretrieve.experiments import (
+    EXPERIMENTS,
+    FLIP_MODES,
+    ExperimentConfig,
+    _streamed_averages,
+    _streamed_disagreements,
+    _streamed_stack_averages,
+    load_config,
+)
 from bitretrieve.measurement import corrupt_bits, hamming_distance, measure
-from bitretrieve.recovery import pep_recover
+from bitretrieve.recovery import average_stack, empirical_average, pep_recover
 from bitretrieve.sampler import SeedStream, _frame_blocks, sample_ensemble, sample_unit_vector
+from bitretrieve.theory import (
+    invert_uniform_delta,
+    pointwise_error_level,
+    pointwise_m,
+    uniform_m,
+)
 
 fields = st.sampled_from(list(FieldKind))
 modes = st.sampled_from(["random", "greedy"])
@@ -61,3 +87,135 @@ def test_estimate_ignores_global_phase(field, n, m, theta, seed):
     est_x, est_y = pep_recover(ens, bits_x).estimate, pep_recover(ens, bits_y).estimate
     assert np.array_equal(est_x.matrix(), est_y.matrix())
     assert abs(rank_one_distance(x, est_x) - rank_one_distance(y, est_y)) <= 1e-12
+
+
+# Slice (1024), sampling block (8192) and signal block (512) boundaries.
+boundary_ms = st.sampled_from([1, 1023, 1024, 1025, 8191, 8192, 8193])
+boundary_inputs = st.sampled_from([1, 511, 512, 513])
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(field=fields, n=st.integers(1, 3), m=boundary_ms, seed=seeds)
+def test_streamed_average_is_the_empirical_average(field, n, m, seed):
+    root = SeedStream(seed)
+    x = RankOneProjection(sample_unit_vector(field, 2 * n, root.child(0)))
+    ens = sample_ensemble(field, n, m, root.child(1))
+    clean, _, _ = _streamed_averages(m, _frame_blocks(field, n, m, root.child(1)), x)
+    assert np.array_equal(clean.matrix, empirical_average(ens, measure(ens, x)).matrix)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(field=fields, n=st.integers(1, 3), m=boundary_ms, inputs=boundary_inputs, seed=seeds)
+def test_streamed_stack_passes_match_the_measure_bits(field, n, m, inputs, seed):
+    root = SeedStream(seed)
+    signals = np.stack(
+        [sample_unit_vector(field, 2 * n, root.child(0, i)).entries for i in range(inputs)]
+    )
+    ens = sample_ensemble(field, n, m, root.child(1))
+    bits = np.stack([measure(ens, RankOneProjection(UnitVector(field, s))).bits for s in signals])
+    blocks = _frame_blocks(field, n, m, root.child(1))
+    averages = _streamed_stack_averages(field, m, blocks, signals)
+    assert np.array_equal(averages, average_stack(ens, bits))
+    # Each signal against the one before it (itself when there is only one).
+    blocks = _frame_blocks(field, n, m, root.child(1))
+    counts = _streamed_disagreements(field, blocks, signals, np.roll(signals, 1, axis=0))
+    assert np.array_equal(counts, np.count_nonzero(bits != np.roll(bits, 1, axis=0), axis=1))
+
+
+class Built(Exception):
+    """Carries the config `cli.main` built, before anything runs."""
+
+
+def config_from_flags(argv: list[str]) -> ExperimentConfig:
+    def capture(*args, **kwargs):
+        raise Built(load_config(*args, **kwargs))
+
+    with mock.patch.object(cli, "load_config", capture), pytest.raises(Built) as built:
+        cli.main(argv)
+    return built.value.args[0]
+
+
+FLAGS = {"master_seed": "--seed", "output_path": "--out"}
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config as text values keyed by field name, every integer
+    written in one of the ways int(text, 0) reads, and the config it means."""
+
+    def integer(lo, hi):
+        value = draw(st.integers(lo, hi))
+        return value, draw(st.sampled_from([str, hex, oct, bin, "{:_}".format]))(value)
+
+    def word(text):
+        return draw(st.sampled_from([str.lower, str.upper, str.title]))(text)
+
+    def real(values):
+        value = draw(values)
+        return value, repr(value)
+
+    field, mode = draw(fields), draw(st.sampled_from(FLIP_MODES))
+    grid = [integer(1, 2**32 - 1) for _ in range(draw(st.integers(1, 4)))]
+    grid = sorted({value: text for value, text in grid}.items())
+    path = draw(st.from_regex(r"[a-z0-9_]{1,8}(/[a-z0-9_]{1,8})?\.csv", fullmatch=True))
+    candidates = {
+        "field": (field, word(draw(st.sampled_from([field.value, field.value[0]])))),
+        "n": integer(1, 2**16),
+        "m_grid": (tuple(v for v, _ in grid), ", ".join(t for _, t in grid)),
+        "trials": integer(1, 2**32),
+        "inputs": integer(1, 2**32),
+        "delta": real(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        "bound_D": real(st.floats(0.0, allow_infinity=False)),
+        "tau": real(st.floats(0.0, 1.0, exclude_max=True)),
+        "flip_mode": (mode, word(mode)),
+        "master_seed": integer(0, 2**64 - 1),
+        "output_path": (path, path),
+    }
+    keys = draw(st.sets(st.sampled_from(sorted(candidates))))
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    expected = replace(ExperimentConfig(experiment), **{key: candidates[key][0] for key in keys})
+    return word(experiment), {key: candidates[key][1] for key in sorted(keys)}, expected
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(config=config_texts())
+def test_a_config_reads_the_same_from_a_file_and_from_flags(config, tmp_path_factory):
+    experiment, texts, expected = config
+    path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+    lines = [f"{key} = {text}\n" for key, text in {"experiment": experiment, **texts}.items()]
+    path.write_text("".join(lines))
+    argv = [experiment]
+    for key, text in texts.items():
+        argv += [FLAGS.get(key, "--" + key.replace("_", "-")), text]
+    assert load_config(str(path)) == expected
+    assert config_from_flags(argv) == expected
+
+
+gapped = st.tuples(fields, st.integers(2, 16))  # the gap is zero at n = 1
+deltas = st.floats(0.01, 0.99)
+big_ds = st.floats(0.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(space=gapped, delta=deltas, big_d=big_ds)
+def test_pointwise_m_reaches_its_accuracy(space, delta, big_d):
+    field, n = space
+    assert pointwise_error_level(field, n, pointwise_m(field, n, delta, big_d), big_d) <= delta
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(space=gapped, delta=deltas, big_d=big_ds)
+def test_uniform_m_inverts_to_its_accuracy(space, delta, big_d):
+    # The bisection stops within 1e-6, and the ceiling of uniform_m moves
+    # the inverted level by less than that over this domain.
+    field, n = space
+    m = uniform_m(field, n, delta, big_d)
+    assert abs(invert_uniform_delta(field, n, m, big_d) - delta) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(space=gapped, deltas=st.tuples(deltas, deltas), big_d=big_ds)
+def test_uniform_m_does_not_grow_with_delta(space, deltas, big_d):
+    field, n = space
+    small, large = sorted(deltas)
+    assert uniform_m(field, n, small, big_d) >= uniform_m(field, n, large, big_d)
