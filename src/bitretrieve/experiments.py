@@ -704,7 +704,7 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
             for i, (error, qdev, flag) in enumerate(scores)
         ]
         running_max = np.maximum.accumulate([error for error, _, _ in scores])
-        return recs, [(i, m, running_max[i]) for i in range(cfg.inputs)]
+        return recs, [(i, m, peak) for i, peak in enumerate(running_max)]
 
     outputs = _pool_map(worker, list(cfg.m_grid), threads)
     records = sorted(
