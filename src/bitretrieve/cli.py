@@ -31,6 +31,7 @@ from .experiments import (
     CheckFailure,
     ConfigError,
     DiagnosticsReport,
+    EXPERIMENTS,
     _CONFIG_KEYS,
     _check_output_dir,
     load_config,
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bitretrieve",
         description="One-bit phase retrieval experiments and theory constants.",
     )
-    parser.add_argument("experiment", help="pointwise, uniform, noise, diagnostics or theory")
+    parser.add_argument("experiment", help="one of " + ", ".join(EXPERIMENTS))
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--threads", type=int, default=1, help="worker threads for trials")
     # One flag per config key, read as text: load_config parses and checks

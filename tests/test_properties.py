@@ -37,12 +37,7 @@ from bitretrieve.experiments import (
 from bitretrieve.measurement import corrupt_bits, hamming_distance, measure
 from bitretrieve.recovery import average_stack, empirical_average, pep_recover
 from bitretrieve.sampler import SeedStream, _frame_blocks, sample_ensemble, sample_unit_vector
-from bitretrieve.theory import (
-    invert_uniform_delta,
-    pointwise_error_level,
-    pointwise_m,
-    uniform_m,
-)
+from bitretrieve.theory import invert_uniform_delta, pointwise_error_level, pointwise_m, uniform_m
 
 fields = st.sampled_from(list(FieldKind))
 modes = st.sampled_from(["random", "greedy"])
