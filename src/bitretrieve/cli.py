@@ -7,7 +7,8 @@ Usage:
                 [--inputs N] [--delta X] [--bound-D X] [--tau X]
                 [--flip-mode MODE]
 
-Flags override config-file keys of the same name, parsed alike. Exit codes:
+Flags override config-file keys of the same name, parsed alike. `main` fixes
+the C library's mmap and trim thresholds for its process. Exit codes:
 
 0   success (for diagnostics: every check passed).
 1   a failure during the run: a failed diagnostic, a theory relation
@@ -24,6 +25,7 @@ Flags override config-file keys of the same name, parsed alike. Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 from .core import InvalidInput
@@ -71,7 +73,20 @@ def _print_diagnostics(report: DiagnosticsReport) -> None:
         print(line)
 
 
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's thresholds at the ceilings its dynamic rule reaches, which
+    would otherwise hand each slice's freed buffers back to the kernel. This
+    holds process-wide and for good, so only the CLI sets it; no-op without
+    `mallopt`."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, in bytes
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _fix_malloc_thresholds()
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)

@@ -36,16 +36,16 @@ one Gaussian draw of shape (count, d, k) from `path + (b,)`, so the block
 size is part of the reproducibility contract. The slice is the unit of
 every computation: `_frame_blocks` orthonormalizes a block by one QR call
 per slice and yields it slice by slice, and every streamed consumer takes
-one slice at a time. Over R a block's draw is held whole and each slice's
-frames overwrite the bytes its draw held. Over C a block holds only its
-real half, count * d * k float64 (half the block's complex frames); each
-slice's imaginary parts are drawn when the slice is orthonormalized, in
-the stream's order, into a slice-sized complex array that then holds its
-frames. QR factors each matrix on its own, so neither the slices nor the
-split draw change a bit of the frames a single draw and QR of the whole
-block give. A slice's projections are also one chunk of the recovery
-module's accumulations, so an ensemble streamed slice by slice gives the
-sums of the materialized ensemble, bit for bit.
+one slice at a time. Over R each slice is drawn by its own call, which
+continues the block's stream, and its frames overwrite its draw. Over C a
+block holds its real half, count * d * k float64, as its stream draws every
+real part first; each slice's imaginary parts are drawn when the slice is
+orthonormalized, in the stream's order, into a slice-sized complex array
+that then holds its frames. QR factors each matrix on its own, so neither
+the slices nor the split draws change a bit of the frames a single draw
+and QR of the whole block give. A slice's projections are also one chunk
+of the recovery module's accumulations, so an ensemble streamed slice by
+slice gives the sums of the materialized ensemble, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on packed projection tables, one row per projection and one table per
@@ -273,22 +273,24 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
     sliced). Each slice's conj(Q^T) is written over the d * k elements per
     matrix that its (d, k) draw occupied; QR returns a new Q. The generator
     drops each slice after the yield, so a consumer that drops each one
-    before asking for the next holds one slice at a time, and over R its
-    block's draw."""
+    before asking for the next holds one slice at a time, and over C its
+    block's real half."""
     d, k = 2 * n, n
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
-        draw = rng.standard_normal((min(_CHUNK, m - first), d, k))  # over C the real parts
-        for start in range(0, len(draw), _TRACE_SLICE):
-            g = draw[start : start + _TRACE_SLICE]
-            if field is FieldKind.COMPLEX:
-                g = g.astype(complex)
+        count = min(_CHUNK, m - first)
+        real = rng.standard_normal((count, d, k)) if field is FieldKind.COMPLEX else None
+        for start in range(0, count, _TRACE_SLICE):
+            if real is None:
+                g = rng.standard_normal((min(_TRACE_SLICE, count - start), d, k))
+            else:
+                g = real[start : start + _TRACE_SLICE].astype(complex)
                 g.imag = rng.standard_normal(g.shape)
             frames = g.reshape(len(g), k, d)
             np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2), out=frames)
             yield first + start, MeasurementEnsemble(field, n, frames)
             del g, frames  # before the next slice's draw and QR
-        del draw  # before the next block's draw
+        del real  # before the next block's draw
 
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
