@@ -74,11 +74,12 @@ def _print_diagnostics(report: DiagnosticsReport) -> None:
 
 
 def _fix_malloc_thresholds() -> None:
-    """Fix glibc's thresholds at the ceilings its dynamic rule reaches, which
-    would otherwise hand each slice's freed buffers back to the kernel. This
-    holds process-wide and for good, so only the CLI sets it; no-op without
-    `mallopt`."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    """Fix glibc's mmap and trim thresholds at the ceilings its dynamic rule
+    reaches; the dynamic ones give each slice's freed buffers back to the
+    kernel. The setting is process-wide and for good, so only the CLI makes
+    it. A C library without `mallopt` is left alone."""
+    libc = ctypes.CDLL(None) if sys.platform != "win32" else None  # CDLL(None) is POSIX-only
+    mallopt = getattr(libc, "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, in bytes

@@ -281,7 +281,7 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
         count = min(_CHUNK, m - first)
         real = rng.standard_normal((count, d, k)) if field is FieldKind.COMPLEX else None
         for start in range(0, count, _TRACE_SLICE):
-            if real is None:
+            if field is FieldKind.REAL:
                 g = rng.standard_normal((min(_TRACE_SLICE, count - start), d, k))
             else:
                 g = real[start : start + _TRACE_SLICE].astype(complex)

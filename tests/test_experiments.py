@@ -1,4 +1,3 @@
-import ctypes
 import platform
 import subprocess
 import sys
@@ -695,7 +694,7 @@ class TestMallocThresholds:
             opened.append(name)
             return SimpleNamespace()  # a C library without mallopt
 
-        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=cdll, c_int=ctypes.c_int))
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=cdll))
         assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
         assert opened == [None]
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
