@@ -77,6 +77,12 @@ CONFIGS = {
         "noise", "--field", "complex", "--n", "3", "--m-grid", "300,900",
         "--trials", "3", "--tau", "0.05", "--flip-mode", "greedy", "--seed", "15",
     ),
+    # m = 2 * 8192 + 17 spans three complex sampling blocks, the last one
+    # partial, each of more than one 1024-projection slice.
+    "noise-complex-greedy-block": (
+        "noise", "--field", "complex", "--n", "2", "--m-grid", "16401",
+        "--trials", "2", "--tau", "0.05", "--flip-mode", "greedy", "--seed", "19",
+    ),
     # The greedy mode's running top floor(tau m) carried across three blocks.
     "noise-real-greedy-block": (
         "noise", "--field", "real", "--n", "2", "--m-grid", "16401",
@@ -88,6 +94,10 @@ GOLDEN = {
     "noise-complex-greedy": {
         ".csv": "ec2c38aaad0d46be14eccb8f4361a4a3761fbeeb979d82dab3600c5e8fecb255",
         ".noise.csv": "aad15c7a931afa4c704fb6f103548c956901b5ef2eb6eaa71b8387dfbf99a6db",
+    },
+    "noise-complex-greedy-block": {
+        ".csv": "657fba23111295e41cc17ec784bddb3cacce5354c12819e5b448d5de61462d68",
+        ".noise.csv": "ff36af02af5dcc5def24f7eda1fd370f85fa9362df2036bbffe77f738a194526",
     },
     "noise-real-greedy-block": {
         ".csv": "77da00e8043d69da1fb482ad9501fcf399d37218e6e4a13b425e0aa110ccc735",
