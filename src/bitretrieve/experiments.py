@@ -9,7 +9,7 @@ pointwise    one fixed signal, fresh ensembles per (trial, m); records the
              1024-projection slice at a time and never held whole: the
              slice is drawn, validated, measured and added into one d x d
              accumulator, one GEMM per slice, so a unit holds one slice's
-             working set, and over C its block's real half, whatever m is.
+             working set over either field, whatever m is.
              The accumulation kernel sums a held ensemble in the same
              slices, so the averages equal those of the materialized
              ensemble bit for bit.

@@ -18,9 +18,10 @@ Gaussian variates come from numpy's Generator.standard_normal
 (ziggurat transform of the PCG64 bit stream); together with the seeding
 above this pins the exact sequence of every stream for a given numpy
 version, which is the reproducibility contract of the experiment
-harness. A complex draw takes its real parts from the first half of its
-stream and its imaginary parts from the second, in the order of one call
-of shape (2, *shape).
+harness. One rule, `_gaussian`, makes every draw over either field: a
+real draw of a shape is one call of that shape, and a complex draw one
+call of shape (2, *shape), whose first half gives the real parts and
+whose second half the imaginary parts.
 
 Projections are generated by orthonormalizing a d x k Gaussian matrix
 with a QR factorization; the projection onto the column span of a
@@ -31,21 +32,20 @@ is all the library reads from Q.
 
 An ensemble of m projections is drawn in blocks of _CHUNK = 8192
 elements and computed in slices of _TRACE_SLICE = 1024. The block is the
-unit of the seed stream: block b (elements [b * 8192, (b + 1) * 8192)) is
-one Gaussian draw of shape (count, d, k) from `path + (b,)`, so the block
-size is part of the reproducibility contract. The slice is the unit of
-every computation: `_frame_blocks` orthonormalizes a block by one QR call
-per slice and yields it slice by slice, and every streamed consumer takes
-one slice at a time. Over R each slice is drawn by its own call, which
-continues the block's stream, and its frames overwrite its draw. Over C a
-block holds its real half, count * d * k float64, as its stream draws every
-real part first; each slice's imaginary parts are drawn when the slice is
-orthonormalized, in the stream's order, into a slice-sized complex array
-that then holds its frames. QR factors each matrix on its own, so neither
-the slices nor the split draws change a bit of the frames a single draw
-and QR of the whole block give. A slice's projections are also one chunk
-of the recovery module's accumulations, so an ensemble streamed slice by
-slice gives the sums of the materialized ensemble, bit for bit.
+unit of the seed stream: block b (elements [b * 8192, (b + 1) * 8192))
+draws from `path + (b,)`, so the block size is part of the
+reproducibility contract. The slice is the unit of every computation and
+of every draw: each slice of block b, s projections, is one `_gaussian`
+draw of shape (s, d, k) that continues block b's stream, and its frames
+overwrite its draw. `_frame_blocks` orthonormalizes a slice by one QR call and
+yields it, and every streamed consumer takes one slice at a time. Over R
+consecutive calls continue one stream, so a block's slices hold the
+values one draw of the whole block would; over C each slice takes its
+real and then its imaginary parts. QR factors each matrix on its own, so
+the frames of a slice do not depend on how the rest of the block is
+computed. A slice's projections are also one chunk of the recovery
+module's accumulations, so an ensemble streamed slice by slice gives the
+sums of the materialized ensemble, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on packed projection tables, one row per projection and one table per
@@ -109,9 +109,9 @@ class SeedStream:
 
 
 def _gaussian(field: FieldKind, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """An array of i.i.d. standard Gaussians; for C, real and imaginary
-    parts are each standard Gaussian, drawn in one call of shape (2, *shape).
-    `_frame_blocks` draws the same stream in parts."""
+    """An array of i.i.d. standard Gaussians, in a new array; for C, real and
+    imaginary parts are each standard Gaussian, drawn in one call of shape
+    (2, *shape). Every draw of the library goes through it."""
     if field is FieldKind.REAL:
         return rng.standard_normal(shape)
     parts = rng.standard_normal((2, *shape))
@@ -273,24 +273,17 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
     sliced). Each slice's conj(Q^T) is written over the d * k elements per
     matrix that its (d, k) draw occupied; QR returns a new Q. The generator
     drops each slice after the yield, so a consumer that drops each one
-    before asking for the next holds one slice at a time, and over C its
-    block's real half."""
+    before asking for the next holds one slice at a time."""
     d, k = 2 * n, n
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
         count = min(_CHUNK, m - first)
-        real = rng.standard_normal((count, d, k)) if field is FieldKind.COMPLEX else None
         for start in range(0, count, _TRACE_SLICE):
-            if field is FieldKind.REAL:
-                g = rng.standard_normal((min(_TRACE_SLICE, count - start), d, k))
-            else:
-                g = real[start : start + _TRACE_SLICE].astype(complex)
-                g.imag = rng.standard_normal(g.shape)
+            g = _gaussian(field, (min(_TRACE_SLICE, count - start), d, k), rng)
             frames = g.reshape(len(g), k, d)
             np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2), out=frames)
             yield first + start, MeasurementEnsemble(field, n, frames)
             del g, frames  # before the next slice's draw and QR
-        del real  # before the next block's draw
 
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
