@@ -280,7 +280,7 @@ def load_config(
     if path is not None:
         try:
             text = Path(path).read_text(encoding="ascii")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
         values.update(parse_config_text(text))
     if overrides:
@@ -365,25 +365,31 @@ def emit_csv(records: list[TrialRecord], path: str) -> None:
 
 
 def parse_csv(path: str) -> list[TrialRecord]:
-    """Read back a CSV produced by emit_csv, reproducing records exactly."""
+    """Read back a CSV produced by emit_csv, reproducing records exactly.
+    Malformed input raises InvalidInput naming its line."""
     with open(path, newline="", encoding="ascii") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
-            raise InvalidInput(f"unexpected CSV header {header!r}")
+            raise InvalidInput(f"{path}: CSV line 1: unexpected header {header!r}")
         records = []
         for row in reader:
-            records.append(
-                TrialRecord(
-                    trial=int(row[0]),
-                    m=int(row[1]),
-                    error=float(row[2]),
-                    qdev=float(row[3]),
-                    hamming_gap=None if row[4] == "" else float(row[4]),
-                    degenerate=row[5] == "true",
-                    seed_path=row[6],
+            try:
+                trial, m, error, qdev, gap, degenerate, seed_path = row
+                if degenerate not in ("true", "false"):
+                    raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
+                record = TrialRecord(
+                    trial=int(trial),
+                    m=int(m),
+                    error=float(error),
+                    qdev=float(qdev),
+                    hamming_gap=None if gap == "" else float(gap),
+                    degenerate=degenerate == "true",
+                    seed_path=seed_path,
                 )
-            )
+            except ValueError as exc:
+                raise InvalidInput(f"{path}: CSV line {reader.line_num}: {exc}") from exc
+            records.append(record)
     return records
 
 

@@ -138,6 +138,25 @@ class TestCsv:
         emit_csv(self.RECORDS, str(path))
         assert parse_csv(str(path)) == self.RECORDS
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("", 1),
+            ("0,100,0.125\n", 2),
+            ("0,100,x,0.0625,,false,ens=0/100;x=0\n", 2),
+            ("0,100,0.125,0.0625,,maybe,ens=0/100;x=0\n", 2),
+        ],
+        ids=["empty-file", "short-row", "bad-number", "bad-degenerate"],
+    )
+    def test_malformed_input_names_its_line(self, body, line, tmp_path):
+        # An empty file used to raise StopIteration, a short row IndexError,
+        # a bad number a bare ValueError, and "maybe" read as False.
+        path = tmp_path / "r.csv"
+        header = ",".join(CSV_HEADER) + "\n" if body else ""
+        path.write_text(header + body)
+        with pytest.raises(InvalidInput, match=f"CSV line {line}:"):
+            parse_csv(str(path))
+
     def test_empty_cell_for_absent_optional(self, tmp_path):
         path = tmp_path / "r.csv"
         emit_csv(self.RECORDS, str(path))
@@ -596,6 +615,13 @@ class TestExitCodes:
         # experiment = Theory selects.
         assert main(["Theory", "--field", "real", "--n", "2"]) == 0
         assert "uniform_m=3579352" in capsys.readouterr().out
+
+    def test_non_ascii_config_file_exits_two(self, tmp_path, capsys):
+        # The ASCII decode used to escape as a UnicodeDecodeError traceback.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 2 # \u03b4\n", encoding="utf-8")
+        assert main(["theory", "--config", str(cfg)]) == 2
+        assert "config error at 'config'" in capsys.readouterr().err
 
     def test_unknown_experiment_exits_two_with_the_key(self, no_sampling, capsys):
         # argparse used to exit through SystemExit, naming no config key.
