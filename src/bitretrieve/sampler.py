@@ -18,10 +18,10 @@ Gaussian variates come from numpy's Generator.standard_normal
 (ziggurat transform of the PCG64 bit stream); together with the seeding
 above this pins the exact sequence of every stream for a given numpy
 version, which is the reproducibility contract of the experiment
-harness. One rule, `_gaussian`, makes every draw over either field: a
-real draw of a shape is one call of that shape, and a complex draw one
-call of shape (2, *shape), whose first half gives the real parts and
-whose second half the imaginary parts.
+harness. One rule, `_gaussian`, makes every Gaussian draw over either
+field: a real draw of a shape is one call of that shape, and a complex
+draw one call of shape (2, *shape), whose first half gives the real
+parts and whose second half the imaginary parts.
 
 Projections are generated by orthonormalizing a d x k Gaussian matrix
 with a QR factorization; the projection onto the column span of a
@@ -37,15 +37,15 @@ draws from `path + (b,)`, so the block size is part of the
 reproducibility contract. The slice is the unit of every computation and
 of every draw: each slice of block b, s projections, is one `_gaussian`
 draw of shape (s, d, k) that continues block b's stream, and its frames
-overwrite its draw. `_frame_blocks` orthonormalizes a slice by one QR call and
-yields it, and every streamed consumer takes one slice at a time. Over R
-consecutive calls continue one stream, so a block's slices hold the
-values one draw of the whole block would; over C each slice takes its
-real and then its imaginary parts. QR factors each matrix on its own, so
-the frames of a slice do not depend on how the rest of the block is
-computed. A slice's projections are also one chunk of the recovery
-module's accumulations, so an ensemble streamed slice by slice gives the
-sums of the materialized ensemble, bit for bit.
+overwrite its draw. `_frame_blocks` orthonormalizes a slice by one QR
+call and yields it, and every streamed consumer takes one slice at a
+time. Over R consecutive calls continue one stream, so a block's slices
+hold the values one draw of the whole block would; over C each slice
+takes its real and then its imaginary parts. QR factors each matrix on
+its own, so the frames of a slice do not depend on how the rest of the
+block is computed. A slice's projections are also one chunk of the
+recovery module's accumulations, so an ensemble streamed slice by slice
+gives the sums of the materialized ensemble, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on packed projection tables, one row per projection and one table per
@@ -111,7 +111,7 @@ class SeedStream:
 def _gaussian(field: FieldKind, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """An array of i.i.d. standard Gaussians, in a new array; for C, real and
     imaginary parts are each standard Gaussian, drawn in one call of shape
-    (2, *shape). Every draw of the library goes through it."""
+    (2, *shape). Every Gaussian draw of the library goes through it."""
     if field is FieldKind.REAL:
         return rng.standard_normal(shape)
     parts = rng.standard_normal((2, *shape))
