@@ -20,11 +20,13 @@ uniform      one ensemble per m, many random signals recovered against it;
              [0, m, b] through one loop, `_block_answers`, which packs each
              slice's table and answers the signals against it. Pass 1 adds
              the +-1 signs against the table into one (inputs, w) sum, then
-             one batched eigensolve gives the estimates; pass 2 replays the
-             same blocks, which the block streams make identical, and
-             counts where the estimates' answers differ from the signals'.
-             Memory is O(inputs d^2 + one block) whatever m is: one slice's
-             table and the traces, bits and signs of 512 signals against it.
+             each 512 rows of it are unpacked, finished and scored by one
+             batched eigensolve; pass 2 replays the same blocks, which the
+             block streams make identical, and counts where the estimates'
+             answers differ from the signals'. Memory is O(inputs w) for the
+             packed sums and rows, plus the d x d matrices of 512 signals and
+             one slice, whatever m is: the slice's table and the traces,
+             bits and signs of 512 signals against it.
 noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
@@ -74,6 +76,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import io
 import math
 import os
 import sys
@@ -366,30 +369,36 @@ def emit_csv(records: list[TrialRecord], path: str) -> None:
 
 def parse_csv(path: str) -> list[TrialRecord]:
     """Read back a CSV produced by emit_csv, reproducing records exactly.
-    Malformed input raises InvalidInput naming its line."""
-    with open(path, newline="", encoding="ascii") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise InvalidInput(f"{path}: CSV line 1: unexpected header {header!r}")
-        records = []
-        for row in reader:
-            try:
-                trial, m, error, qdev, gap, degenerate, seed_path = row
-                if degenerate not in ("true", "false"):
-                    raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
-                record = TrialRecord(
-                    trial=int(trial),
-                    m=int(m),
-                    error=float(error),
-                    qdev=float(qdev),
-                    hamming_gap=None if gap == "" else float(gap),
-                    degenerate=degenerate == "true",
-                    seed_path=seed_path,
-                )
-            except ValueError as exc:
-                raise InvalidInput(f"{path}: CSV line {reader.line_num}: {exc}") from exc
-            records.append(record)
+    Malformed input, a byte that is not ASCII included, raises InvalidInput
+    naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidInput(f"{path}: CSV line {line}: not ASCII: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = tuple(next(reader, ()))
+    if header != CSV_HEADER:
+        raise InvalidInput(f"{path}: CSV line 1: unexpected header {header!r}")
+    records = []
+    for row in reader:
+        try:
+            trial, m, error, qdev, gap, degenerate, seed_path = row
+            if degenerate not in ("true", "false"):
+                raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
+            record = TrialRecord(
+                trial=int(trial),
+                m=int(m),
+                error=float(error),
+                qdev=float(qdev),
+                hamming_gap=None if gap == "" else float(gap),
+                degenerate=degenerate == "true",
+                seed_path=seed_path,
+            )
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: CSV line {reader.line_num}: {exc}") from exc
+        records.append(record)
     return records
 
 
@@ -605,11 +614,14 @@ def _block_answers(field: FieldKind, blocks, *stacks: np.ndarray):
         del table
 
 
-def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray) -> np.ndarray:
-    """The empirical averages of a stack of signals' answers against one
-    ensemble of m elements, in one pass over its blocks; (N, d) -> (N, d, d).
-    The signs go through `_accumulate_table` in the slices `average_stack`
-    uses on the materialized ensemble, so the two agree bit for bit."""
+def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray):
+    """The empirical averages of an (N, d) stack of signals' answers against
+    one ensemble of m elements. One pass over its blocks adds the signs into
+    (N, w) packed sums; then, for each slice `rows` of _INPUT_BLOCK signals,
+    yields (rows, their (len(rows), d, d) averages). The signs go through
+    `_accumulate_table` in the slices `average_stack` uses on the
+    materialized ensemble, and each average is finished on its own, so the
+    two agree bit for bit."""
     d = signals.shape[1]
     acc = np.zeros((len(signals), _packed_width(field, d)))
     ones = np.zeros(len(signals), dtype=np.intp)
@@ -617,7 +629,9 @@ def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarr
         ones[rows] += np.count_nonzero(bits, axis=1)
         _accumulate_table(acc[rows], table, bits)
         del table, bits
-    return _finalize_average(_unpack_hermitian(field, acc, d), m - ones, m)
+    for first in range(0, len(signals), _INPUT_BLOCK):
+        rows = slice(first, first + _INPUT_BLOCK)
+        yield rows, _finalize_average(_unpack_hermitian(field, acc[rows], d), m - ones[rows], m)
 
 
 def _streamed_disagreements(field: FieldKind, blocks, a: np.ndarray, b: np.ndarray):
@@ -638,7 +652,8 @@ def _scores(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants):
     the operator-norm distance to the signal, ||Q_i - (mu1 X_i + mu2 (I -
     X_i))||, and whether the top eigenvalue's margin is below DEGENERACY_TOL."""
     _, estimates, margins = principal_eigenpairs(qhats)
-    qdevs = _hermitian_opnorm(qhats - _expected_averages(signals, consts.mu1, consts.mu2))
+    expected = _expected_averages(signals, consts.mu1, consts.mu2)
+    qdevs = _hermitian_opnorm(np.subtract(qhats, expected, out=expected))
     scores = [
         (_vector_distance(signal, estimate), float(qdev), bool(margin < DEGENERACY_TOL))
         for signal, estimate, qdev, margin in zip(signals, estimates, qdevs, margins)
@@ -702,8 +717,13 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         def blocks():
             return _frame_blocks(cfg.field, cfg.n, m, root.child(0, m))
 
-        qhats = _streamed_stack_averages(cfg.field, m, blocks(), signals)
-        estimates, scores = _scores(qhats, signals, consts)
+        estimates, scores = np.empty_like(signals), []
+        for rows, qhats in _streamed_stack_averages(cfg.field, m, blocks(), signals):
+            block_estimates, block_scores = _scores(qhats, signals[rows], consts)
+            estimates[rows] = block_estimates  # copied after _scores read the strided view
+            scores += block_scores
+            # drop the averages and the eigenvector stack before the next block and pass 2
+            del qhats, block_estimates
         hamming = _streamed_disagreements(cfg.field, blocks(), signals, estimates) / m
         recs = [
             TrialRecord(i, m, error, qdev, float(hamming[i]) - error, flag, f"ens=0/{m};x=1/{i}")

@@ -39,7 +39,14 @@ from .core import (
     RankOneProjection,
     _check_same_space,
 )
-from .sampler import _TRACE_SLICE, MeasurementEnsemble, SeedStream, _pack_frames, _pack_hermitian
+from .sampler import (
+    _INPUT_BLOCK,
+    _TRACE_SLICE,
+    MeasurementEnsemble,
+    SeedStream,
+    _pack_frames,
+    _packed_width,
+)
 
 __all__ = [
     "binary_question",
@@ -99,9 +106,30 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
 def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:
     """The packed rows of the signals X_i = x_i x_i^*, with the off-diagonal
     entries doubled, so that a row times a packed projection row is
-    tr(P X_i); (N, d) -> (N, w)."""
-    signals = np.einsum("ia,ib->iab", vectors, vectors.conj())
-    return _pack_hermitian(field, 2.0 * signals - signals * np.eye(vectors.shape[1]))
+    tr(P X_i); (N, d) -> (N, w). Each row is built from the upper-triangle
+    pairs (a, b) alone, as x_a conj(x_b), _INPUT_BLOCK rows at a time, so no
+    (N, d, d) stack and no temporary of more than one block is made."""
+    rows, cols = np.triu_indices(vectors.shape[1])
+    off = rows != cols
+    out = np.empty((len(vectors), _packed_width(field, vectors.shape[1])))
+    for first in range(0, len(vectors), _INPUT_BLOCK):
+        block = vectors[first : first + _INPUT_BLOCK]
+        a, b = block[:, rows], block[:, cols]
+        if field is FieldKind.REAL:
+            a *= b
+            a[:, off] *= 2.0
+            packed = a
+        else:
+            # Re and Im of x_a conj(x_b) from real products, each rounded on
+            # its own as np.einsum rounds them; numpy's complex multiply may
+            # fuse them.
+            re = a.real * b.real
+            re += a.imag * b.imag
+            im = a.imag * b.real
+            im -= a.real * b.imag
+            packed = np.concatenate([re[:, ~off], 2.0 * re[:, off], 2.0 * im[:, off]], axis=1)
+        out[first : first + _INPUT_BLOCK] = packed
+    return out
 
 
 def binary_question(p: OrthogonalProjection, x: RankOneProjection) -> int:

@@ -23,7 +23,13 @@ this is a real GEMM on d^2 real columns, not a complex one.
 runner the streamed slices, so their sums agree bit for bit.
 Every average, single or stacked, streamed or held, is finished by one
 kernel, `_finalize_average`, and the expectation mu1 X + mu2 (I - X) of
-one signal or a stack comes from one kernel, `_expected_averages`.
+one signal or a stack comes from one kernel, `_expected_averages`. Both
+work in place: the finish adds the zeros on a copy's diagonal, divides it
+and adds its conjugate transpose into one output stack, and the expectation
+scales the outer products and adds mu2 on their diagonal. Each makes the
+same IEEE operations as the whole-stack expressions, with only the operands
+of commutative adds swapped, so the bytes are theirs; the uniform runner
+finishes its averages one _INPUT_BLOCK of signals at a time.
 """
 
 from __future__ import annotations
@@ -116,10 +122,22 @@ def _accumulate_signed(acc: np.ndarray, frames: np.ndarray, bits: np.ndarray) ->
 def _finalize_average(acc: np.ndarray, zeros, m: int) -> np.ndarray:
     """(acc + zeros I) / m, symmetrized: the average of m selected projections
     whose signed sum is acc and of which `zeros` are complements. Takes one
-    d x d sum and an int, or an (N, d, d) stack and N counts."""
-    eye = np.eye(acc.shape[-1], dtype=acc.dtype)
-    mats = (acc + np.asarray(zeros)[..., None, None] * eye) / m
-    return (mats + np.conjugate(np.swapaxes(mats, -1, -2))) / 2.0
+    d x d sum and an int, or an (N, d, d) stack and N counts; acc is left as
+    it is."""
+    mats = acc.copy()
+    diagonal = _diagonal(mats)
+    diagonal += np.asarray(zeros)[..., None]
+    mats /= m
+    out = np.conjugate(np.swapaxes(mats, -1, -2))
+    out += mats
+    out /= 2.0
+    return out
+
+
+def _diagonal(mats: np.ndarray) -> np.ndarray:
+    """A writable (..., d) view of the diagonals of a C-ordered (..., d, d) stack."""
+    d = mats.shape[-1]
+    return mats.reshape(*mats.shape[:-2], d * d)[..., :: d + 1]
 
 
 def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
@@ -210,5 +228,8 @@ def expected_average(x: RankOneProjection, mu1: float, mu2: float) -> HermitianM
 def _expected_averages(vectors: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
     """mu2 I + (mu1 - mu2) x_i x_i^* for a stack of unit representatives;
     (N, d) -> (N, d, d)."""
-    outer = vectors[:, :, None] * vectors[:, None, :].conj()
-    return mu2 * np.eye(vectors.shape[1], dtype=vectors.dtype) + (mu1 - mu2) * outer
+    out = vectors[:, :, None] * vectors[:, None, :].conj()
+    out *= mu1 - mu2
+    diagonal = _diagonal(out)
+    diagonal += mu2
+    return out

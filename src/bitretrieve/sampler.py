@@ -132,7 +132,7 @@ def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
 
     The thin Q factor of one batched QR call, in a new array; Q spans the
     same columns as the input, with no phase fix (see the module
-    docstring). `_frame_blocks` calls it once per slice.
+    docstring). `_frame_slice` calls it once per slice.
     """
     q, r = np.linalg.qr(g)
     if not np.all(np.diagonal(r, axis1=1, axis2=2)):
@@ -270,20 +270,25 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
     `sample_ensemble(field, n, m, stream)` returns, in order: `part` is the
     MeasurementEnsemble of elements [start, start + part.m), validated where
     it is drawn (the module docstring says how a block is drawn and
-    sliced). Each slice's conj(Q^T) is written over the d * k elements per
-    matrix that its (d, k) draw occupied; QR returns a new Q. The generator
-    drops each slice after the yield, so a consumer that drops each one
-    before asking for the next holds one slice at a time."""
-    d, k = 2 * n, n
+    sliced). The generator keeps no reference to a slice it has yielded, so
+    a consumer that drops a slice, even before it is done with what it
+    computed from it, frees its frames."""
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
         count = min(_CHUNK, m - first)
         for start in range(0, count, _TRACE_SLICE):
-            g = _gaussian(field, (min(_TRACE_SLICE, count - start), d, k), rng)
-            frames = g.reshape(len(g), k, d)
-            np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2), out=frames)
-            yield first + start, MeasurementEnsemble(field, n, frames)
-            del g, frames  # before the next slice's draw and QR
+            yield first + start, _frame_slice(field, n, min(_TRACE_SLICE, count - start), rng)
+
+
+def _frame_slice(field: FieldKind, n: int, count: int, rng: np.random.Generator):
+    """The next `count` projections of a block's generator, as a validated
+    MeasurementEnsemble: one (count, 2n, n) draw, whose conj(Q^T) is written
+    over the d * k elements per matrix that the draw occupied; QR returns a
+    new Q."""
+    g = _gaussian(field, (count, 2 * n, n), rng)
+    frames = g.reshape(count, n, 2 * n)
+    np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2), out=frames)
+    return MeasurementEnsemble(field, n, frames)
 
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:

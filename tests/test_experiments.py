@@ -145,15 +145,17 @@ class TestCsv:
             ("0,100,0.125\n", 2),
             ("0,100,x,0.0625,,false,ens=0/100;x=0\n", 2),
             ("0,100,0.125,0.0625,,maybe,ens=0/100;x=0\n", 2),
+            ("0,100,0.125,0.0625,,false,ens=0/100;x=0\n1,100,0.5,0.25,,false,x=0\u03b4\n", 3),
         ],
-        ids=["empty-file", "short-row", "bad-number", "bad-degenerate"],
+        ids=["empty-file", "short-row", "bad-number", "bad-degenerate", "non-ascii"],
     )
     def test_malformed_input_names_its_line(self, body, line, tmp_path):
         # An empty file used to raise StopIteration, a short row IndexError,
-        # a bad number a bare ValueError, and "maybe" read as False.
+        # a bad number a bare ValueError, "maybe" read as False, and a byte
+        # that is not ASCII UnicodeDecodeError.
         path = tmp_path / "r.csv"
         header = ",".join(CSV_HEADER) + "\n" if body else ""
-        path.write_text(header + body)
+        path.write_text(header + body, encoding="utf-8")
         with pytest.raises(InvalidInput, match=f"CSV line {line}:"):
             parse_csv(str(path))
 

@@ -7,6 +7,10 @@ recover-and-score stage is checked against the scalar recovery and
 distance on one average. Tolerances are fixed from
 float64's machine epsilon and the sizes involved before anything runs: a sum
 of N terms of magnitude at most 1 is off by at most about N * eps.
+
+The kernels that build a stack in place (`_packed_signals`,
+`_finalize_average`, `_expected_averages`) are checked bit for bit against
+the whole-stack numpy expressions they replace, kept below as the oracles.
 """
 
 import numpy as np
@@ -21,15 +25,23 @@ from bitretrieve.core import (
     rank_one_distance,
 )
 from bitretrieve.experiments import _scores
-from bitretrieve.measurement import measure, trace_table, trace_value
+from bitretrieve.measurement import _packed_signals, measure, trace_table, trace_value
 from bitretrieve.recovery import (
+    _expected_averages,
+    _finalize_average,
     average_stack,
     empirical_average,
     expected_average,
     flipped_projection,
     recover_from_average,
 )
-from bitretrieve.sampler import _TRACE_SLICE, SeedStream, sample_ensemble, sample_unit_vector
+from bitretrieve.sampler import (
+    _TRACE_SLICE,
+    SeedStream,
+    _pack_hermitian,
+    sample_ensemble,
+    sample_unit_vector,
+)
 from bitretrieve.theory import theory_constants
 
 EPS = np.finfo(np.float64).eps
@@ -138,3 +150,58 @@ def test_scores_match_the_scalar_recovery(data):
     assert degenerate == rec.degenerate
     assert qdev == operator_norm(HermitianMatrix(ens.field, qhat.matrix - expected))
     assert abs(error**2 - rank_one_distance(x, rec.estimate) ** 2) <= overlap_tol(ens.dim)
+
+
+def packed_signals_oracle(field, vectors):
+    signals = np.einsum("ia,ib->iab", vectors, vectors.conj())
+    return _pack_hermitian(field, 2.0 * signals - signals * np.eye(vectors.shape[1]))
+
+
+def finalize_oracle(acc, zeros, m):
+    eye = np.eye(acc.shape[-1], dtype=acc.dtype)
+    mats = (acc + np.asarray(zeros)[..., None, None] * eye) / m
+    return (mats + np.conjugate(np.swapaxes(mats, -1, -2))) / 2.0
+
+
+def expected_oracle(vectors, mu1, mu2):
+    outer = vectors[:, :, None] * vectors[:, None, :].conj()
+    return mu2 * np.eye(vectors.shape[1], dtype=vectors.dtype) + (mu1 - mu2) * outer
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def gaussian(rng, field, shape) -> np.ndarray:
+    if field is FieldKind.REAL:
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    field=st.sampled_from(list(FieldKind)),
+    n=st.integers(1, 8),
+    count=st.sampled_from([1, 511, 512, 513]),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_in_place_kernels_match_their_whole_stack_oracles(field, n, count, seed):
+    # 512 is the input block the packed rows are built in.
+    rng = np.random.default_rng(seed)
+    d = 2 * n
+    vectors = gaussian(rng, field, (count, d))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    assert same_bits(_packed_signals(field, vectors), packed_signals_oracle(field, vectors))
+
+    m = int(rng.integers(1, 10**6))
+    acc = gaussian(rng, field, (count, d, d)) * m / d
+    zeros = rng.integers(0, m + 1, size=count)
+    assert same_bits(_finalize_average(acc, zeros, m), finalize_oracle(acc, zeros, m))
+    one, zero = acc[0], int(zeros[0])
+    assert same_bits(_finalize_average(one, zero, m), finalize_oracle(one, zero, m))
+
+    consts = theory_constants(field, n)
+    assert same_bits(
+        _expected_averages(vectors, consts.mu1, consts.mu2),
+        expected_oracle(vectors, consts.mu1, consts.mu2),
+    )

@@ -109,8 +109,8 @@ def test_streamed_stack_passes_match_the_measure_bits(field, n, m, inputs, seed)
     ens = sample_ensemble(field, n, m, root.child(1))
     bits = np.stack([measure(ens, RankOneProjection(UnitVector(field, s))).bits for s in signals])
     blocks = _frame_blocks(field, n, m, root.child(1))
-    averages = _streamed_stack_averages(field, m, blocks, signals)
-    assert np.array_equal(averages, average_stack(ens, bits))
+    averages = [q for _, q in _streamed_stack_averages(field, m, blocks, signals)]
+    assert np.array_equal(np.concatenate(averages), average_stack(ens, bits))
     # Each signal against the one before it (itself when there is only one).
     blocks = _frame_blocks(field, n, m, root.child(1))
     counts = _streamed_disagreements(field, blocks, signals, np.roll(signals, 1, axis=0))

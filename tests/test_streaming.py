@@ -34,6 +34,7 @@ from bitretrieve.sampler import (
     MeasurementEnsemble,
     SeedStream,
     _frame_blocks,
+    _packed_width,
     sample_ensemble,
     sample_unit_vector,
 )
@@ -141,7 +142,7 @@ def averages(blocks):
 
 
 def stack_averages(blocks):
-    return _streamed_stack_averages(FieldKind.REAL, 5, blocks, signal_stack(FieldKind.REAL))
+    return list(_streamed_stack_averages(FieldKind.REAL, 5, blocks, signal_stack(FieldKind.REAL)))
 
 
 def disagreements(blocks):
@@ -234,7 +235,8 @@ def test_streamed_stack_averages_match_average_stack(field):
     ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
     expected = average_stack(ens, _answers(trace_table(ens, signals)))
     blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
-    assert np.array_equal(_streamed_stack_averages(field, M, blocks, signals), expected)
+    averages = [q for _, q in _streamed_stack_averages(field, M, blocks, signals)]
+    assert np.array_equal(np.concatenate(averages), expected)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
@@ -264,6 +266,35 @@ def uniform_peak(m: int) -> int:
 def test_uniform_memory_does_not_grow_with_m():
     small, large = uniform_peak(4 * _CHUNK), uniform_peak(8 * _CHUNK)
     assert large <= small + 2**20, (small, large)
+
+
+def uniform_inputs_peak(field: str, n: int, inputs: int) -> int:
+    """Peak bytes traced by tracemalloc while run_uniform recovers `inputs`
+    signals against one ensemble of two table slices."""
+    cfg = load_config(
+        experiment="uniform",
+        overrides={"field": field, "n": n, "m_grid": str(2 * _TRACE_SLICE), "inputs": inputs},
+    )
+    tracemalloc.start()
+    try:
+        run_uniform(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("field, n", [("real", 4), ("complex", 4)])
+def test_uniform_memory_grows_by_a_few_packed_rows_per_input(field, n):
+    # What a unit must hold per input: its signal, its row of the packed sums
+    # and its estimate. The bound comes from measurements from 512 to 4096
+    # inputs: with (inputs, d, d) stacks of every input the peak grows by 3.8x
+    # (real) and 5.9x (complex) of that per input, with stacks of one input
+    # block by 1.5x and 1.8x.
+    kind = FieldKind.parse(field)
+    d = 2 * n
+    per_input = 2 * d * np.dtype(kind.dtype).itemsize + 8 * _packed_width(kind, d)
+    small, large = uniform_inputs_peak(field, n, 512), uniform_inputs_peak(field, n, 4096)
+    assert large - small <= 3 * (4096 - 512) * per_input, (small, large, per_input)
 
 
 def test_eigenvalue_pair_check_streams_its_ensemble():
