@@ -17,9 +17,10 @@ the C library's mmap and trim thresholds for its process. Exit codes:
 2   a configuration or input error: an unknown, malformed or out-of-range
     key (a seed, a seed-path index, a non-finite delta or D), an unreadable
     config file, an unwritable output path, a --threads value below 1, or
-    a config whose bound is undefined (real n = 1, where the gap is zero).
-    Errors in the config itself, and an output directory that is missing
-    or not writable, are reported before any trial runs.
+    a config whose bound is undefined (n = 1 over either field, where the
+    gap is zero). Errors in the config itself, an output path that is a
+    directory, and an output directory that is missing or not writable, are
+    reported before any trial runs.
 """
 
 from __future__ import annotations

@@ -414,8 +414,11 @@ def _emit_table(header: tuple[str, ...], rows: list[tuple], path: str) -> None:
 
 def _check_output_dir(path: str) -> None:
     """Raise the OSError that writing the CSVs to `path` would, before any
-    trial runs, when the directory that receives them (the primary CSV and
-    every auxiliary table) is missing or not writable."""
+    trial runs, when `path` is a directory or the directory that receives
+    them (the primary CSV and every auxiliary table) is missing or not
+    writable."""
+    if os.path.isdir(path):
+        raise OSError(f"cannot write CSV to {path!r}: it is a directory")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise OSError(f"cannot write CSV to {path!r}: no directory {directory!r}")
@@ -588,7 +591,10 @@ def _streamed_averages(
         prune()
     kept_bits = kept_bits[:flips]
     flipped = np.zeros_like(acc)
-    _accumulate_signed(flipped, store[slots[:flips]], kept_bits)
+    for first in range(0, flips, _TRACE_SLICE):
+        # one chunk of the store at a time, or the gather copies every frame
+        rows = slice(first, first + _TRACE_SLICE)
+        _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
     sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
     noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
     return clean, noisy, positions[:flips]

@@ -17,12 +17,12 @@ kernel, `_t_separated`.
 
 Many signals against one ensemble go through packed projection tables
 (see the sampler), whose row j holds the unique real entries of P_j. A
-signal X is packed the same way with its off-diagonal entries doubled,
-because tr(PX) = Re sum_ab P_ab conj(X_ab) meets each off-diagonal pair
-twice; every trace is then one real dot product of d(d+1)/2 (over R) or
-d^2 (over C) float64 terms. `trace_table` takes that product for a held
-ensemble one _TRACE_SLICE table at a time, as uniform mode's streamed
-passes do for each slice they are given.
+signal X, its off-diagonal entries doubled because tr(PX) = Re sum_ab P_ab
+conj(X_ab) meets each off-diagonal pair twice, is packed by the same
+`_pack_hermitian`; every trace is then one real dot product of d(d+1)/2
+(over R) or d^2 (over C) float64 terms. `trace_table` takes that product
+for a held ensemble one _TRACE_SLICE table at a time, as uniform mode's
+streamed passes do for each slice they are given.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .sampler import (
     MeasurementEnsemble,
     SeedStream,
     _pack_frames,
+    _pack_hermitian,
     _packed_width,
 )
 
@@ -106,29 +107,16 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
 def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:
     """The packed rows of the signals X_i = x_i x_i^*, with the off-diagonal
     entries doubled, so that a row times a packed projection row is
-    tr(P X_i); (N, d) -> (N, w). Each row is built from the upper-triangle
-    pairs (a, b) alone, as x_a conj(x_b), _INPUT_BLOCK rows at a time, so no
-    (N, d, d) stack and no temporary of more than one block is made."""
-    rows, cols = np.triu_indices(vectors.shape[1])
-    off = rows != cols
-    out = np.empty((len(vectors), _packed_width(field, vectors.shape[1])))
+    tr(P X_i); (N, d) -> (N, w). Each _INPUT_BLOCK rows go through
+    `_pack_hermitian` as one (block, d, d) stack, so no (N, d, d) stack is
+    made."""
+    d = vectors.shape[1]
+    out = np.empty((len(vectors), _packed_width(field, d)))
     for first in range(0, len(vectors), _INPUT_BLOCK):
         block = vectors[first : first + _INPUT_BLOCK]
-        a, b = block[:, rows], block[:, cols]
-        if field is FieldKind.REAL:
-            a *= b
-            a[:, off] *= 2.0
-            packed = a
-        else:
-            # Re and Im of x_a conj(x_b) from real products, each rounded on
-            # its own as np.einsum rounds them; numpy's complex multiply may
-            # fuse them.
-            re = a.real * b.real
-            re += a.imag * b.imag
-            im = a.imag * b.real
-            im -= a.real * b.imag
-            packed = np.concatenate([re[:, ~off], 2.0 * re[:, off], 2.0 * im[:, off]], axis=1)
-        out[first : first + _INPUT_BLOCK] = packed
+        signals = np.einsum("ia,ib->iab", block, block.conj())
+        signals *= 2.0 - np.eye(d)
+        out[first : first + _INPUT_BLOCK] = _pack_hermitian(field, signals)
     return out
 
 

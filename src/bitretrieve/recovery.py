@@ -17,8 +17,9 @@ runners stream an ensemble through the kernel one slice at a time and get
 `empirical_average`'s bytes without holding the ensemble. A stack of bit
 strings is averaged by one kernel, `_accumulate_table`: a real product of
 +-1 signs against the packed projection table of one slice, into one
-(N, w) packed sum per stack, unpacked to d x d only at the end. Over C
-this is a real GEMM on d^2 real columns, not a complex one.
+(N, w) packed sum per stack in the sampler's one packed layout, unpacked
+to d x d only at the end. Over C this is a real GEMM on d^2 real columns,
+not a complex one.
 `average_stack` walks a held ensemble's slices through it and the uniform
 runner the streamed slices, so their sums agree bit for bit.
 Every average, single or stacked, streamed or held, is finished by one

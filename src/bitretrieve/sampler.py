@@ -54,8 +54,9 @@ the unique real entries of the Hermitian P_j: over R the d(d+1)/2
 upper-triangle entries, row by row; over C d^2 real columns, the
 diagonal, then the real and then the imaginary parts of the strict upper
 triangle. At real n = 8 that is 136 float64 (1088 bytes) per projection.
-`_pack_hermitian` and `_unpack_hermitian` map any Hermitian stack to and
-from that layout.
+`_pack_hermitian` and `_unpack_hermitian` map any Hermitian stack, the
+measurement module's signal rows included, to and from that layout, which
+`_packed_index` alone states.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ class MeasurementEnsemble:
 
 def _packed_width(field: FieldKind, d: int) -> int:
     """Columns of a packed d x d Hermitian matrix."""
-    return d * (d + 1) // 2 if field is FieldKind.REAL else d * d
+    return len(_packed_index(field, d))
 
 
 def _packed_index(field: FieldKind, d: int) -> np.ndarray:

@@ -85,7 +85,7 @@ def spectral_gap(field: FieldKind, n: int) -> tuple[float, float | None, float |
         gap  <=  4 (n-1) sqrt(2 bn - 1) / (e sqrt(2 pi) bn (2n - 1))
 
     hold for bn >= 2 and are reported as None below that threshold.
-    The gap degenerates to 0 in the real n = 1 case.
+    The gap degenerates to 0 at n = 1 over either field.
     """
     n = _check_n(n)
     bn = field.beta * n

@@ -435,13 +435,20 @@ def no_sampling(monkeypatch):
     monkeypatch.setattr(experiments, "_frame_blocks", forbidden)
 
 
+RUNNERS = [(run_pointwise, "pointwise"), (run_uniform, "uniform"), (run_noise, "noise")]
+EXPERIMENTS = [experiment for _, experiment in RUNNERS]
+
+
 class TestFailFast:
+    # The gap is zero at n = 1 over either field.
     @pytest.mark.parametrize(
-        "runner, experiment",
-        [(run_pointwise, "pointwise"), (run_uniform, "uniform"), (run_noise, "noise")],
+        "runner, experiment, field",
+        [(*pair, "real") for pair in RUNNERS] + [(*pair, "complex") for pair in RUNNERS],
+        ids=[f"{r.__name__}-{e}" for r, e in RUNNERS]
+        + [f"{r.__name__}-{e}-complex" for r, e in RUNNERS],
     )
-    def test_undefined_bound_raises_before_sampling(self, no_sampling, runner, experiment):
-        cfg = make_cfg(experiment=experiment, n=1, m_grid="50", trials=2, inputs=2)
+    def test_undefined_bound_raises_before_sampling(self, no_sampling, runner, experiment, field):
+        cfg = make_cfg(experiment=experiment, field=field, n=1, m_grid="50", trials=2, inputs=2)
         with pytest.raises(InvalidInput, match="gap is zero"):
             runner(cfg)
 
@@ -497,17 +504,22 @@ class TestExitCodes:
         assert "gap is zero" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("experiment", ["pointwise", "uniform", "noise"])
+    @pytest.mark.parametrize(
+        "experiment, target",
+        [(e, "missing/x.csv") for e in EXPERIMENTS] + [(e, "directory") for e in EXPERIMENTS],
+        ids=EXPERIMENTS + [f"{e}-directory" for e in EXPERIMENTS],
+    )
     def test_unwritable_output_exits_two_before_sampling(
-        self, experiment, no_sampling, tmp_path, capsys
+        self, experiment, target, no_sampling, tmp_path, capsys
     ):
-        # A missing directory used to be found only when the CSV was
-        # written, after every trial had run.
-        out = tmp_path / "missing" / "x.csv"
+        # A missing directory, and an output path that is a directory, used
+        # to be found only when the CSV was written, after every trial had run.
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / target
         argv = [experiment, "--field", "real", "--n", "2", "--m-grid", "40", "--trials", "1"]
         assert main([*argv, "--inputs", "3", "--out", str(out)]) == 2
         assert f"cannot write CSV to {str(out)!r}" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert [path.name for path in tmp_path.rglob("*")] == ["directory"]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_two(self, threads, no_sampling, tmp_path, capsys):

@@ -223,6 +223,15 @@ def test_greedy_flip_store_costs_no_more_than_random_flips():
     assert greedy <= random + 2 * 2**20, (random, greedy)
 
 
+@pytest.mark.parametrize("mode", ["random", "greedy"])
+def test_flipped_frames_are_held_once(mode):
+    # The floor(tau m) = 32768 flipped frames take 8 MiB. Gathering them for
+    # the flipped sum all at once held a second copy: 2.3x their bytes,
+    # against 1.3x when they are gathered one slice at a time.
+    frames, peak = 32768 * 4 * 8 * 8, flip_peak(mode)
+    assert peak <= 1.6 * frames, (peak, frames)
+
+
 def signal_stack(field: FieldKind) -> np.ndarray:
     return np.stack(
         [sample_unit_vector(field, 2 * N, ROOT.child(1, i)).entries for i in range(SIGNALS)]
