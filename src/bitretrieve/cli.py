@@ -14,13 +14,13 @@ the C library's mmap and trim thresholds for its process. Exit codes:
 1   a failure during the run: a failed diagnostic, a theory relation
     violated by a trial (CheckFailure), or an eigensolve that missed its
     residual tolerance (ArithmeticError). The message goes to stderr.
-2   a configuration or input error: an unknown, malformed or out-of-range
-    key (a seed, a seed-path index, a non-finite delta or D), an unreadable
-    config file, an unwritable output path, a --threads value below 1, or
-    a config whose bound is undefined (n = 1 over either field, where the
-    gap is zero). Errors in the config itself, an output path that is a
-    directory, and an output directory that is missing or not writable, are
-    reported before any trial runs.
+2   a configuration or input error: an unknown, malformed, repeated or
+    out-of-range key (a seed, a seed-path index, a non-finite delta or D),
+    an unreadable config file, an unwritable output path, a --threads value
+    below 1, or a config whose bound is undefined (n = 1 over either field,
+    where the gap is zero). Errors in the config itself, an output path or
+    auxiliary-table path that is a directory, and an output directory that
+    is missing or not writable, are reported before any trial runs.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
                 return 1
             return 0
-        _check_output_dir(cfg.output_path)
+        _check_output_dir(cfg.output_path, cfg.experiment)
         result = run_experiment(cfg, threads=args.threads)
         for path in write_result(result, cfg.output_path):
             print(f"wrote {path}")

@@ -20,13 +20,15 @@ uniform      one ensemble per m, many random signals recovered against it;
              [0, m, b] through one loop, `_block_answers`, which packs each
              slice's table and answers the signals against it. Pass 1 adds
              the +-1 signs against the table into one (inputs, w) sum, then
-             each 512 rows of it are unpacked, finished and scored by one
+             each 128 rows of it are unpacked, finished and scored by one
              batched eigensolve; pass 2 replays the same blocks, which the
              block streams make identical, and counts where the estimates'
              answers differ from the signals'. Memory is O(inputs w) for the
-             packed sums and rows, plus the d x d matrices of 512 signals and
-             one slice, whatever m is: the slice's table and the traces,
-             bits and signs of 512 signals against it.
+             packed sums and rows, plus the d x d matrices of 128 signals and
+             one slice, whatever m is: the slice's frames and table, the QR
+             and F^H F buffers of one sub-batch of it, and the traces, bits
+             and signs of 128 signals against it (1 MiB each of traces and
+             signs).
 noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
@@ -258,8 +260,10 @@ def _coerce(key: str, value):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse the line-oriented `key = value` format with '#' comments."""
+    """Parse the line-oriented `key = value` format with '#' comments; a key
+    may be set once."""
     mapping: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -269,7 +273,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(key, "unknown key")
-        mapping[key] = value
+        if key in lines:
+            raise ConfigError(f"line {lineno}", f"{key!r} is already set on line {lines[key]}")
+        mapping[key], lines[key] = value, lineno
     return mapping
 
 
@@ -412,13 +418,25 @@ def _emit_table(header: tuple[str, ...], rows: list[tuple], path: str) -> None:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
 
 
-def _check_output_dir(path: str) -> None:
-    """Raise the OSError that writing the CSVs to `path` would, before any
-    trial runs, when `path` is a directory or the directory that receives
-    them (the primary CSV and every auxiliary table) is missing or not
-    writable."""
-    if os.path.isdir(path):
-        raise OSError(f"cannot write CSV to {path!r}: it is a directory")
+# The auxiliary tables each experiment writes next to its primary CSV.
+_AUX_TABLES = {"pointwise": ("bounds",), "uniform": ("bounds", "max"), "noise": ("noise",)}
+
+
+def _output_paths(path: str, names) -> list[str]:
+    """The primary CSV `path`, then the auxiliary table of each name next to
+    it, as <stem>.<name>.csv."""
+    stem = path[:-4] if path.endswith(".csv") else path
+    return [path, *(f"{stem}.{name}.csv" for name in names)]
+
+
+def _check_output_dir(path: str, experiment: str) -> None:
+    """Raise the OSError that writing `experiment`'s CSVs to `path` would,
+    before any trial runs, when the primary CSV's or an auxiliary table's
+    path is a directory, or the directory that receives them is missing or
+    not writable."""
+    for target in _output_paths(path, _AUX_TABLES.get(experiment, ())):
+        if os.path.isdir(target):
+            raise OSError(f"cannot write CSV to {target!r}: it is a directory")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise OSError(f"cannot write CSV to {path!r}: no directory {directory!r}")
@@ -428,13 +446,10 @@ def _check_output_dir(path: str) -> None:
 
 def write_result(result: ExperimentResult, path: str) -> list[str]:
     """Write the primary CSV plus auxiliary tables; returns paths written."""
+    written = _output_paths(path, [table.name for table in result.tables])
     emit_csv(result.records, path)
-    written = [path]
-    stem = path[:-4] if path.endswith(".csv") else path
-    for table in result.tables:
-        aux_path = f"{stem}.{table.name}.csv"
+    for table, aux_path in zip(result.tables, written[1:]):
         _emit_table(table.header, table.rows, aux_path)
-        written.append(aux_path)
     return written
 
 

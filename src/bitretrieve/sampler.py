@@ -37,19 +37,23 @@ draws from `path + (b,)`, so the block size is part of the
 reproducibility contract. The slice is the unit of every computation and
 of every draw: each slice of block b, s projections, is one `_gaussian`
 draw of shape (s, d, k) that continues block b's stream, and its frames
-overwrite its draw. `_frame_blocks` orthonormalizes a slice by one QR
-call and yields it, and every streamed consumer takes one slice at a
-time. Over R consecutive calls continue one stream, so a block's slices
+overwrite its draw. `_frame_blocks` orthonormalizes a slice in
+sub-batches, one QR call each, and yields it, and every streamed consumer
+takes one slice at a time. A sub-batch holds the 2n x n matrices that fit
+in _SUB_BATCH_BYTES = 256 KiB: 256 at real n = 8, the whole slice at real
+n = 2. Over R consecutive calls continue one stream, so a block's slices
 hold the values one draw of the whole block would; over C each slice
 takes its real and then its imaginary parts. QR factors each matrix on
 its own, so the frames of a slice do not depend on how the rest of the
-block is computed. A slice's projections are also one chunk of the
-recovery module's accumulations, so an ensemble streamed slice by slice
-gives the sums of the materialized ensemble, bit for bit.
+block, or of the slice, is computed. A slice's projections are also one
+chunk of the recovery module's accumulations, so an ensemble streamed
+slice by slice gives the sums of the materialized ensemble, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on packed projection tables, one row per projection and one table per
-slice, packed by `_pack_frames` from one batched F^H F product. A row holds
+slice, packed by `_pack_frames` from batched F^H F products over the same
+sub-batches, and take their signals _INPUT_BLOCK = 128 at a time, so the
+traces of a block of signals against a table are 1 MiB. A row holds
 the unique real entries of the Hermitian P_j: over R the d(d+1)/2
 upper-triangle entries, row by row; over C d^2 real columns, the
 diagonal, then the real and then the imaginary parts of the strict upper
@@ -77,9 +81,11 @@ __all__ = [
 
 _FRAME_TOL = 1e-12
 _CHUNK = 8192
-# Projections per packed table and signals per product with it: 512 x 1024 float64 is 4 MiB.
+# Projections per packed table and signals per product with it: 128 x 1024 float64 is 1 MiB.
 _TRACE_SLICE = 1024
-_INPUT_BLOCK = 512
+_INPUT_BLOCK = 128
+# Bytes of the 2n x n matrices that one QR or F^H F call of a slice takes.
+_SUB_BATCH_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
 
     The thin Q factor of one batched QR call, in a new array; Q spans the
     same columns as the input, with no phase fix (see the module
-    docstring). `_frame_slice` calls it once per slice.
+    docstring). `_frame_slice` calls it once per sub-batch of a slice.
     """
     q, r = np.linalg.qr(g)
     if not np.all(np.diagonal(r, axis1=1, axis2=2)):
@@ -247,12 +253,26 @@ def _pack_hermitian(field: FieldKind, mats: np.ndarray) -> np.ndarray:
     return np.take(flat, _packed_index(field, d), axis=-1)
 
 
+def _sub_batch(field: FieldKind, n: int) -> int:
+    """Matrices per QR or F^H F call: the 2n x n matrices that fit in
+    _SUB_BATCH_BYTES, so 256 at real n = 8 and a whole slice at real n = 2."""
+    return max(1, _SUB_BATCH_BYTES // (2 * n * n * np.dtype(field.dtype).itemsize))
+
+
 def _pack_frames(field: FieldKind, frames: np.ndarray) -> np.ndarray:
     """The float64 (count, w) packed table of a (count, k, d) frame stack,
-    row j packing P_j = F_j^H F_j: one batched product, packed by
-    `_pack_hermitian`. Callers pass at most _TRACE_SLICE projections: the
-    (count, d, d) products take about twice the table's bytes."""
-    return _pack_hermitian(field, np.conjugate(frames.swapaxes(1, 2)) @ frames)
+    row j packing P_j = F_j^H F_j: one batched product per `_sub_batch` of
+    frames, packed by `_pack_hermitian`, so the (batch, d, d) products
+    take a fixed number of bytes whatever count is. Each product is formed
+    matrix by matrix, so the rows do not depend on the batching."""
+    count, k, d = frames.shape
+    table = np.empty((count, _packed_width(field, d)))
+    step = _sub_batch(field, k)
+    for first in range(0, count, step):
+        part = frames[first : first + step]
+        products = np.conjugate(part.swapaxes(1, 2)) @ part
+        table[first : first + step] = _pack_hermitian(field, products)
+    return table
 
 
 def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarray:
@@ -283,12 +303,16 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
 
 def _frame_slice(field: FieldKind, n: int, count: int, rng: np.random.Generator):
     """The next `count` projections of a block's generator, as a validated
-    MeasurementEnsemble: one (count, 2n, n) draw, whose conj(Q^T) is written
-    over the d * k elements per matrix that the draw occupied; QR returns a
-    new Q."""
+    MeasurementEnsemble: one (count, 2n, n) draw, orthonormalized one
+    `_sub_batch` of matrices at a time, each sub-batch's conj(Q^T) written
+    over the d * k elements per matrix that its draw occupied; QR factors
+    each matrix on its own and returns a new Q."""
     g = _gaussian(field, (count, 2 * n, n), rng)
     frames = g.reshape(count, n, 2 * n)
-    np.conjugate(np.swapaxes(_orthonormalize_batch(g), 1, 2), out=frames)
+    step = _sub_batch(field, n)
+    for first in range(0, count, step):
+        part = slice(first, first + step)
+        np.conjugate(np.swapaxes(_orthonormalize_batch(g[part]), 1, 2), out=frames[part])
     return MeasurementEnsemble(field, n, frames)
 
 

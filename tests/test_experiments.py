@@ -10,6 +10,7 @@ from bitretrieve import cli, experiments
 from bitretrieve.cli import main
 from bitretrieve.core import FieldKind, InvalidInput
 from bitretrieve.experiments import (
+    _AUX_TABLES,
     AuxTable,
     CSV_HEADER,
     CheckFailure,
@@ -20,6 +21,7 @@ from bitretrieve.experiments import (
     load_config,
     parse_config_text,
     parse_csv,
+    run_experiment,
     run_noise,
     run_pointwise,
     run_uniform,
@@ -58,6 +60,12 @@ class TestConfig:
     def test_bad_syntax(self):
         with pytest.raises(ConfigError):
             parse_config_text("no equals sign here\n")
+
+    def test_repeated_key_names_its_line(self):
+        # The last line used to win without a word.
+        with pytest.raises(ConfigError, match="'n' is already set on line 1") as err:
+            parse_config_text("n = 4\n# comment\nn = 8\n")
+        assert err.value.key == "line 3"
 
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -505,21 +513,27 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
-        "experiment, target",
-        [(e, "missing/x.csv") for e in EXPERIMENTS] + [(e, "directory") for e in EXPERIMENTS],
-        ids=EXPERIMENTS + [f"{e}-directory" for e in EXPERIMENTS],
+        "experiment, target, refused",
+        [(e, "missing/x.csv", "missing/x.csv") for e in EXPERIMENTS]
+        + [(e, "directory", "directory") for e in EXPERIMENTS]
+        + [(e, "r.csv", f"r.{_AUX_TABLES[e][-1]}.csv") for e in EXPERIMENTS],
+        ids=EXPERIMENTS
+        + [f"{e}-directory" for e in EXPERIMENTS]
+        + [f"{e}-aux-directory" for e in EXPERIMENTS],
     )
     def test_unwritable_output_exits_two_before_sampling(
-        self, experiment, target, no_sampling, tmp_path, capsys
+        self, experiment, target, refused, no_sampling, tmp_path, capsys
     ):
-        # A missing directory, and an output path that is a directory, used
-        # to be found only when the CSV was written, after every trial had run.
-        (tmp_path / "directory").mkdir()
-        out = tmp_path / target
+        # A missing directory, and an output path or an auxiliary table's
+        # path that is a directory, used to be found only when the CSVs were
+        # written, after every trial had run.
+        made = sorted({"directory", refused} - {"missing/x.csv"})
+        for name in made:
+            (tmp_path / name).mkdir()
         argv = [experiment, "--field", "real", "--n", "2", "--m-grid", "40", "--trials", "1"]
-        assert main([*argv, "--inputs", "3", "--out", str(out)]) == 2
-        assert f"cannot write CSV to {str(out)!r}" in capsys.readouterr().err
-        assert [path.name for path in tmp_path.rglob("*")] == ["directory"]
+        assert main([*argv, "--inputs", "3", "--out", str(tmp_path / target)]) == 2
+        assert f"cannot write CSV to {str(tmp_path / refused)!r}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.rglob("*")) == made
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_two(self, threads, no_sampling, tmp_path, capsys):
@@ -637,10 +651,26 @@ class TestExitCodes:
         assert main(["theory", "--config", str(cfg)]) == 2
         assert "config error at 'config'" in capsys.readouterr().err
 
+    def test_repeated_config_key_exits_two_before_sampling(self, no_sampling, tmp_path, capsys):
+        # A file setting n twice used to run the last value.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 4\nn = 8\n")
+        argv = ["pointwise", "--config", str(cfg), "--m-grid", "40", "--trials", "1"]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error at 'line 2'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_unknown_experiment_exits_two_with_the_key(self, no_sampling, capsys):
         # argparse used to exit through SystemExit, naming no config key.
         assert main(["bogus"]) == 2
         assert "config error at 'experiment'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_run_writes_the_aux_tables_checked_before_it(experiment):
+    cfg = make_cfg(experiment=experiment, n=2, m_grid="40", trials=1, inputs=3)
+    result = run_experiment(cfg)
+    assert tuple(table.name for table in result.tables) == _AUX_TABLES[experiment]
 
 
 def test_parser_has_one_flag_per_config_key():

@@ -56,14 +56,14 @@ CONFIGS = {
         "pointwise", "--field", "real", "--n", "2", "--m-grid", "16401",
         "--trials", "2", "--seed", "16",
     ),
-    # inputs > 512 crosses the uniform runner's signal block, and m = 9000 a
+    # inputs = 700 crosses the uniform runner's 128-signal blocks, and m = 9000 a
     # sampling block and the 1024-projection slices of its packed tables.
     "uniform-real": (
         "uniform", "--field", "real", "--n", "4", "--m-grid", "300,9000",
         "--inputs", "700", "--seed", "12",
     ),
     # m = 2 * 8192 + 17 spans three sampling blocks, the last one partial, and
-    # inputs = 600 two signal chunks of the uniform runner.
+    # inputs = 600 five signal blocks of the uniform runner.
     "uniform-real-block": (
         "uniform", "--field", "real", "--n", "2", "--m-grid", "16401",
         "--inputs", "600", "--seed", "18",

@@ -36,6 +36,7 @@ from bitretrieve.recovery import (
     recover_from_average,
 )
 from bitretrieve.sampler import (
+    _INPUT_BLOCK,
     _TRACE_SLICE,
     SeedStream,
     _pack_hermitian,
@@ -182,11 +183,12 @@ def gaussian(rng, field, shape) -> np.ndarray:
 @given(
     field=st.sampled_from(list(FieldKind)),
     n=st.integers(1, 8),
-    count=st.sampled_from([1, 511, 512, 513]),
+    count=st.sampled_from([1, _INPUT_BLOCK - 1, _INPUT_BLOCK, _INPUT_BLOCK + 1, 511, 512, 513]),
     seed=st.integers(0, 2**63 - 1),
 )
 def test_in_place_kernels_match_their_whole_stack_oracles(field, n, count, seed):
-    # 512 is the input block the packed rows are built in.
+    # _INPUT_BLOCK (128) is the block the packed rows are built in; 511-513
+    # cross it four times.
     rng = np.random.default_rng(seed)
     d = 2 * n
     vectors = gaussian(rng, field, (count, d))

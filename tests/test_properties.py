@@ -7,7 +7,7 @@ noise unit flips the same positions. Recovery reads a signal only through
 tr(P X), so its estimate cannot depend on the representative's global phase.
 
 The streamed kernels walk an ensemble one 1024-projection slice at a time
-and its signals 512 at a time; at m and input counts on either side of
+and its signals 128 at a time; at m and input counts on either side of
 those boundaries and of the 8192-element sampling block, each returns the
 bytes of its kernel on the materialized ensemble. A config gives the same
 `ExperimentConfig` from a file and from flags, whatever way each integer is
@@ -36,7 +36,13 @@ from bitretrieve.experiments import (
 )
 from bitretrieve.measurement import corrupt_bits, hamming_distance, measure
 from bitretrieve.recovery import average_stack, empirical_average, pep_recover
-from bitretrieve.sampler import SeedStream, _frame_blocks, sample_ensemble, sample_unit_vector
+from bitretrieve.sampler import (
+    _INPUT_BLOCK,
+    SeedStream,
+    _frame_blocks,
+    sample_ensemble,
+    sample_unit_vector,
+)
 from bitretrieve.theory import invert_uniform_delta, pointwise_error_level, pointwise_m, uniform_m
 
 fields = st.sampled_from(list(FieldKind))
@@ -84,9 +90,12 @@ def test_estimate_ignores_global_phase(field, n, m, theta, seed):
     assert abs(rank_one_distance(x, est_x) - rank_one_distance(y, est_y)) <= 1e-12
 
 
-# Slice (1024), sampling block (8192) and signal block (512) boundaries.
+# Slice (1024), sampling block (8192) and signal block (128) boundaries;
+# 511-513 cross the signal block four times.
 boundary_ms = st.sampled_from([1, 1023, 1024, 1025, 8191, 8192, 8193])
-boundary_inputs = st.sampled_from([1, 511, 512, 513])
+boundary_inputs = st.sampled_from(
+    [1, _INPUT_BLOCK - 1, _INPUT_BLOCK, _INPUT_BLOCK + 1, 511, 512, 513]
+)
 
 
 @settings(max_examples=20, deadline=None, database=None)

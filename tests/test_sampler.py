@@ -17,6 +17,9 @@ from bitretrieve.sampler import (
     SeedStream,
     _frame_blocks,
     _orthonormalize_batch,
+    _pack_frames,
+    _pack_hermitian,
+    _sub_batch,
     sample_ensemble,
     sample_haar_projection,
     sample_unit_vector,
@@ -43,6 +46,25 @@ def whole_block_frames(field: FieldKind, n: int, count: int, stream: SeedStream)
             draws.append(parts[0] + 1j * parts[1])
     q = np.linalg.qr(np.concatenate(draws))[0]
     return np.conjugate(np.swapaxes(q, 1, 2))
+
+
+def check_slices_match_whole_blocks(field: FieldKind, n: int, m: int) -> None:
+    """`_frame_blocks` yields one read-only slice of at most 1024 frames per
+    start, no two sharing memory, and a block's slices concatenated are
+    `whole_block_frames` of that block."""
+    stream = SeedStream(57, (2, m))
+    parts = list(_frame_blocks(field, n, m, stream))
+    assert [start for start, _ in parts] == list(range(0, m, _TRACE_SLICE))
+    for start, part in parts:
+        assert part.m == min(_TRACE_SLICE, m - start)
+        assert part.frames.flags.c_contiguous and not part.frames.flags.writeable
+    for b, first in enumerate(range(0, m, _CHUNK)):
+        count = min(_CHUNK, m - first)
+        frames = np.concatenate([p.frames for s, p in parts if first <= s < first + count])
+        assert np.array_equal(frames, whole_block_frames(field, n, count, stream.child(b)))
+    for i, (_, part) in enumerate(parts):
+        for _, later in parts[i + 1 :]:
+            assert not np.shares_memory(part.frames, later.frames)
 
 
 class TestSeedStream:
@@ -183,32 +205,30 @@ class TestSampleEnsemble:
         # The sampler yields each block one 1024-matrix slice at a time; QR
         # factors each matrix alone, so the slices of a block, concatenated,
         # are the frames one QR over the whole block's draw gives, bit for bit.
-        n = 2
-        stream = SeedStream(57, (2, m))
-        parts = list(_frame_blocks(field, n, m, stream))
-        assert [start for start, _ in parts] == list(range(0, m, _TRACE_SLICE))
-        for start, part in parts:
-            assert part.m == min(_TRACE_SLICE, m - start)
-            assert part.frames.flags.c_contiguous and not part.frames.flags.writeable
-        for b, first in enumerate(range(0, m, _CHUNK)):
-            count = min(_CHUNK, m - first)
-            frames = np.concatenate([p.frames for s, p in parts if first <= s < first + count])
-            assert np.array_equal(frames, whole_block_frames(field, n, count, stream.child(b)))
-        for i, (_, part) in enumerate(parts):
-            for _, later in parts[i + 1 :]:
-                assert not np.shares_memory(part.frames, later.frames)
+        check_slices_match_whole_blocks(field, 2, m)
+
+    @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("m", [_TRACE_SLICE + 1, 2 * _CHUNK + 17])
+    def test_sub_batched_slices_match_one_whole_block_qr(self, field, m):
+        # At n = 8 a slice is orthonormalized in sub-batches of 256 (real) or
+        # 128 (complex) matrices; the frames are still those of one QR over
+        # the whole block's draw, bit for bit.
+        assert _sub_batch(field, 8) < _TRACE_SLICE
+        check_slices_match_whole_blocks(field, 8, m)
 
     @pytest.mark.parametrize(
-        "field, n, ratio", [(R, 8, 0.75), (R, 2, 0.75), (C, 8, 0.75), (C, 4, 0.75)]
+        "field, n, ratio", [(R, 8, 0.4), (R, 2, 0.75), (C, 8, 0.4), (C, 4, 0.4)]
     )
     def test_one_block_costs_little_beyond_its_frames(self, field, n, ratio):
         # Bounds the traced peak of drawing a block's first slice, against
         # the frame bytes of a whole block. Each slice is drawn by its own
-        # call, so only that slice's draw (which its frames overwrite) and
-        # its QR and Gram buffers live: 0.545 of a block over R at n = 8 and
-        # n = 2, 0.49 at complex n = 4 and 0.45 at complex n = 8, where the
-        # slice's draw, QR's copy and Q are each an eighth of the block;
-        # 0.95-0.99 when a complex block held the real half of its draw.
+        # call, so only that slice's draw (which its frames overwrite), its
+        # Gram buffers and the QR buffers of one sub-batch live: 0.25-0.34
+        # at real n = 8, 0.32 at complex n = 4 and 0.31 at complex n = 8,
+        # against 0.455-0.545, 0.49 and 0.45 when QR took the whole slice,
+        # whose draw, QR's copy and Q are each an eighth of the block. At
+        # real n = 2 the slice is one sub-batch: 0.546. A complex block
+        # that held the real half of its draw took 0.95-0.99.
         blocks = _frame_blocks(field, n, _CHUNK, SeedStream(58))
         tracemalloc.start()
         try:
@@ -218,6 +238,17 @@ class TestSampleEnsemble:
             tracemalloc.stop()
         block_bytes = _CHUNK * n * 2 * n * np.dtype(field.dtype).itemsize
         assert peak <= ratio * block_bytes, (peak, block_bytes)
+
+    @pytest.mark.parametrize("field, n", [(R, 2), (R, 8), (C, 4), (C, 8)])
+    def test_sub_batched_table_is_one_whole_product(self, field, n):
+        # _pack_frames forms F^H F one sub-batch at a time (the whole slice at
+        # real n = 2); each product is formed matrix by matrix, so the table
+        # is the packing of one product over the whole slice, bit for bit.
+        [(_, part)] = _frame_blocks(field, n, _TRACE_SLICE, SeedStream(59))
+        frames = part.frames
+        whole = _pack_hermitian(field, np.conjugate(frames.swapaxes(1, 2)) @ frames)
+        assert np.array_equal(_pack_frames(field, frames), whole)
+        assert (_sub_batch(field, n) < _TRACE_SLICE) == ((field, n) != (R, 2))
 
     def test_replay_identical(self):
         a = sample_ensemble(C, 2, 50, SeedStream(1, (0, 50)))

@@ -41,7 +41,7 @@ from bitretrieve.sampler import (
 
 M = 2 * _CHUNK + 17
 N = 2
-# More signals than one 512-signal slice of the uniform passes.
+# Five 128-signal blocks of the uniform passes, the last one partial.
 SIGNALS = 600
 FIELDS = [FieldKind.REAL, FieldKind.COMPLEX]
 ROOT = SeedStream(31)
@@ -304,6 +304,19 @@ def test_uniform_memory_grows_by_a_few_packed_rows_per_input(field, n):
     per_input = 2 * d * np.dtype(kind.dtype).itemsize + 8 * _packed_width(kind, d)
     small, large = uniform_inputs_peak(field, n, 512), uniform_inputs_peak(field, n, 4096)
     assert large - small <= 3 * (4096 - 512) * per_input, (small, large, per_input)
+
+
+@pytest.mark.parametrize("field, n, bound_mib", [("real", 8, 7.0), ("complex", 4, 4.5)])
+def test_uniform_slice_working_set_stays_small(field, n, bound_mib):
+    # 1024 inputs against two slices; the peak is set by what one slice takes
+    # beside the per-input state. Measured before the bound was set: 5.8 MiB
+    # at real n = 8 and 3.6 MiB at complex n = 4 with 128-signal blocks and
+    # QR and F^H F in sub-batches, against 8.6 and 6.8 MiB with 512-signal
+    # blocks (4 MiB of traces and 4 MiB of signs per slice) and whole-slice
+    # QR and F^H F.
+    uniform_inputs_peak(field, n, 1)  # keeps the first run's imports out of the trace
+    peak = uniform_inputs_peak(field, n, 1024)
+    assert peak <= bound_mib * 2**20, peak
 
 
 def test_eigenvalue_pair_check_streams_its_ensemble():
