@@ -263,7 +263,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     """Parse the line-oriented `key = value` format with '#' comments; a key
     may be set once."""
     mapping: dict[str, str] = {}
-    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -273,9 +272,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(key, "unknown key")
-        if key in lines:
-            raise ConfigError(f"line {lineno}", f"{key!r} is already set on line {lines[key]}")
-        mapping[key], lines[key] = value, lineno
+        if key in mapping:
+            raise ConfigError(f"line {lineno}", f"{key!r} is set twice")
+        mapping[key] = value
     return mapping
 
 
@@ -434,7 +433,7 @@ def _check_output_dir(path: str, experiment: str) -> None:
     before any trial runs, when the primary CSV's or an auxiliary table's
     path is a directory, or the directory that receives them is missing or
     not writable."""
-    for target in _output_paths(path, _AUX_TABLES.get(experiment, ())):
+    for target in _output_paths(path, _AUX_TABLES[experiment]):
         if os.path.isdir(target):
             raise OSError(f"cannot write CSV to {target!r}: it is a directory")
     directory = os.path.dirname(path) or "."

