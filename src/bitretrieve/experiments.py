@@ -5,30 +5,19 @@ Experiments
 pointwise    one fixed signal, fresh ensembles per (trial, m); records the
              recovery error and the deviation of the empirical average from
              its expectation, plus the inverted fixed-signal accuracy bound
-             as an auxiliary table. Each (trial, m) ensemble is streamed one
-             1024-projection slice at a time and never held whole: the
-             slice is drawn, validated, measured and added into one d x d
-             accumulator, one GEMM per slice, so a unit holds one slice's
-             working set over either field, whatever m is.
-             The accumulation kernel sums a held ensemble in the same
-             slices, so the averages equal those of the materialized
-             ensemble bit for bit.
+             as an auxiliary table. Each (trial, m) ensemble is streamed
+             slice by slice into one d x d accumulator and never held whole,
+             so a unit holds one slice's working set, whatever m is, and
+             its average is that of the materialized ensemble bit for bit.
 uniform      one ensemble per m, many random signals recovered against it;
              records per-signal errors, the running maximum, and the
-             inverted uniform accuracy bound. The ensemble is never held
-             whole: both passes walk the slices of its sampling blocks
-             [0, m, b] through one loop, `_block_answers`, which packs each
-             slice's table and answers the signals against it. Pass 1 adds
-             the +-1 signs against the table into one (inputs, w) sum, then
-             each 128 rows of it are unpacked, finished and scored by one
-             batched eigensolve; pass 2 replays the same blocks, which the
-             block streams make identical, and counts where the estimates'
-             answers differ from the signals'. Memory is O(inputs w) for the
-             packed sums and rows, plus the d x d matrices of 128 signals and
-             one slice, whatever m is: the slice's frames and table, the QR
-             and F^H F buffers of one sub-batch of it, and the traces, bits
-             and signs of 128 signals against it (1 MiB each of traces and
-             signs).
+             inverted uniform accuracy bound. Both passes stream the blocks
+             [0, m, b] slice by slice against packed tables (see the
+             sampler). Pass 1 adds the +-1 signs into one (inputs, w) sum
+             and scores each signal block of it by one batched eigensolve;
+             pass 2 replays the same blocks and counts where the estimates'
+             answers differ from the signals'. Memory is O(inputs w), plus
+             one slice and one signal block, whatever m is.
 noise        the pointwise protocol plus a corruption stage: after the
              clean recovery, a fraction of the measurement bits is flipped
              (uniformly at random or greedily) and the signal recovered
@@ -36,12 +25,10 @@ noise        the pointwise protocol plus a corruption stage: after the
              bound. The flipped set F is the one `corrupt_bits` picks on the
              materialized ensemble: random mode draws it from the same flip
              stream [t, m, m] with the same call before the pass, and greedy
-             mode keeps a running top floor(tau m) by damage during the pass,
-             holding only the frames that may still be flipped, plus one
-             slice's worth of spare rows so that it prunes them seldom. The
-             noisy average is then a sparse update of the clean one:
-             acc - 2 sum_F s_j P_j and zeros + sum_F s_j, with s_j = 2 b_j - 1
-             and the sum in index order.
+             mode keeps a running top floor(tau m) by damage during it,
+             holding only the frames that may still be flipped. The noisy
+             average is a sparse update of the clean one: acc - 2 sum_F s_j
+             P_j and zeros + sum_F s_j, s_j = 2 b_j - 1, in index order.
 diagnostics  distributional spot checks (trace law, expected-average
              eigenstructure, Hamming-vs-operator-norm margin, separation
              probability, eigenvalue-pair density fit, soft-distance
@@ -57,9 +44,11 @@ path [0]; the ensemble of trial t at size m from path [t, m] (its
 bit-corruption subset, drawn from [t, m, m]). The uniform protocol draws
 the ensemble for size m from [0, m] and signal i from [1, i]. Records for
 trial t therefore depend only on per-trial streams plus the shared signal,
-so prefixes of a run are stable when `trials` or `inputs` grow. Every
-ensemble is read, and replayed in uniform's pass 2, through the slices of
-`sampler._frame_blocks`, each validated where it is drawn.
+so prefixes of a run are stable when `trials` or `inputs` grow; a uniform
+row does not depend on the signals after it either, as every product of
+signal rows is one whole-block shape, the last block padded with zero rows
+(see the sampler). Every ensemble is read, and replayed, through the
+validated slices of `sampler._frame_blocks`.
 
 `run_experiment` and `run_diagnostics` hold numpy's bundled OpenBLAS at one
 thread for the run and then restore the caller's count, so the bytes do not
@@ -104,10 +93,10 @@ from .core import (
 )
 from .measurement import (
     _answers,
+    _block_traces,
     _damage,
     _flip_count,
     _most_damaging,
-    _packed_signals,
     _random_flips,
     soft_hamming,
     trace_values,
@@ -534,13 +523,13 @@ def _streamed_averages(
     elements, in one pass over its slices.
 
     `blocks` yields (start, part) in order, as `sampler._frame_blocks`
-    does, each part a validated MeasurementEnsemble of at most _TRACE_SLICE
-    elements in the space of x. Each is measured against x, added into one signed accumulator and
-    dropped. With a flip mode, the positions `corrupt_bits(bits, tau,
-    flip_mode, flip_stream, (ensemble, x))` would flip are chosen on the
-    way (see the module docstring) and only their frames are kept.
-    Returns the clean average, the corrupted one (the clean one when
-    nothing is flipped) and the flipped positions in increasing order.
+    does, each part a validated slice in the space of x. Each is measured
+    against x, added into one signed accumulator and dropped. With a flip
+    mode, the positions `corrupt_bits(bits, tau, flip_mode, flip_stream,
+    (ensemble, x))` would flip are chosen on the way (see the module
+    docstring) and only their frames are kept. Returns the clean average,
+    the corrupted one (the clean one when nothing is flipped) and the
+    flipped positions in increasing order.
     """
     field, d = x.field, x.dim
     acc = np.zeros((d, d), dtype=field.dtype)
@@ -614,41 +603,36 @@ def _streamed_averages(
     return clean, noisy, positions[:flips]
 
 
-def _block_answers(field: FieldKind, blocks, *stacks: np.ndarray):
-    """Uniform mode's pass loop: for each validated slice of one ensemble,
-    as `sampler._frame_blocks` yields them, and each slice `rows` of
-    _INPUT_BLOCK signals, yield (rows, table, answers): the slice's packed
-    projection table and, per stack, the uint8 answers of its rows. Each
-    table is dropped before the next slice is drawn, so a consumer must drop
-    what it was given before asking for more. A slice from another space
-    than the signals' raises InvalidInput."""
-    space = SimpleNamespace(field=field, dim=stacks[0].shape[1])
-    packed = [_packed_signals(field, stack) for stack in stacks]
-    for _, part in blocks:
+def _slice_tables(field: FieldKind, d: int, blocks):
+    """For each validated slice of one ensemble, as `sampler._frame_blocks`
+    yields them, yield (start, its packed table), dropping the slice first
+    and the table before the next slice is drawn; a slice from another
+    space than (field, d) raises InvalidInput."""
+    space = SimpleNamespace(field=field, dim=d)
+    for start, part in blocks:
         _check_same_space(part, space)
         table = _pack_frames(field, part.frames)
         del part
-        for first in range(0, len(stacks[0]), _INPUT_BLOCK):
-            rows = slice(first, first + _INPUT_BLOCK)
-            yield rows, table, [_answers(signals[rows] @ table.T) for signals in packed]
+        yield start, table
         del table
 
 
 def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray):
     """The empirical averages of an (N, d) stack of signals' answers against
-    one ensemble of m elements. One pass over its blocks adds the signs into
-    (N, w) packed sums; then, for each slice `rows` of _INPUT_BLOCK signals,
-    yields (rows, their (len(rows), d, d) averages). The signs go through
-    `_accumulate_table` in the slices `average_stack` uses on the
-    materialized ensemble, and each average is finished on its own, so the
-    two agree bit for bit."""
+    one ensemble of m elements: one pass adds the signs into (N, w) packed
+    sums, then yields (rows, their averages) for each slice `rows` of
+    _INPUT_BLOCK signals. Traces and signs take the products of
+    `trace_table` and `average_stack`, and each average is finished on its
+    own, so the averages are the materialized ensemble's, bit for bit."""
     d = signals.shape[1]
     acc = np.zeros((len(signals), _packed_width(field, d)))
     ones = np.zeros(len(signals), dtype=np.intp)
-    for rows, table, (bits,) in _block_answers(field, blocks, signals):
+    tables = _slice_tables(field, d, blocks)
+    for _, rows, table, (traces,) in _block_traces(field, tables, signals):
+        bits = _answers(traces)
         ones[rows] += np.count_nonzero(bits, axis=1)
         _accumulate_table(acc[rows], table, bits)
-        del table, bits
+        del table, traces, bits
     for first in range(0, len(signals), _INPUT_BLOCK):
         rows = slice(first, first + _INPUT_BLOCK)
         yield rows, _finalize_average(_unpack_hermitian(field, acc[rows], d), m - ones[rows], m)
@@ -659,9 +643,10 @@ def _streamed_disagreements(field: FieldKind, blocks, a: np.ndarray, b: np.ndarr
     elements whose questions answer a_i and b_i differently, in one pass
     over the ensemble's blocks."""
     counts = np.zeros(len(a), dtype=np.intp)
-    for rows, table, (bits_a, bits_b) in _block_answers(field, blocks, a, b):
-        counts[rows] += np.count_nonzero(bits_a != bits_b, axis=1)
-        del table, bits_a, bits_b
+    tables = _slice_tables(field, a.shape[1], blocks)
+    for _, rows, table, (traces_a, traces_b) in _block_traces(field, tables, a, b):
+        counts[rows] += np.count_nonzero(_answers(traces_a) != _answers(traces_b), axis=1)
+        del table, traces_a, traces_b
     return counts
 
 
@@ -688,9 +673,8 @@ def _run_fixed_signal(
 
     Each (trial, m) unit streams its ensemble through `_streamed_averages`
     and scores its average, and for noise the corrupted one too, in one
-    `_scores` call. Returns,
-    per unit in (trial, m) order, the record of the last recovery and the
-    clean (error, qdev).
+    `_scores` call. Returns, per unit in (trial, m) order, the record of
+    the last recovery and the clean (error, qdev).
     """
     root = SeedStream(cfg.master_seed)
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0)))

@@ -15,14 +15,11 @@ An ensemble's answers come from one threshold kernel, `_answers`
 projection) and `soft_hamming` (a whole ensemble) is one elementwise
 kernel, `_t_separated`.
 
-Many signals against one ensemble go through packed projection tables
-(see the sampler), whose row j holds the unique real entries of P_j. A
-signal X, its off-diagonal entries doubled because tr(PX) = Re sum_ab P_ab
-conj(X_ab) meets each off-diagonal pair twice, is packed by the same
-`_pack_hermitian`; every trace is then one real dot product of d(d+1)/2
-(over R) or d^2 (over C) float64 terms. `trace_table` takes that product
-for a held ensemble one _TRACE_SLICE table at a time, as uniform mode's
-streamed passes do for each slice they are given.
+Many signals against one ensemble meet its packed tables (see the sampler
+for the layout and the one product shape): a signal X, packed with its
+off-diagonal entries doubled, has tr(PX) as one real dot product, and one
+kernel, `_block_traces`, takes all of them for `trace_table` and for
+uniform mode's streamed passes alike.
 """
 
 from __future__ import annotations
@@ -86,38 +83,52 @@ def trace_values(ens: MeasurementEnsemble, x: RankOneProjection) -> np.ndarray:
 def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
     """tr(P_j X_i) for a stack of unit vectors, as an (N, m) array.
 
-    `vectors` has shape (N, 2n); row i is the representative of X_i.
-    One real product of the packed signals against the packed projection
-    table of each _TRACE_SLICE slice of the ensemble (see the sampler):
-    tr(P X) = Re sum_ab P_ab conj(X_ab) counts each off-diagonal pair
-    twice, so the signal's packed row holds its diagonal once and its
-    off-diagonal entries doubled.
+    `vectors` has shape (N, 2n); row i is the representative of X_i. One
+    `_block_traces` pass over the tables of the ensemble's slices.
     """
     vecs = np.asarray(vectors, dtype=ens.field.dtype)
     if vecs.ndim != 2 or vecs.shape[1] != ens.dim:
         raise InvalidInput(f"trace_table: expected shape (N, {ens.dim}), got {vecs.shape}")
-    packed = _packed_signals(ens.field, vecs)
+    tables = (
+        (start, _pack_frames(ens.field, ens.frames[start : start + _TRACE_SLICE]))
+        for start in range(0, ens.m, _TRACE_SLICE)
+    )
     out = np.empty((len(vecs), ens.m))
-    for start in range(0, ens.m, _TRACE_SLICE):
-        stop = start + _TRACE_SLICE
-        out[:, start:stop] = packed @ _pack_frames(ens.field, ens.frames[start:stop]).T
+    for start, rows, table, (traces,) in _block_traces(ens.field, tables, vecs):
+        out[rows, start : start + len(table)] = traces
     return out
 
 
 def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:
-    """The packed rows of the signals X_i = x_i x_i^*, with the off-diagonal
-    entries doubled, so that a row times a packed projection row is
-    tr(P X_i); (N, d) -> (N, w). Each _INPUT_BLOCK rows go through
-    `_pack_hermitian` as one (block, d, d) stack, so no (N, d, d) stack is
-    made."""
+    """The packed rows of the signals X_i = x_i x_i^*, off-diagonal entries
+    doubled, so that a row times a projection row is tr(P X_i); (N, d) ->
+    (N rounded up to whole _INPUT_BLOCK blocks, w), zero after row N. Each
+    block is packed as one (block, d, d) stack, so no (N, d, d) stack is made."""
     d = vectors.shape[1]
-    out = np.empty((len(vectors), _packed_width(field, d)))
+    out = np.zeros((-(-len(vectors) // _INPUT_BLOCK) * _INPUT_BLOCK, _packed_width(field, d)))
     for first in range(0, len(vectors), _INPUT_BLOCK):
         block = vectors[first : first + _INPUT_BLOCK]
         signals = np.einsum("ia,ib->iab", block, block.conj())
         signals *= 2.0 - np.eye(d)
-        out[first : first + _INPUT_BLOCK] = _pack_hermitian(field, signals)
+        out[first : first + len(block)] = _pack_hermitian(field, signals)
     return out
+
+
+def _block_traces(field: FieldKind, tables, *stacks: np.ndarray):
+    """For each (start, table) of one ensemble, the packed table of its
+    projections from `start` on, and each slice `rows` of _INPUT_BLOCK
+    signals, yield (start, rows, table, traces): per (N, d) stack, the
+    traces tr(P_j X_i) of its rows, from one whole-block product (see the
+    sampler). A table is dropped before the next is asked for, so a
+    consumer must drop what it was given before asking for more."""
+    count = len(stacks[0])
+    packed = [_packed_signals(field, stack) for stack in stacks]
+    for start, table in tables:
+        for first in range(0, count, _INPUT_BLOCK):
+            rows = slice(first, min(first + _INPUT_BLOCK, count))
+            whole = slice(first, first + _INPUT_BLOCK)
+            yield start, rows, table, [(s[whole] @ table.T)[: rows.stop - first] for s in packed]
+        del table
 
 
 def binary_question(p: OrthogonalProjection, x: RankOneProjection) -> int:

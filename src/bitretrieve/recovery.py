@@ -8,29 +8,17 @@ with tr(Y) <= 1 is solved exactly by the projection onto that
 eigenspace, so the semidefinite program reduces to one dense
 eigendecomposition.
 
-Averages are accumulated in a fixed chunk order, which makes the result
-bit-stable across any scheduling of the surrounding work. One bit string
-is averaged from the ensemble frames by one kernel, `_accumulate_signed`,
-which adds sum_j (2 b_j - 1) P_j into a d x d accumulator one GEMM per
-chunk of _TRACE_SLICE projections, the sampler's slice. The experiment
-runners stream an ensemble through the kernel one slice at a time and get
-`empirical_average`'s bytes without holding the ensemble. A stack of bit
-strings is averaged by one kernel, `_accumulate_table`: a real product of
-+-1 signs against the packed projection table of one slice, into one
-(N, w) packed sum per stack in the sampler's one packed layout, unpacked
-to d x d only at the end. Over C this is a real GEMM on d^2 real columns,
-not a complex one.
-`average_stack` walks a held ensemble's slices through it and the uniform
-runner the streamed slices, so their sums agree bit for bit.
-Every average, single or stacked, streamed or held, is finished by one
-kernel, `_finalize_average`, and the expectation mu1 X + mu2 (I - X) of
-one signal or a stack comes from one kernel, `_expected_averages`. Both
-work in place: the finish adds the zeros on a copy's diagonal, divides it
-and adds its conjugate transpose into one output stack, and the expectation
-scales the outer products and adds mu2 on their diagonal. Each makes the
-same IEEE operations as the whole-stack expressions, with only the operands
-of commutative adds swapped, so the bytes are theirs; the uniform runner
-finishes its averages one _INPUT_BLOCK of signals at a time.
+Averages are accumulated one slice of projections at a time (see the
+sampler), in a fixed order, so an ensemble streamed slice by slice gives
+the bytes of the held one under any scheduling. One bit string is summed
+by `_accumulate_signed`, one GEMM per slice, and a stack of bit strings by
+`_accumulate_table`, a real product of +-1 signs against a slice's packed
+table into (N, w) sums unpacked to d x d at the end, for `average_stack`
+and the uniform runner alike. Every average is finished by
+`_finalize_average` and every expectation mu1 X + mu2 (I - X) formed by
+`_expected_averages`; both work in place with the IEEE operations of the
+whole-stack expressions (only the operands of commutative adds swapped),
+so the bytes are theirs.
 """
 
 from __future__ import annotations
@@ -142,7 +130,8 @@ def _diagonal(mats: np.ndarray) -> np.ndarray:
 
 
 def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
-    """Empirical averages for a stack of bit strings; (N, m) bits -> (N, d, d)."""
+    """Empirical averages for a stack of bit strings; (N, m) bits -> (N, d, d).
+    Every entry must be 0 or 1 (or a bool)."""
     rows = np.asarray(bit_rows)
     if rows.ndim != 2 or rows.shape[1] != ens.m:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
@@ -150,24 +139,24 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
     ones = np.zeros(rows.shape[0], dtype=np.intp)
     for start in range(0, ens.m, _TRACE_SLICE):
         stop = start + _TRACE_SLICE
-        ones += np.count_nonzero(rows[:, start:stop], axis=1)
-        _accumulate_table(acc, _pack_frames(ens.field, ens.frames[start:stop]), rows[:, start:stop])
+        bits = rows[:, start:stop]
+        if not np.all((bits == 0) | (bits == 1)):
+            raise InvalidInput("average_stack: bit entries must be 0 or 1")
+        ones += np.count_nonzero(bits, axis=1)
+        _accumulate_table(acc, _pack_frames(ens.field, ens.frames[start:stop]), bits)
     return _finalize_average(_unpack_hermitian(ens.field, acc, ens.dim), ens.m - ones, ens.m)
 
 
 def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) -> None:
-    """acc += sum_j (2 bit_rows[:, j] - 1) table[j] for (N, count) bits and
-    the (count, w) packed table of at most _TRACE_SLICE projections, into an
-    (N, w) float64 sum. One GEMM per _INPUT_BLOCK rows keeps the GEMM shapes,
-    which pick OpenBLAS's kernel and so the last bits, the same for every
-    caller. The signs of one block of 128 rows take 1 MiB against a full
-    slice; at a real n = 8 slice (w = 136) (table^T signs^T)^T over them
-    took 1.0-1.05 ms and signs @ table 0.99 ms, one OpenBLAS thread."""
-    for start in range(0, len(bit_rows), _INPUT_BLOCK):
-        rows = slice(start, start + _INPUT_BLOCK)
-        signs = np.multiply(bit_rows[rows], 2.0, dtype=np.float64)
-        signs -= 1.0
-        acc[rows] += (table.T @ signs.T).T
+    """acc += sum_j (2 bit_rows[:, j] - 1) table[j] for (N, count) bits and a
+    slice's (count, w) packed table, into an (N, w) float64 sum: one
+    whole-block product per _INPUT_BLOCK rows (see the sampler)."""
+    signs = np.zeros((_INPUT_BLOCK, len(table)))
+    for first in range(0, len(bit_rows), _INPUT_BLOCK):
+        bits = bit_rows[first : first + _INPUT_BLOCK]
+        np.multiply(bits, 2.0, out=signs[: len(bits)])
+        signs[: len(bits)] -= 1.0
+        acc[first : first + len(bits)] += (table.T @ signs.T).T[: len(bits)]
 
 
 def principal_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,63 +4,48 @@ Randomness model
 ----------------
 Every draw is keyed by a SeedStream, a (master_seed, path) pair whose
 generator is numpy's PCG64 seeded from SeedSequence(master_seed,
-spawn_key=path), numpy's construction for independent streams keyed by
-a path. Distinct paths under one master seed therefore give
-statistically independent streams, and a fixed (master_seed, path)
-replays the same sequence whatever the thread count or evaluation
+spawn_key=path), so distinct paths give independent streams and a fixed
+pair replays the same sequence whatever the thread count or evaluation
 order. SeedSequence splits an int into 32-bit words, so SeedStream
 rejects any value that would alias another stream: path indices must
 lie in [0, 2^32), or (2^32,) would be the stream (0, 1), and the master
 seed in [0, 2^64), or seed 5 + 7 * 2^128 at path () would be seed 5 at
-path (7,).
+path (7,). Gaussians come from Generator.standard_normal, which pins
+every stream for a given numpy version. One rule, `_gaussian`, makes
+every Gaussian draw: over R one call of the shape, over C one call of
+shape (2, *shape), the real parts first.
 
-Gaussian variates come from numpy's Generator.standard_normal
-(ziggurat transform of the PCG64 bit stream); together with the seeding
-above this pins the exact sequence of every stream for a given numpy
-version, which is the reproducibility contract of the experiment
-harness. One rule, `_gaussian`, makes every Gaussian draw over either
-field: a real draw of a shape is one call of that shape, and a complex
-draw one call of shape (2, *shape), whose first half gives the real
-parts and whose second half the imaginary parts.
+A projection is the span of a d x k Gaussian matrix, orthonormalized by
+QR; that span is Haar-uniform. No phase fix is applied to Q: F^H F and
+||F x|| depend only on the span, which is all the library reads.
 
-Projections are generated by orthonormalizing a d x k Gaussian matrix
-with a QR factorization; the projection onto the column span of a
-Gaussian matrix is Haar-uniform on the set of rank-k projections. No
-phase fix is applied to Q (the step that makes Q itself Haar): a
-projection F* F and the norms ||F x|| depend only on the span, which
-is all the library reads from Q.
-
-An ensemble of m projections is drawn in blocks of _CHUNK = 8192
-elements and computed in slices of _TRACE_SLICE = 1024. The block is the
-unit of the seed stream: block b (elements [b * 8192, (b + 1) * 8192))
-draws from `path + (b,)`, so the block size is part of the
-reproducibility contract. The slice is the unit of every computation and
-of every draw: each slice of block b, s projections, is one `_gaussian`
-draw of shape (s, d, k) that continues block b's stream, and its frames
-overwrite its draw. `_frame_blocks` orthonormalizes a slice in
-sub-batches, one QR call each, and yields it, and every streamed consumer
-takes one slice at a time. A sub-batch holds the 2n x n matrices that fit
-in _SUB_BATCH_BYTES = 256 KiB: 256 at real n = 8, the whole slice at real
-n = 2. Over R consecutive calls continue one stream, so a block's slices
-hold the values one draw of the whole block would; over C each slice
-takes its real and then its imaginary parts. QR factors each matrix on
-its own, so the frames of a slice do not depend on how the rest of the
-block, or of the slice, is computed. A slice's projections are also one
-chunk of the recovery module's accumulations, so an ensemble streamed
-slice by slice gives the sums of the materialized ensemble, bit for bit.
+An ensemble is drawn in blocks of _CHUNK = 8192 elements, block b from
+`path + (b,)`, so the block size is part of the reproducibility
+contract. Everything else works on slices of _TRACE_SLICE = 1024: each
+slice is one `_gaussian` draw of shape (s, d, k) that continues its
+block's stream (over R a block's slices hold what one draw of the block
+would; over C each slice takes its real and then its imaginary parts),
+and its frames overwrite its draw. QR runs in sub-batches of the 2n x n
+matrices that fit in _SUB_BATCH_BYTES = 256 KiB (256 at real n = 8, the
+whole slice at real n = 2) and factors each matrix on its own, so no
+frame depends on how the rest of its block is computed. A slice is also
+one chunk of every accumulation, so an ensemble streamed slice by slice
+gives the sums of the materialized one, bit for bit.
 
 The stacked kernels (many signals or bit strings against one ensemble)
-run on packed projection tables, one row per projection and one table per
-slice, packed by `_pack_frames` from batched F^H F products over the same
-sub-batches, and take their signals _INPUT_BLOCK = 128 at a time, so the
-traces of a block of signals against a table are 1 MiB. A row holds
-the unique real entries of the Hermitian P_j: over R the d(d+1)/2
-upper-triangle entries, row by row; over C d^2 real columns, the
-diagonal, then the real and then the imaginary parts of the strict upper
-triangle. At real n = 8 that is 136 float64 (1088 bytes) per projection.
-`_pack_hermitian` and `_unpack_hermitian` map any Hermitian stack, the
-measurement module's signal rows included, to and from that layout, which
-`_packed_index` alone states.
+run on one packed table per slice, whose row j holds the unique real
+entries of P_j, formed by `_pack_frames` from F^H F over the QR's
+sub-batches: over R the d(d+1)/2 upper-triangle entries row by row, over
+C the d real diagonal entries, then the real and the imaginary parts of
+the strict upper triangle. `_packed_index` alone states that layout, and
+`_pack_hermitian` and `_unpack_hermitian` map any Hermitian stack to and
+from it. Rows of signals or of bits meet a table _INPUT_BLOCK = 128 at a
+time, in products of one shape, (_INPUT_BLOCK, w) x (w, slice), whatever
+the input count: packed signal rows are allocated in whole blocks, zero
+rows padding the last, the +-1 signs of bit rows go through one
+whole-block buffer, and only the first N rows of a result are read.
+OpenBLAS picks its kernel, and so the last bits, by a product's shape,
+so a row's bytes depend on its own input alone.
 """
 
 from __future__ import annotations
@@ -81,7 +66,6 @@ __all__ = [
 
 _FRAME_TOL = 1e-12
 _CHUNK = 8192
-# Projections per packed table and signals per product with it: 128 x 1024 float64 is 1 MiB.
 _TRACE_SLICE = 1024
 _INPUT_BLOCK = 128
 # Bytes of the 2n x n matrices that one QR or F^H F call of a slice takes.
@@ -135,12 +119,8 @@ def sample_unit_vector(field: FieldKind, d: int, stream: SeedStream) -> UnitVect
 
 
 def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of each matrix in a (m, d, k) stack.
-
-    The thin Q factor of one batched QR call, in a new array; Q spans the
-    same columns as the input, with no phase fix (see the module
-    docstring). `_frame_slice` calls it once per sub-batch of a slice.
-    """
+    """The thin Q factor of each matrix in a (m, d, k) stack, from one
+    batched QR call, in a new array, with no phase fix."""
     q, r = np.linalg.qr(g)
     if not np.all(np.diagonal(r, axis1=1, axis2=2)):
         raise InvalidInput("orthonormalization hit a rank-deficient Gaussian draw")
@@ -222,7 +202,9 @@ class MeasurementEnsemble:
         return OrthogonalProjection(self.field, self.n, self.matrix(j))
 
     def compression(self, size: int) -> np.ndarray:
-        """Top-left size x size blocks of every projection, shape (m, size, size)."""
+        """The (m, size, size) top-left blocks of every projection, 1 <= size <= 2n."""
+        if not 1 <= size <= self.dim:
+            raise InvalidInput(f"compression: size must lie in [1, {self.dim}], got {size}")
         cols = self.frames[:, :, :size]
         return np.einsum("mka,mkb->mab", cols.conj(), cols)
 
@@ -254,17 +236,15 @@ def _pack_hermitian(field: FieldKind, mats: np.ndarray) -> np.ndarray:
 
 
 def _sub_batch(field: FieldKind, n: int) -> int:
-    """Matrices per QR or F^H F call: the 2n x n matrices that fit in
-    _SUB_BATCH_BYTES, so 256 at real n = 8 and a whole slice at real n = 2."""
+    """Matrices per QR or F^H F call: the 2n x n matrices that fit in _SUB_BATCH_BYTES."""
     return max(1, _SUB_BATCH_BYTES // (2 * n * n * np.dtype(field.dtype).itemsize))
 
 
 def _pack_frames(field: FieldKind, frames: np.ndarray) -> np.ndarray:
     """The float64 (count, w) packed table of a (count, k, d) frame stack,
-    row j packing P_j = F_j^H F_j: one batched product per `_sub_batch` of
-    frames, packed by `_pack_hermitian`, so the (batch, d, d) products
-    take a fixed number of bytes whatever count is. Each product is formed
-    matrix by matrix, so the rows do not depend on the batching."""
+    row j packing P_j = F_j^H F_j, from one batched product per `_sub_batch`
+    of frames; each is formed matrix by matrix, so the rows do not depend
+    on the batching."""
     count, k, d = frames.shape
     table = np.empty((count, _packed_width(field, d)))
     step = _sub_batch(field, k)
@@ -287,13 +267,11 @@ def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarra
 
 
 def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
-    """Yield (start, part) for each _TRACE_SLICE slice of the ensemble that
+    """Yield (start, part) for each slice of the ensemble that
     `sample_ensemble(field, n, m, stream)` returns, in order: `part` is the
     MeasurementEnsemble of elements [start, start + part.m), validated where
-    it is drawn (the module docstring says how a block is drawn and
-    sliced). The generator keeps no reference to a slice it has yielded, so
-    a consumer that drops a slice, even before it is done with what it
-    computed from it, frees its frames."""
+    it is drawn. The generator keeps no reference to a slice it has
+    yielded, so a consumer that drops a slice frees its frames."""
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
         count = min(_CHUNK, m - first)
@@ -304,9 +282,8 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
 def _frame_slice(field: FieldKind, n: int, count: int, rng: np.random.Generator):
     """The next `count` projections of a block's generator, as a validated
     MeasurementEnsemble: one (count, 2n, n) draw, orthonormalized one
-    `_sub_batch` of matrices at a time, each sub-batch's conj(Q^T) written
-    over the d * k elements per matrix that its draw occupied; QR factors
-    each matrix on its own and returns a new Q."""
+    `_sub_batch` at a time, each sub-batch's conj(Q^T) written over its own
+    draw."""
     g = _gaussian(field, (count, 2 * n, n), rng)
     frames = g.reshape(count, n, 2 * n)
     step = _sub_batch(field, n)
@@ -318,10 +295,7 @@ def _frame_slice(field: FieldKind, n: int, count: int, rng: np.random.Generator)
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
     """m independent Haar-uniform rank-n projections in dimension 2n: the
-    slices of `_frame_blocks`, each block of them one keyed stream (see the
-    module docstring), so the ensemble is the same however the work is
-    scheduled.
-    """
+    slices of `_frame_blocks`, so the same however the work is scheduled."""
     if n < 1:
         raise InvalidInput(f"sample_ensemble: n must be >= 1, got {n}")
     if m < 1:

@@ -272,9 +272,20 @@ class TestRunUniform:
             assert -1.0 <= rec.hamming_gap <= 1.0
 
     def test_input_prefix_stability(self):
-        small = run_uniform(make_cfg(experiment="uniform", n=4, m_grid="200", inputs=4, master_seed=2))
-        large = run_uniform(make_cfg(experiment="uniform", n=4, m_grid="200", inputs=9, master_seed=2))
-        assert large.records[: len(small.records)] == small.records
+        # 4 and 9 inputs share one 128-signal block. 129 and 300 end on a
+        # partial block, whose rows are those of the 700-input run only if
+        # every product of signal rows has the shape of a whole block.
+        def run(inputs, **params):
+            return run_uniform(make_cfg(experiment="uniform", inputs=inputs, **params))
+
+        block = dict(field="real", n=2, m_grid="3000", master_seed=7)
+        cases = [
+            (run(4, n=4, m_grid="200", master_seed=2), run(9, n=4, m_grid="200", master_seed=2)),
+            *((run(inputs, **block), run(700, **block)) for inputs in (129, 300)),
+        ]
+        for small, large in cases:
+            assert large.records[: len(small.records)] == small.records
+            assert large.tables[1].rows[: len(small.records)] == small.tables[1].rows
 
     def test_bounds_table_inverts_uniform_requirement(self):
         from bitretrieve.theory import uniform_m

@@ -212,8 +212,9 @@ def test_diagnostics_pin(field):
 
 
 if __name__ == "__main__":
-    # Print fresh GOLDEN and DIAGNOSTICS mappings to paste above. Every config
-    # runs in child processes at --threads 1 and 2, each with the BLAS thread
+    # Print fresh GOLDEN and DIAGNOSTICS mappings to paste above, after a
+    # comment naming every pinned entry they change. Every config runs in
+    # child processes at --threads 1 and 2, each with the BLAS thread
     # variables at 1 and at 2, and the diagnostics at both BLAS settings; any
     # difference stops the script before it prints. From the repository root:
     #   PYTHONPATH=src python tests/test_golden.py
@@ -247,6 +248,14 @@ if __name__ == "__main__":
             raise SystemExit(f"diagnostics over {field}: BLAS threads 1 and 2 differ")
         diagnostics[field] = pins[0]
 
+    moved = [
+        f"{name} {suffix}"
+        for name in sorted(set(GOLDEN) | set(golden))
+        for suffix in sorted(set(GOLDEN.get(name, {})) | set(golden.get(name, {})))
+        if GOLDEN.get(name, {}).get(suffix) != golden.get(name, {}).get(suffix)
+    ]
+    moved += [f"diagnostics {f}" for f in sorted(diagnostics) if DIAGNOSTICS.get(f) != diagnostics[f]]
+    print("# differs from the pins in this file:", ", ".join(moved) or "nothing")
     print("GOLDEN = {")
     for name, digests in golden.items():
         print(f'    "{name}": {{')

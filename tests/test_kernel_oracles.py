@@ -193,7 +193,11 @@ def test_in_place_kernels_match_their_whole_stack_oracles(field, n, count, seed)
     d = 2 * n
     vectors = gaussian(rng, field, (count, d))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    assert same_bits(_packed_signals(field, vectors), packed_signals_oracle(field, vectors))
+    packed = _packed_signals(field, vectors)
+    assert same_bits(packed[:count], packed_signals_oracle(field, vectors))
+    # The rows are allocated in whole blocks, the last one padded with zeros.
+    assert len(packed) % _INPUT_BLOCK == 0 and len(packed) - count < _INPUT_BLOCK
+    assert not packed[count:].any()
 
     m = int(rng.integers(1, 10**6))
     acc = gaussian(rng, field, (count, d, d)) * m / d

@@ -9,7 +9,8 @@ tr(P X), so its estimate cannot depend on the representative's global phase.
 The streamed kernels walk an ensemble one 1024-projection slice at a time
 and its signals 128 at a time; at m and input counts on either side of
 those boundaries and of the 8192-element sampling block, each returns the
-bytes of its kernel on the materialized ensemble. A config gives the same
+bytes of its kernel on the materialized ensemble, and no stacked row
+depends on how many rows follow it. A config gives the same
 `ExperimentConfig` from a file and from flags, whatever way each integer is
 written. The sample sizes reach the accuracy they are computed for.
 """
@@ -34,7 +35,7 @@ from bitretrieve.experiments import (
     _streamed_stack_averages,
     load_config,
 )
-from bitretrieve.measurement import corrupt_bits, hamming_distance, measure
+from bitretrieve.measurement import _answers, corrupt_bits, hamming_distance, measure, trace_table
 from bitretrieve.recovery import average_stack, empirical_average, pep_recover
 from bitretrieve.sampler import (
     _INPUT_BLOCK,
@@ -124,6 +125,38 @@ def test_streamed_stack_passes_match_the_measure_bits(field, n, m, inputs, seed)
     blocks = _frame_blocks(field, n, m, root.child(1))
     counts = _streamed_disagreements(field, blocks, signals, np.roll(signals, 1, axis=0))
     assert np.array_equal(counts, np.count_nonzero(bits != np.roll(bits, 1, axis=0), axis=1))
+
+
+# Input counts on either side of one and two signal blocks.
+prefix_counts = st.sampled_from([k * _INPUT_BLOCK + e for k in (1, 2) for e in (-1, 0, 1)])
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    field=fields,
+    n=st.integers(1, 3),
+    m=st.sampled_from([40, 300, 1100]),
+    counts=st.lists(prefix_counts, min_size=2, max_size=2, unique=True),
+    seed=seeds,
+)
+def test_a_stacked_row_does_not_depend_on_the_rows_after_it(field, n, m, counts, seed):
+    few, many = sorted(counts)
+    root = SeedStream(seed)
+    signals = np.stack(
+        [sample_unit_vector(field, 2 * n, root.child(0, i)).entries for i in range(many)]
+    )
+    ens = sample_ensemble(field, n, m, root.child(1))
+    traces = trace_table(ens, signals)
+    assert np.array_equal(trace_table(ens, signals[:few]), traces[:few])
+    bits = _answers(traces)
+    assert np.array_equal(average_stack(ens, bits[:few]), average_stack(ens, bits)[:few])
+
+    def streamed(count):
+        blocks = _frame_blocks(field, n, m, root.child(1))
+        averages = _streamed_stack_averages(field, m, blocks, signals[:count])
+        return np.concatenate([q for _, q in averages])
+
+    assert np.array_equal(streamed(few), streamed(many)[:few])
 
 
 class Built(Exception):

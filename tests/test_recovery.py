@@ -114,6 +114,21 @@ class TestEmpiricalAverage:
             single = empirical_average(ens, measure(ens, RankOneProjection(x)))
             assert np.max(np.abs(stacked[i] - single.matrix)) <= 1e-13
 
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_average_stack_refuses_entries_other_than_bits(self, value):
+        # Rows of 2s gave averages of trace 6 at n = 2, rows of -1 a negative
+        # eigenvalue and rows of 0.5 the zero matrix.
+        ens = sample_ensemble(R, 2, 50, SeedStream(58))
+        rows = np.ones((3, 50))
+        rows[1, 7] = value
+        with pytest.raises(InvalidInput, match="0 or 1"):
+            average_stack(ens, rows)
+
+    def test_average_stack_takes_bool_rows(self):
+        ens = sample_ensemble(R, 2, 50, SeedStream(58))
+        rows = np.random.default_rng(59).integers(0, 2, size=(3, 50), dtype=np.uint8)
+        assert np.array_equal(average_stack(ens, rows.astype(bool)), average_stack(ens, rows))
+
     @pytest.mark.parametrize("field", [R, C])
     def test_finalize_stack_is_bitwise_the_single_calls(self, field):
         rng = np.random.default_rng(60)

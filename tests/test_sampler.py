@@ -325,6 +325,13 @@ class TestSampleEnsemble:
         for j in range(10):
             assert np.max(np.abs(top[j] - ens.matrix(j)[:2, :2])) <= 1e-12
 
+    @pytest.mark.parametrize("size", [0, -1, 7])
+    def test_compression_refuses_a_size_outside_the_space(self, size):
+        # At n = 2, size 7 gave 4 x 4 blocks and size 0 empty ones.
+        ens = sample_ensemble(R, 2, 5, SeedStream(12))
+        with pytest.raises(InvalidInput, match="size"):
+            ens.compression(size)
+
 
 class TestTraceDistribution:
     def test_beta_moments_real_n8(self):

@@ -9,6 +9,8 @@ tests check them against the public kernels on the materialized ensemble
 `trace_table`, `average_stack`) at m = 2 * 8192 + 17, so a pass crosses two
 block boundaries and ends on a partial block, and check that a unit's
 memory, and that of the diagnostics that stream, does not grow with m.
+`trace_table` on a held ensemble and the streamed traces are one kernel,
+`measurement._block_traces`, so their traces agree bit for bit.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ import pytest
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection, UnitVector
 from bitretrieve.experiments import (
     _check_eigenvalue_pairs,
+    _slice_tables,
     _streamed_averages,
     _streamed_disagreements,
     _streamed_stack_averages,
@@ -26,7 +29,7 @@ from bitretrieve.experiments import (
     run_pointwise,
     run_uniform,
 )
-from bitretrieve.measurement import _answers, corrupt_bits, measure, trace_table
+from bitretrieve.measurement import _answers, _block_traces, corrupt_bits, measure, trace_table
 from bitretrieve.recovery import average_stack, empirical_average
 from bitretrieve.sampler import (
     _CHUNK,
@@ -256,6 +259,18 @@ def test_streamed_disagreements_match_the_materialized_bits(field):
     expected = np.count_nonzero(_answers(trace_table(ens, a)) != _answers(trace_table(ens, b)), axis=1)
     blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
     assert np.array_equal(_streamed_disagreements(field, blocks, a, b), expected)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_trace_table_rows_are_the_streamed_traces(field):
+    # 300 signals end on a partial 128-signal block.
+    signals = signal_stack(field)[:300]
+    ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
+    streamed = np.empty((len(signals), M))
+    tables = _slice_tables(field, 2 * N, _frame_blocks(field, N, M, ENSEMBLE_STREAM))
+    for start, rows, table, (traces,) in _block_traces(field, tables, signals):
+        streamed[rows, start : start + len(table)] = traces
+    assert np.array_equal(trace_table(ens, signals), streamed)
 
 
 def uniform_peak(m: int) -> int:
