@@ -25,9 +25,14 @@ slice, with the stacked averages summed slice by slice as a real GEMM over
 them, and every recovery scored from the strided top eigenvector columns of
 one batched eigensolve (that moved the last bits of 20 error cells of the
 real pointwise and noise configs, by at most 1.25e-14, and no qdev,
-degenerate flag, flipped position or answer bit). The Gaussian streams
-depend on the numpy version and the reductions on the BLAS build and its
-thread count (a GEMM split over threads sums in another order), so
+degenerate flag, flipped position or answer bit), and every product of
+signal rows against a table taken in whole 128-signal blocks, the last one
+padded with zero rows (that moved the last bits of 86 of the 88 rows of
+`uniform-real-block`'s partial last block, errors by at most 1.2e-13 and
+qdev by 1.2e-16, and no flag, disagreement count or running maximum). The
+Gaussian streams depend on the numpy version and the reductions on the BLAS
+build and its thread count (a GEMM split over threads sums in another
+order), so
 `run_experiment` and `run_diagnostics` hold numpy's bundled OpenBLAS at one
 thread, `tests/conftest.py` pins the BLAS to one thread too, and
 `test_digests_hold_at_two_blas_threads` runs a config whose bytes move at
@@ -67,6 +72,13 @@ CONFIGS = {
     "uniform-real-block": (
         "uniform", "--field", "real", "--n", "2", "--m-grid", "16401",
         "--inputs", "600", "--seed", "18",
+    ),
+    # inputs = 300 ends on a partial 128-signal block (44 rows); the rows of
+    # that block are those of a longer run only if every product is one
+    # whole-block shape.
+    "uniform-real-partial": (
+        "uniform", "--field", "real", "--n", "2", "--m-grid", "3000",
+        "--inputs", "300", "--seed", "7",
     ),
     "uniform-complex": (
         "uniform", "--field", "complex", "--n", "3", "--m-grid", "300,1200",
@@ -130,8 +142,13 @@ GOLDEN = {
     },
     "uniform-real-block": {
         ".bounds.csv": "cd038271980f164f6579e68b9c29f125f4535837f91e4ed30384d92169dfb308",
-        ".csv": "3f7e3bb1898e35b0c099cb26111323a9dfab100ec7bb31e287c7858bfddb4b0a",
+        ".csv": "c9417a8fb07487a795d2f50066f27059e656c4be5d5ccad8bb9c0ba33e606fab",
         ".max.csv": "cae06e7594c7f0a561e1927621814f2c939306313d075f0a7a34f05feb68671b",
+    },
+    "uniform-real-partial": {
+        ".bounds.csv": "c88f4fb565bd570d5d2479d3c48d0796735baeb07064081c6a9f558743b5edf7",
+        ".csv": "0d384cd47f00ad2a310666261e9cb99ed74d3f1ba3b99e9d1e92365f6b51b066",
+        ".max.csv": "867999d3eeab221ee681bd9f173249cdf9403b97e92b6df8d18e4ab42772533a",
     },
 }
 
