@@ -604,10 +604,9 @@ def _streamed_averages(
 
 
 def _slice_tables(field: FieldKind, d: int, blocks):
-    """For each validated slice of one ensemble, as `sampler._frame_blocks`
-    yields them, yield (start, its packed table), dropping the slice first
-    and the table before the next slice is drawn; a slice from another
-    space than (field, d) raises InvalidInput."""
+    """For each validated slice of one ensemble from `sampler._frame_blocks`,
+    yield (start, its packed table), dropping the slice first and the table
+    before the next slice is drawn; one of another space raises InvalidInput."""
     space = SimpleNamespace(field=field, dim=d)
     for start, part in blocks:
         _check_same_space(part, space)

@@ -16,10 +16,10 @@ projection) and `soft_hamming` (a whole ensemble) is one elementwise
 kernel, `_t_separated`.
 
 Many signals against one ensemble meet its packed tables (see the sampler
-for the layout and the one product shape): a signal X, packed with its
-off-diagonal entries doubled, has tr(PX) as one real dot product, and one
-kernel, `_block_traces`, takes all of them for `trace_table` and for
-uniform mode's streamed passes alike.
+for the layout and the one product shape). tr(PX) meets each off-diagonal
+pair twice, so a signal packed with its off-diagonal entries doubled has
+tr(PX) as one real dot product; one kernel, `_block_traces`, takes all of
+them, for `trace_table` and uniform mode's streamed passes alike.
 """
 
 from __future__ import annotations
@@ -115,12 +115,11 @@ def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:
 
 
 def _block_traces(field: FieldKind, tables, *stacks: np.ndarray):
-    """For each (start, table) of one ensemble, the packed table of its
-    projections from `start` on, and each slice `rows` of _INPUT_BLOCK
-    signals, yield (start, rows, table, traces): per (N, d) stack, the
-    traces tr(P_j X_i) of its rows, from one whole-block product (see the
-    sampler). A table is dropped before the next is asked for, so a
-    consumer must drop what it was given before asking for more."""
+    """For each (start, packed table of the projections from start on) of
+    one ensemble and each slice `rows` of _INPUT_BLOCK signals, yield
+    (start, rows, table, traces): per (N, d) stack, the traces tr(P_j X_i)
+    of its rows from one whole-block product (see the sampler). A consumer
+    must drop what it was given before asking for more."""
     count = len(stacks[0])
     packed = [_packed_signals(field, stack) for stack in stacks]
     for start, table in tables:

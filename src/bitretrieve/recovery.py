@@ -130,8 +130,7 @@ def _diagonal(mats: np.ndarray) -> np.ndarray:
 
 
 def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
-    """Empirical averages for a stack of bit strings; (N, m) bits -> (N, d, d).
-    Every entry must be 0 or 1 (or a bool)."""
+    """Empirical averages for a stack of 0/1 bit strings; (N, m) -> (N, d, d)."""
     rows = np.asarray(bit_rows)
     if rows.ndim != 2 or rows.shape[1] != ens.m:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
@@ -151,9 +150,10 @@ def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) 
     """acc += sum_j (2 bit_rows[:, j] - 1) table[j] for (N, count) bits and a
     slice's (count, w) packed table, into an (N, w) float64 sum: one
     whole-block product per _INPUT_BLOCK rows (see the sampler)."""
-    signs = np.zeros((_INPUT_BLOCK, len(table)))
+    signs = np.empty((_INPUT_BLOCK, len(table)))
     for first in range(0, len(bit_rows), _INPUT_BLOCK):
         bits = bit_rows[first : first + _INPUT_BLOCK]
+        signs[len(bits) :] = 0.0
         np.multiply(bits, 2.0, out=signs[: len(bits)])
         signs[: len(bits)] -= 1.0
         acc[first : first + len(bits)] += (table.T @ signs.T).T[: len(bits)]
