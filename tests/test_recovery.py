@@ -116,8 +116,8 @@ class TestEmpiricalAverage:
 
     @pytest.mark.parametrize("value", [2, -1, 0.5])
     def test_average_stack_refuses_entries_other_than_bits(self, value):
-        # Rows of 2s gave averages of trace 6 at n = 2, rows of -1 a negative
-        # eigenvalue and rows of 0.5 the zero matrix.
+        # Unchecked, rows of 2s would average to trace 6 at n = 2, rows of -1
+        # to a negative eigenvalue and rows of 0.5 to the zero matrix.
         ens = sample_ensemble(R, 2, 50, SeedStream(58))
         rows = np.ones((3, 50))
         rows[1, 7] = value

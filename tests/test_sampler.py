@@ -327,7 +327,8 @@ class TestSampleEnsemble:
 
     @pytest.mark.parametrize("size", [0, -1, 7])
     def test_compression_refuses_a_size_outside_the_space(self, size):
-        # At n = 2, size 7 gave 4 x 4 blocks and size 0 empty ones.
+        # Slicing alone would return 4 x 4 blocks for size 7 at n = 2 and
+        # empty ones for size 0.
         ens = sample_ensemble(R, 2, 5, SeedStream(12))
         with pytest.raises(InvalidInput, match="size"):
             ens.compression(size)
