@@ -218,11 +218,12 @@ class BitString:
     __slots__ = ("bits",)
 
     def __init__(self, bits) -> None:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1:
             raise InvalidInput("BitString: expected a 1-d bit sequence")
-        if arr.size and int(arr.max()) > 1:
+        if not np.all((arr == 0) | (arr == 1)):
             raise InvalidInput("BitString: entries must be 0 or 1")
+        arr = arr.astype(np.uint8, copy=False)
         arr.setflags(write=False)
         self.bits = arr
 

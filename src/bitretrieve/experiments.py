@@ -5,35 +5,19 @@ Experiments
 pointwise    one fixed signal, fresh ensembles per (trial, m); records the
              recovery error and the deviation of the empirical average from
              its expectation, plus the inverted fixed-signal accuracy bound
-             as an auxiliary table. Each (trial, m) ensemble is streamed
-             slice by slice into one d x d accumulator and never held whole,
-             so a unit holds one slice's working set, whatever m is, and
-             its average is that of the materialized ensemble bit for bit.
+             as an auxiliary table.
 uniform      one ensemble per m, many random signals recovered against it;
-             records per-signal errors, the running maximum, and the
-             inverted uniform accuracy bound. Both passes stream the blocks
-             [0, m, b] slice by slice against packed tables (see the
-             sampler). Pass 1 adds the +-1 signs into one (inputs, w) sum
-             and scores each signal block of it by one batched eigensolve;
-             pass 2 replays the same blocks and counts where the estimates'
-             answers differ from the signals'. Memory is O(inputs w), plus
-             one slice and one signal block, whatever m is.
+             records per-signal errors and Hamming gaps, the running
+             maximum, and the inverted uniform accuracy bound.
 noise        the pointwise protocol plus a corruption stage: after the
-             clean recovery, a fraction of the measurement bits is flipped
-             (uniformly at random or greedily) and the signal recovered
-             again; records clean and noisy errors against the robustness
-             bound. The flipped set F is the one `corrupt_bits` picks on the
-             materialized ensemble: random mode draws it from the same flip
-             stream [t, m, m] with the same call before the pass, and greedy
-             mode keeps a running top floor(tau m) by damage during it,
-             holding only the frames that may still be flipped. The noisy
-             average is a sparse update of the clean one: acc - 2 sum_F s_j
-             P_j and zeros + sum_F s_j, s_j = 2 b_j - 1, in index order.
+             clean recovery, the floor(tau m) measurement bits that
+             `corrupt_bits` picks (uniformly at random or greedily) are
+             flipped and the signal recovered again; records clean and
+             noisy errors against the robustness bound.
 diagnostics  distributional spot checks (trace law, expected-average
              eigenstructure, Hamming-vs-operator-norm margin, separation
              probability, eigenvalue-pair density fit, soft-distance
-             sandwich), each streaming its ensembles slice by slice;
-             nonzero exit on any failure.
+             sandwich); nonzero exit on any failure.
 theory       prints the closed-form constants and sample-size bounds.
 
 Seed-path layout: each path is the spawn key of a numpy SeedSequence under
@@ -45,10 +29,8 @@ bit-corruption subset, drawn from [t, m, m]). The uniform protocol draws
 the ensemble for size m from [0, m] and signal i from [1, i]. Records for
 trial t therefore depend only on per-trial streams plus the shared signal,
 so prefixes of a run are stable when `trials` or `inputs` grow; a uniform
-row does not depend on the signals after it either, as every product of
-signal rows is one whole-block shape, the last block padded with zero rows
-(see the sampler). Every ensemble is read, and replayed, through the
-validated slices of `sampler._frame_blocks`.
+row does not depend on the signals after it either (see the sampler's
+signal blocks).
 
 `run_experiment` and `run_diagnostics` hold numpy's bundled OpenBLAS at one
 thread for the run and then restore the caller's count, so the bytes do not
@@ -76,49 +58,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter, index
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (
-    FieldKind,
-    HermitianMatrix,
-    InvalidInput,
-    RankOneProjection,
-    UnitVector,
-    _check_same_space,
-    _hermitian_opnorm,
-    _vector_distance,
-    rank_one_distance,
-)
-from .measurement import (
-    _answers,
-    _block_traces,
-    _damage,
-    _flip_count,
-    _most_damaging,
-    _random_flips,
-    soft_hamming,
-    trace_values,
-)
-from .recovery import (
-    DEGENERACY_TOL,
-    _accumulate_signed,
-    _accumulate_table,
-    _expected_averages,
-    _finalize_average,
-    principal_eigenpairs,
-)
-from .sampler import (
-    _INPUT_BLOCK,
-    _TRACE_SLICE,
-    SeedStream,
-    _frame_blocks,
-    _pack_frames,
-    _packed_width,
-    _unpack_hermitian,
-    sample_unit_vector,
-)
+from .core import FieldKind, InvalidInput, RankOneProjection, UnitVector, rank_one_distance
+from .measurement import _streamed_disagreements, soft_hamming, trace_values
+from .recovery import _scores, _streamed_averages, _streamed_stack_averages
+from .sampler import SeedStream, _frame_blocks, sample_unit_vector
 from .theory import (
     TheoryConstants,
     eigen_density,
@@ -511,170 +457,13 @@ def _bounds_table(cfg: ExperimentConfig, level) -> AuxTable:
 # Experiment runners
 
 
-def _streamed_averages(
-    m: int,
-    blocks,
-    x: RankOneProjection,
-    flip_mode: str | None = None,
-    tau: float = 0.0,
-    flip_stream: SeedStream | None = None,
-) -> tuple[HermitianMatrix, HermitianMatrix, np.ndarray]:
-    """The clean and the corrupted empirical average of one ensemble of m
-    elements, in one pass over its slices.
-
-    `blocks` yields (start, part) in order, as `sampler._frame_blocks`
-    does, each part a validated slice in the space of x. Each is measured
-    against x, added into one signed accumulator and dropped. With a flip
-    mode, the positions `corrupt_bits(bits, tau, flip_mode, flip_stream,
-    (ensemble, x))` would flip are chosen on the way (see the module
-    docstring) and only their frames are kept. Returns the clean average,
-    the corrupted one (the clean one when nothing is flipped) and the
-    flipped positions in increasing order.
-    """
-    field, d = x.field, x.dim
-    acc = np.zeros((d, d), dtype=field.dtype)
-    ones = 0
-    flips = _flip_count(tau, m) if flip_mode is not None else 0
-    greedy = flips > 0 and flip_mode == "greedy"
-    # The flip candidates in position order: their positions, damages and
-    # bits, and the row of each one's frame in a preallocated store. Random
-    # mode's candidates are its drawn positions, final from the start. Greedy
-    # mode appends every damage above `cut`, the least one the last pruning
-    # kept, and prunes to the `flips` most damaging only when a slice might
-    # not fit in the store's spare rows, so its cost per projection does not
-    # grow with flips. Ties go to the lower position and the cut only rises,
-    # so a damage at or below it can never be flipped.
-    capacity = flips + _TRACE_SLICE if greedy else flips
-    store = np.empty((capacity, d // 2, d), dtype=field.dtype)
-    kept_bits, damages = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
-    slots, free = np.arange(capacity), np.arange(capacity)
-    count, cut = 0, -1.0
-    if greedy:
-        positions = np.empty(capacity, dtype=np.intp)
-    elif flips:
-        positions = np.sort(_random_flips(m, flips, flip_stream))
-
-    def prune():
-        nonlocal count, cut, free
-        keep = _most_damaging(damages[:count], flips)
-        free = np.concatenate([slots[:count][~keep], free])
-        for column in (positions, damages, kept_bits, slots):
-            column[:flips] = column[:count][keep]
-        count, cut = flips, float(damages[:flips].min())
-
-    for start, part in blocks:
-        traces = trace_values(part, x)
-        bits = _answers(traces)
-        _accumulate_signed(acc, part.frames, bits)
-        ones += int(bits.sum())
-        if greedy:
-            damage = _damage(traces)
-            new = np.flatnonzero(damage > cut)
-            if count + len(new) > capacity:
-                prune()
-                new = new[damage[new] > cut]
-            end = count + len(new)
-            slots[count:end], free = free[: len(new)], free[len(new) :]
-            positions[count:end] = start + new
-            damages[count:end] = damage[new]
-            kept_bits[count:end] = bits[new]
-            store[slots[count:end]] = part.frames[new]
-            count = end
-        elif flips:
-            rows = slice(*np.searchsorted(positions, (start, start + part.m)))
-            store[rows] = part.frames[positions[rows] - start]
-            kept_bits[rows] = bits[positions[rows] - start]
-        # drop the slice now, or it stays alive through the next one's draw
-        del part, traces, bits
-    zeros = m - ones
-    clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
-    if not flips:
-        return clean, clean, np.empty(0, dtype=np.intp)
-    if count > flips:
-        prune()
-    kept_bits = kept_bits[:flips]
-    flipped = np.zeros_like(acc)
-    for first in range(0, flips, _TRACE_SLICE):
-        # one chunk of the store at a time, or the gather copies every frame
-        rows = slice(first, first + _TRACE_SLICE)
-        _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
-    sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
-    noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
-    return clean, noisy, positions[:flips]
-
-
-def _slice_tables(field: FieldKind, d: int, blocks):
-    """For each validated slice of one ensemble from `sampler._frame_blocks`,
-    yield (start, its packed table), dropping the slice first and the table
-    before the next slice is drawn; one of another space raises InvalidInput."""
-    space = SimpleNamespace(field=field, dim=d)
-    for start, part in blocks:
-        _check_same_space(part, space)
-        table = _pack_frames(field, part.frames)
-        del part
-        yield start, table
-        del table
-
-
-def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray):
-    """The empirical averages of an (N, d) stack of signals' answers against
-    one ensemble of m elements: one pass adds the signs into (N, w) packed
-    sums, then yields (rows, their averages) for each slice `rows` of
-    _INPUT_BLOCK signals. Traces and signs take the products of
-    `trace_table` and `average_stack`, and each average is finished on its
-    own, so the averages are the materialized ensemble's, bit for bit."""
-    d = signals.shape[1]
-    acc = np.zeros((len(signals), _packed_width(field, d)))
-    ones = np.zeros(len(signals), dtype=np.intp)
-    tables = _slice_tables(field, d, blocks)
-    for _, rows, table, (traces,) in _block_traces(field, tables, signals):
-        bits = _answers(traces)
-        ones[rows] += np.count_nonzero(bits, axis=1)
-        _accumulate_table(acc[rows], table, bits)
-        del table, traces, bits
-    for first in range(0, len(signals), _INPUT_BLOCK):
-        rows = slice(first, first + _INPUT_BLOCK)
-        yield rows, _finalize_average(_unpack_hermitian(field, acc[rows], d), m - ones[rows], m)
-
-
-def _streamed_disagreements(field: FieldKind, blocks, a: np.ndarray, b: np.ndarray):
-    """For two (N, 2n) stacks of unit vectors, the number of ensemble
-    elements whose questions answer a_i and b_i differently, in one pass
-    over the ensemble's blocks."""
-    counts = np.zeros(len(a), dtype=np.intp)
-    tables = _slice_tables(field, a.shape[1], blocks)
-    for _, rows, table, (traces_a, traces_b) in _block_traces(field, tables, a, b):
-        counts[rows] += np.count_nonzero(_answers(traces_a) != _answers(traces_b), axis=1)
-        del table, traces_a, traces_b
-    return counts
-
-
-def _scores(qhats: np.ndarray, signals: np.ndarray, consts: TheoryConstants):
-    """One batched eigensolve recovers an estimate from each of a stack of
-    averages, its strided top eigenvector column used as it is; (N, d, d),
-    (N, d) -> the (N, d) estimates and per row (error, qdev, degenerate):
-    the operator-norm distance to the signal, ||Q_i - (mu1 X_i + mu2 (I -
-    X_i))||, and whether the top eigenvalue's margin is below DEGENERACY_TOL."""
-    _, estimates, margins = principal_eigenpairs(qhats)
-    expected = _expected_averages(signals, consts.mu1, consts.mu2)
-    qdevs = _hermitian_opnorm(np.subtract(qhats, expected, out=expected))
-    scores = [
-        (_vector_distance(signal, estimate), float(qdev), bool(margin < DEGENERACY_TOL))
-        for signal, estimate, qdev, margin in zip(signals, estimates, qdevs, margins)
-    ]
-    return estimates, scores
-
-
 def _run_fixed_signal(
     cfg: ExperimentConfig, consts: TheoryConstants, threads: int
 ) -> list[tuple[TrialRecord, tuple]]:
-    """The pointwise pipeline, shared by the pointwise and noise protocols.
-
-    Each (trial, m) unit streams its ensemble through `_streamed_averages`
-    and scores its average, and for noise the corrupted one too, in one
-    `_scores` call. Returns, per unit in (trial, m) order, the record of
-    the last recovery and the clean (error, qdev).
-    """
+    """The pointwise pipeline, shared by the pointwise and noise protocols:
+    each (trial, m) unit scores its streamed average, and for noise the
+    corrupted one too, in one `_scores` call. Returns, per unit in (trial,
+    m) order, the record of the last recovery and the clean (error, qdev)."""
     root = SeedStream(cfg.master_seed)
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0)))
     noisy = cfg.experiment == "noise"
@@ -687,7 +476,8 @@ def _run_fixed_signal(
             m, blocks, x, mode, cfg.tau, root.child(t, m, m)
         )
         qhats = np.stack([clean_avg.matrix, noisy_avg.matrix] if noisy else [clean_avg.matrix])
-        _, scores = _scores(qhats, np.stack([x.vector.entries] * len(qhats)), consts)
+        signals = np.stack([x.vector.entries] * len(qhats))
+        _, scores = _scores(qhats, signals, consts.mu1, consts.mu2)
         path = f"ens={t}/{m};x=0" + (f";flip={t}/{m}/{m}" if noisy else "")
         error, qdev, degenerate = scores[-1]
         return TrialRecord(t, m, error, qdev, None, degenerate, path), scores[0][:2]
@@ -722,7 +512,7 @@ def run_uniform(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
         estimates, scores = np.empty_like(signals), []
         for rows, qhats in _streamed_stack_averages(cfg.field, m, blocks(), signals):
-            block_estimates, block_scores = _scores(qhats, signals[rows], consts)
+            block_estimates, block_scores = _scores(qhats, signals[rows], consts.mu1, consts.mu2)
             estimates[rows] = block_estimates  # copied after _scores read the strided view
             scores += block_scores
             # drop the averages and the eigenvector stack before the next block and pass 2

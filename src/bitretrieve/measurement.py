@@ -19,16 +19,18 @@ Many signals against one ensemble meet its packed tables (see the sampler
 for the layout and the one product shape). tr(PX) meets each off-diagonal
 pair twice, so a signal packed with its off-diagonal entries doubled has
 tr(PX) as one real dot product; one kernel, `_block_traces`, takes all of
-them, for `trace_table` and uniform mode's streamed passes alike.
+them, for `trace_table` and for the streamed passes over `_slice_tables`.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (
+    NORMALIZATION_TOL,
     BitString,
     FieldKind,
     InvalidInput,
@@ -81,14 +83,18 @@ def trace_values(ens: MeasurementEnsemble, x: RankOneProjection) -> np.ndarray:
 
 
 def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
-    """tr(P_j X_i) for a stack of unit vectors, as an (N, m) array.
-
-    `vectors` has shape (N, 2n); row i is the representative of X_i. One
-    `_block_traces` pass over the tables of the ensemble's slices.
-    """
+    """tr(P_j X_i) for a stack of unit vectors, as an (N, m) array; row i of
+    the (N, 2n) `vectors` is the representative of X_i, and a row that is
+    not finite with norm within NORMALIZATION_TOL of 1 raises InvalidInput.
+    One `_block_traces` pass over the tables of the ensemble's slices; a
+    call pays for whole _INPUT_BLOCK-row products however few rows it
+    passes, so callers should batch their rows."""
     vecs = np.asarray(vectors, dtype=ens.field.dtype)
     if vecs.ndim != 2 or vecs.shape[1] != ens.dim:
         raise InvalidInput(f"trace_table: expected shape (N, {ens.dim}), got {vecs.shape}")
+    off = ~(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= NORMALIZATION_TOL)
+    if off.any():
+        raise InvalidInput(f"trace_table: row {np.argmax(off)} is not a finite unit vector")
     tables = (
         (start, _pack_frames(ens.field, ens.frames[start : start + _TRACE_SLICE]))
         for start in range(0, ens.m, _TRACE_SLICE)
@@ -128,6 +134,31 @@ def _block_traces(field: FieldKind, tables, *stacks: np.ndarray):
             whole = slice(first, first + _INPUT_BLOCK)
             yield start, rows, table, [(s[whole] @ table.T)[: rows.stop - first] for s in packed]
         del table
+
+
+def _slice_tables(field: FieldKind, d: int, blocks):
+    """For each validated slice of one ensemble from `sampler._frame_blocks`,
+    yield (start, its packed table), dropping the slice first and the table
+    before the next slice is drawn; one of another space raises InvalidInput."""
+    space = SimpleNamespace(field=field, dim=d)
+    for start, part in blocks:
+        _check_same_space(part, space)
+        table = _pack_frames(field, part.frames)
+        del part
+        yield start, table
+        del table
+
+
+def _streamed_disagreements(field: FieldKind, blocks, a: np.ndarray, b: np.ndarray):
+    """For two (N, 2n) stacks of unit vectors, the number of ensemble
+    elements whose questions answer a_i and b_i differently, in one pass
+    over the ensemble's blocks."""
+    counts = np.zeros(len(a), dtype=np.intp)
+    tables = _slice_tables(field, a.shape[1], blocks)
+    for _, rows, table, (traces_a, traces_b) in _block_traces(field, tables, a, b):
+        counts[rows] += np.count_nonzero(_answers(traces_a) != _answers(traces_b), axis=1)
+        del table, traces_a, traces_b
+    return counts
 
 
 def binary_question(p: OrthogonalProjection, x: RankOneProjection) -> int:

@@ -8,17 +8,16 @@ with tr(Y) <= 1 is solved exactly by the projection onto that
 eigenspace, so the semidefinite program reduces to one dense
 eigendecomposition.
 
-Averages are accumulated one slice of projections at a time (see the
-sampler), in a fixed order, so an ensemble streamed slice by slice gives
-the bytes of the held one under any scheduling. One bit string is summed
-by `_accumulate_signed`, one GEMM per slice, and a stack of bit strings by
-`_accumulate_table`, a real product of +-1 signs against a slice's packed
-table into (N, w) sums unpacked to d x d at the end, for `average_stack`
-and the uniform runner alike. Every average is finished by
-`_finalize_average` and every expectation mu1 X + mu2 (I - X) formed by
-`_expected_averages`; both work in place with the IEEE operations of the
-whole-stack expressions (only the operands of commutative adds swapped),
-so the bytes are theirs.
+Averages are accumulated one slice of projections at a time, in a fixed
+order (see the sampler). One bit string is summed by `_accumulate_signed`,
+one GEMM per slice, for `empirical_average` and `_streamed_averages`; a
+stack of bit strings by `_accumulate_table`, a real product of +-1 signs
+against a slice's packed table into (N, w) sums unpacked to d x d at the
+end, for `average_stack` and `_streamed_stack_averages`. Every average
+is finished by `_finalize_average` and every expectation mu1 X + mu2
+(I - X) formed by `_expected_averages`; both work in place with the IEEE
+operations of the whole-stack expressions (only the operands of
+commutative adds swapped), so the bytes are theirs.
 """
 
 from __future__ import annotations
@@ -30,16 +29,30 @@ import numpy as np
 
 from .core import (
     BitString,
+    FieldKind,
     HermitianMatrix,
     InvalidInput,
     OrthogonalProjection,
     RankOneProjection,
     UnitVector,
+    _hermitian_opnorm,
+    _vector_distance,
+)
+from .measurement import (
+    _answers,
+    _block_traces,
+    _damage,
+    _flip_count,
+    _most_damaging,
+    _random_flips,
+    _slice_tables,
+    trace_values,
 )
 from .sampler import (
     _INPUT_BLOCK,
     _TRACE_SLICE,
     MeasurementEnsemble,
+    SeedStream,
     _pack_frames,
     _packed_width,
     _unpack_hermitian,
@@ -130,7 +143,9 @@ def _diagonal(mats: np.ndarray) -> np.ndarray:
 
 
 def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
-    """Empirical averages for a stack of 0/1 bit strings; (N, m) -> (N, d, d)."""
+    """Empirical averages for a stack of 0/1 bit strings; (N, m) -> (N, d, d).
+    A call pays for whole _INPUT_BLOCK-row products however few rows it
+    passes, so callers should batch their rows."""
     rows = np.asarray(bit_rows)
     if rows.ndim != 2 or rows.shape[1] != ens.m:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
@@ -157,6 +172,117 @@ def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) 
         np.multiply(bits, 2.0, out=signs[: len(bits)])
         signs[: len(bits)] -= 1.0
         acc[first : first + len(bits)] += (table.T @ signs.T).T[: len(bits)]
+
+
+def _streamed_averages(
+    m: int,
+    blocks,
+    x: RankOneProjection,
+    flip_mode: str | None = None,
+    tau: float = 0.0,
+    flip_stream: SeedStream | None = None,
+) -> tuple[HermitianMatrix, HermitianMatrix, np.ndarray]:
+    """The clean and the corrupted empirical average of one ensemble of m
+    elements, in one pass over its slices. `blocks` yields (start, part) in
+    order, as `sampler._frame_blocks` does, each part a validated slice in
+    the space of x. Each is measured against x, added into one signed
+    accumulator and dropped, so the pass holds one slice whatever m is.
+
+    With a flip mode, the set F that `corrupt_bits(bits, tau, flip_mode,
+    flip_stream, (ensemble, x))` would flip is chosen on the way, keeping
+    only its candidates' frames, and the noisy average is a sparse update
+    of the clean one: acc - 2 sum_F s_j P_j and zeros + sum_F s_j, s_j =
+    2 b_j - 1, in index order. Returns the clean average, the corrupted one
+    (the clean one when nothing is flipped) and F in increasing order.
+    """
+    field, d = x.field, x.dim
+    acc = np.zeros((d, d), dtype=field.dtype)
+    ones = 0
+    flips = _flip_count(tau, m) if flip_mode is not None else 0
+    # The flip candidates in position order: positions, scores, bits, and
+    # each one's row in a preallocated frame store. A slice appends every
+    # score above `cut`, the least one the last pruning kept; the store is
+    # pruned to the `flips` highest only when a slice might not fit, so the
+    # cost per projection does not grow with flips. Ties go to the lower
+    # position and the cut only rises, so a score at or below it is never
+    # flipped. Greedy scores by damage, with a slice of spare rows; random
+    # scores 1 on the F corrupt_bits draws, from a cut of 0, and never prunes.
+    drawn = np.sort(_random_flips(m, flips, flip_stream)) if flip_mode == "random" else None
+    capacity = flips + _TRACE_SLICE if flips and drawn is None else flips
+    store = np.empty((capacity, d // 2, d), dtype=field.dtype)
+    kept_bits, scores = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
+    slots, free = np.arange(capacity), np.arange(capacity)
+    positions = np.empty(capacity, dtype=np.intp)
+    count, cut = 0, -1.0 if drawn is None else 0.0
+
+    def prune():
+        nonlocal count, cut, free
+        keep = _most_damaging(scores[:count], flips)
+        free = np.concatenate([slots[:count][~keep], free])
+        for column in (positions, scores, kept_bits, slots):
+            column[:flips] = column[:count][keep]
+        count, cut = flips, float(scores[:flips].min())
+
+    for start, part in blocks:
+        traces = trace_values(part, x)
+        bits = _answers(traces)
+        _accumulate_signed(acc, part.frames, bits)
+        ones += int(bits.sum())
+        if flips:
+            if drawn is None:
+                score = _damage(traces)
+            else:
+                score = np.diff(np.searchsorted(drawn, np.arange(start, start + part.m + 1)))
+            new = np.flatnonzero(score > cut)
+            if count + len(new) > capacity:
+                prune()
+                new = new[score[new] > cut]
+            end = count + len(new)
+            slots[count:end], free = free[: len(new)], free[len(new) :]
+            positions[count:end] = start + new
+            scores[count:end] = score[new]
+            kept_bits[count:end] = bits[new]
+            store[slots[count:end]] = part.frames[new]
+            count = end
+        # drop the slice now, or it stays alive through the next one's draw
+        del part, traces, bits
+    zeros = m - ones
+    clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
+    if not flips:
+        return clean, clean, np.empty(0, dtype=np.intp)
+    if count > flips:
+        prune()
+    kept_bits = kept_bits[:flips]
+    flipped = np.zeros_like(acc)
+    for first in range(0, flips, _TRACE_SLICE):
+        # one chunk of the store at a time, or the gather copies every frame
+        rows = slice(first, first + _TRACE_SLICE)
+        _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
+    sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
+    noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
+    return clean, noisy, positions[:flips]
+
+
+def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray):
+    """The empirical averages of an (N, d) stack of signals' answers against
+    one ensemble of m elements: one pass adds the signs into (N, w) packed
+    sums, then yields (rows, their averages) for each slice `rows` of
+    _INPUT_BLOCK signals. Traces and signs take the products of
+    `trace_table` and `average_stack`, and each average is finished on its
+    own, so the averages are theirs. Memory is O(N w), plus one slice and
+    one signal block, whatever m is."""
+    d = signals.shape[1]
+    acc = np.zeros((len(signals), _packed_width(field, d)))
+    ones = np.zeros(len(signals), dtype=np.intp)
+    tables = _slice_tables(field, d, blocks)
+    for _, rows, table, (traces,) in _block_traces(field, tables, signals):
+        bits = _answers(traces)
+        ones[rows] += np.count_nonzero(bits, axis=1)
+        _accumulate_table(acc[rows], table, bits)
+        del table, traces, bits
+    for first in range(0, len(signals), _INPUT_BLOCK):
+        rows = slice(first, first + _INPUT_BLOCK)
+        yield rows, _finalize_average(_unpack_hermitian(field, acc[rows], d), m - ones[rows], m)
 
 
 def principal_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,6 +334,22 @@ def pep_recover(ens: MeasurementEnsemble, bits: BitString) -> RecoveryResult:
     spectral margin is positive the maximizer is unique.
     """
     return recover_from_average(empirical_average(ens, bits))
+
+
+def _scores(qhats: np.ndarray, signals: np.ndarray, mu1: float, mu2: float):
+    """One batched eigensolve recovers an estimate from each of a stack of
+    averages, its strided top eigenvector column used as it is; (N, d, d),
+    (N, d) -> the (N, d) estimates and per row (error, qdev, degenerate):
+    the operator-norm distance to the signal, ||Q_i - (mu1 X_i + mu2 (I -
+    X_i))||, and whether the top eigenvalue's margin is below DEGENERACY_TOL."""
+    _, estimates, margins = principal_eigenpairs(qhats)
+    expected = _expected_averages(signals, mu1, mu2)
+    qdevs = _hermitian_opnorm(np.subtract(qhats, expected, out=expected))
+    scores = [
+        (_vector_distance(signal, estimate), float(qdev), bool(margin < DEGENERACY_TOL))
+        for signal, estimate, qdev, margin in zip(signals, estimates, qdevs, margins)
+    ]
+    return estimates, scores
 
 
 def expected_average(x: RankOneProjection, mu1: float, mu2: float) -> HermitianMatrix:

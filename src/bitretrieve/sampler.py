@@ -35,9 +35,7 @@ gives the sums of the materialized one, bit for bit.
 The stacked kernels (many signals or bit strings against one ensemble)
 run on one packed table per slice, whose row j holds the unique real
 entries of P_j, formed by `_pack_frames` from F^H F over the QR's
-sub-batches: over R the d(d+1)/2 upper-triangle entries row by row, over
-C the d real diagonal entries, then the real and the imaginary parts of
-the strict upper triangle. `_packed_index` alone states that layout, and
+sub-batches. `_packed_index` alone states that layout, and
 `_pack_hermitian` and `_unpack_hermitian` map any Hermitian stack to and
 from it. Rows of signals or of bits meet a table _INPUT_BLOCK = 128 at a
 time, in products of one shape, (_INPUT_BLOCK, w) x (w, slice), whatever

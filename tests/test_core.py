@@ -239,6 +239,15 @@ class TestBitString:
         with pytest.raises(InvalidInput):
             BitString([0, 2, 1])
 
+    @pytest.mark.parametrize("bits", [[0.5, 1.7], np.array([0.9]), [-1], [0.0, np.nan]])
+    def test_rejects_entries_other_than_zero_and_one(self, bits):
+        # a uint8 cast would truncate 0.5 to 0 and overflow on -1
+        with pytest.raises(InvalidInput):
+            BitString(bits)
+
+    def test_accepts_bools(self):
+        assert BitString(np.array([True, False])) == BitString([1, 0])
+
     def test_rejects_bad_text(self):
         with pytest.raises(InvalidInput):
             BitString.from_text("01x0\n")

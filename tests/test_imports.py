@@ -1,6 +1,7 @@
 """Every module-level import in the library's modules is used there,
-every private module-level name is used somewhere in the library, and
-every function reads each of its parameters.
+every private module-level name is used somewhere in the library, every
+function reads each of its parameters, and only the kernel modules read
+the slice, block and packed-table layout.
 
 No linter runs on the source tree, so this catches the dead imports, the
 orphaned private helpers and the unread parameters a deletion leaves behind. `__init__.py` is
@@ -95,3 +96,29 @@ def unread_parameters(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+# The slice, block and packed-table layout and the accumulators that know it:
+# only the modules that own the kernels may read them.
+KERNEL_MODULES = ("sampler.py", "measurement.py", "recovery.py")
+OTHER_MODULES = [p for p in sorted(SRC.glob("*.py")) if p.name not in KERNEL_MODULES]
+LAYOUT_NAMES = {
+    "_TRACE_SLICE",
+    "_INPUT_BLOCK",
+    "_CHUNK",
+    "_SUB_BATCH_BYTES",
+    "_pack_frames",
+    "_pack_hermitian",
+    "_packed_width",
+    "_unpack_hermitian",
+    "_accumulate_signed",
+    "_accumulate_table",
+    "_finalize_average",
+}
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: p.name)
+def test_only_the_kernel_modules_read_the_layout(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert (uses(tree) | attributes) & LAYOUT_NAMES == set()

@@ -24,11 +24,11 @@ from bitretrieve.core import (
     operator_norm,
     rank_one_distance,
 )
-from bitretrieve.experiments import _scores
 from bitretrieve.measurement import _packed_signals, measure, trace_table, trace_value
 from bitretrieve.recovery import (
     _expected_averages,
     _finalize_average,
+    _scores,
     average_stack,
     empirical_average,
     expected_average,
@@ -145,7 +145,9 @@ def test_scores_match_the_scalar_recovery(data):
     x = RankOneProjection(sample_unit_vector(ens.field, ens.dim, SeedStream(seed, (1,))))
     qhat = empirical_average(ens, measure(ens, x))
     consts = theory_constants(ens.field, ens.n)
-    _, [(error, qdev, degenerate)] = _scores(qhat.matrix[None], x.vector.entries[None], consts)
+    _, [(error, qdev, degenerate)] = _scores(
+        qhat.matrix[None], x.vector.entries[None], consts.mu1, consts.mu2
+    )
     rec = recover_from_average(qhat)
     expected = expected_average(x, consts.mu1, consts.mu2).matrix
     assert degenerate == rec.degenerate

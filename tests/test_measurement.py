@@ -270,6 +270,14 @@ class TestTraceTable:
         with pytest.raises(InvalidInput):
             trace_table(ens, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("row", [[0.0] * 4, [3.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
+    def test_rejects_rows_that_are_not_unit_vectors(self, row):
+        # tr(P X) lies in [0, 1] only for a unit representative x
+        ens = sample_ensemble(R, 2, 50, SeedStream(45))
+        vectors = np.stack([sample_unit_vector(R, 4, SeedStream(46)).entries, row])
+        with pytest.raises(InvalidInput, match="row 1"):
+            trace_table(ens, vectors)
+
 
 class TestCorruptBits:
     def setup_method(self):

@@ -30,13 +30,23 @@ from bitretrieve.experiments import (
     EXPERIMENTS,
     FLIP_MODES,
     ExperimentConfig,
-    _streamed_averages,
-    _streamed_disagreements,
-    _streamed_stack_averages,
     load_config,
 )
-from bitretrieve.measurement import _answers, corrupt_bits, hamming_distance, measure, trace_table
-from bitretrieve.recovery import average_stack, empirical_average, pep_recover
+from bitretrieve.measurement import (
+    _answers,
+    _streamed_disagreements,
+    corrupt_bits,
+    hamming_distance,
+    measure,
+    trace_table,
+)
+from bitretrieve.recovery import (
+    _streamed_averages,
+    _streamed_stack_averages,
+    average_stack,
+    empirical_average,
+    pep_recover,
+)
 from bitretrieve.sampler import (
     _INPUT_BLOCK,
     SeedStream,

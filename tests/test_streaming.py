@@ -1,9 +1,9 @@
 """The streamed units against the materialized oracles.
 
-`experiments._streamed_averages` (the fixed-signal unit) and uniform mode's
-two passes, `_streamed_stack_averages` and `_streamed_disagreements`, walk
-an ensemble one 1024-projection slice at a time and never hold the whole
-ensemble. These
+`recovery._streamed_averages` (the fixed-signal unit) and uniform mode's
+two passes, `recovery._streamed_stack_averages` and
+`measurement._streamed_disagreements`, walk an ensemble one
+1024-projection slice at a time and never hold the whole ensemble. These
 tests check them against the public kernels on the materialized ensemble
 (`sample_ensemble`, `measure`, `empirical_average`, `corrupt_bits`,
 `trace_table`, `average_stack`) at m = 2 * 8192 + 17, so a pass crosses two
@@ -19,18 +19,22 @@ import numpy as np
 import pytest
 
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection, UnitVector
-from bitretrieve.experiments import (
-    _check_eigenvalue_pairs,
+from bitretrieve.experiments import _check_eigenvalue_pairs, load_config, run_pointwise, run_uniform
+from bitretrieve.measurement import (
+    _answers,
+    _block_traces,
     _slice_tables,
-    _streamed_averages,
     _streamed_disagreements,
-    _streamed_stack_averages,
-    load_config,
-    run_pointwise,
-    run_uniform,
+    corrupt_bits,
+    measure,
+    trace_table,
 )
-from bitretrieve.measurement import _answers, _block_traces, corrupt_bits, measure, trace_table
-from bitretrieve.recovery import average_stack, empirical_average
+from bitretrieve.recovery import (
+    _streamed_averages,
+    _streamed_stack_averages,
+    average_stack,
+    empirical_average,
+)
 from bitretrieve.sampler import (
     _CHUNK,
     _TRACE_SLICE,
