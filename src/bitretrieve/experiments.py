@@ -64,7 +64,7 @@ import numpy as np
 from .core import FieldKind, InvalidInput, RankOneProjection, UnitVector, rank_one_distance
 from .measurement import _streamed_disagreements, soft_hamming, trace_values
 from .recovery import _scores, _streamed_averages, _streamed_stack_averages
-from .sampler import SeedStream, _frame_blocks, sample_unit_vector
+from .sampler import SeedStream, _frame_blocks, sample_ensemble, sample_unit_vector
 from .theory import (
     TheoryConstants,
     eigen_density,
@@ -680,7 +680,7 @@ def _check_soft_sandwich(cfg: ExperimentConfig, root: SeedStream) -> CheckResult
     d = 2 * cfg.n
     worst = -1.0
     for i in range(instances):
-        [(_, ens)] = _frame_blocks(cfg.field, cfg.n, m, root.child(1, i))  # m < _TRACE_SLICE
+        ens = sample_ensemble(cfg.field, cfg.n, m, root.child(1, i))
         x0v = sample_unit_vector(cfg.field, d, root.child(0, i, 0))
         y0v = sample_unit_vector(cfg.field, d, root.child(0, i, 1))
         bump_x = sample_unit_vector(cfg.field, d, root.child(0, i, 2))

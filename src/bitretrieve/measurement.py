@@ -40,12 +40,12 @@ from .core import (
 )
 from .sampler import (
     _INPUT_BLOCK,
-    _TRACE_SLICE,
     MeasurementEnsemble,
     SeedStream,
     _pack_frames,
     _pack_hermitian,
     _packed_width,
+    _slices,
 )
 
 __all__ = [
@@ -95,10 +95,7 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
     off = ~(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= NORMALIZATION_TOL)
     if off.any():
         raise InvalidInput(f"trace_table: row {np.argmax(off)} is not a finite unit vector")
-    tables = (
-        (start, _pack_frames(ens.field, ens.frames[start : start + _TRACE_SLICE]))
-        for start in range(0, ens.m, _TRACE_SLICE)
-    )
+    tables = ((part.start, _pack_frames(ens.field, ens.frames[part])) for part in _slices(ens.m))
     out = np.empty((len(vecs), ens.m))
     for start, rows, table, (traces,) in _block_traces(ens.field, tables, vecs):
         out[rows, start : start + len(table)] = traces
@@ -112,11 +109,10 @@ def _packed_signals(field: FieldKind, vectors: np.ndarray) -> np.ndarray:
     block is packed as one (block, d, d) stack, so no (N, d, d) stack is made."""
     d = vectors.shape[1]
     out = np.zeros((-(-len(vectors) // _INPUT_BLOCK) * _INPUT_BLOCK, _packed_width(field, d)))
-    for first in range(0, len(vectors), _INPUT_BLOCK):
-        block = vectors[first : first + _INPUT_BLOCK]
-        signals = np.einsum("ia,ib->iab", block, block.conj())
+    for rows in _slices(len(vectors), _INPUT_BLOCK):
+        signals = np.einsum("ia,ib->iab", vectors[rows], vectors[rows].conj())
         signals *= 2.0 - np.eye(d)
-        out[first : first + len(block)] = _pack_hermitian(field, signals)
+        out[rows] = _pack_hermitian(field, signals)
     return out
 
 
@@ -126,13 +122,12 @@ def _block_traces(field: FieldKind, tables, *stacks: np.ndarray):
     (start, rows, table, traces): per (N, d) stack, the traces tr(P_j X_i)
     of its rows from one whole-block product (see the sampler). A consumer
     must drop what it was given before asking for more."""
-    count = len(stacks[0])
     packed = [_packed_signals(field, stack) for stack in stacks]
     for start, table in tables:
-        for first in range(0, count, _INPUT_BLOCK):
-            rows = slice(first, min(first + _INPUT_BLOCK, count))
-            whole = slice(first, first + _INPUT_BLOCK)
-            yield start, rows, table, [(s[whole] @ table.T)[: rows.stop - first] for s in packed]
+        for rows in _slices(len(stacks[0]), _INPUT_BLOCK):
+            whole = slice(rows.start, rows.start + _INPUT_BLOCK)
+            size = rows.stop - rows.start
+            yield start, rows, table, [(s[whole] @ table.T)[:size] for s in packed]
         del table
 
 

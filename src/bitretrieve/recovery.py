@@ -50,11 +50,11 @@ from .measurement import (
 )
 from .sampler import (
     _INPUT_BLOCK,
-    _TRACE_SLICE,
     MeasurementEnsemble,
     SeedStream,
     _pack_frames,
     _packed_width,
+    _slices,
     _unpack_hermitian,
 )
 
@@ -104,21 +104,18 @@ def empirical_average(ens: MeasurementEnsemble, bits: BitString) -> HermitianMat
     if len(bits) != ens.m:
         raise InvalidInput(f"empirical_average: {len(bits)} bits for m={ens.m} projections")
     acc = np.zeros((ens.dim, ens.dim), dtype=ens.field.dtype)
-    _accumulate_signed(acc, ens.frames, bits.bits)
+    for part in _slices(ens.m):
+        _accumulate_signed(acc, ens.frames[part], bits.bits[part])
     return HermitianMatrix(ens.field, _finalize_average(acc, ens.m - int(bits.bits.sum()), ens.m))
 
 
 def _accumulate_signed(acc: np.ndarray, frames: np.ndarray, bits: np.ndarray) -> None:
-    """acc += sum_j (2 bits[j] - 1) F_j^H F_j for a (count, k, d) frame stack.
-
-    The projections are summed in chunks of _TRACE_SLICE, counted from the
-    stack's first one, one GEMM over each chunk's frame rows.
-    """
+    """acc += sum_j (2 bits[j] - 1) F_j^H F_j for one slice's (count, k, d)
+    frame stack: one GEMM per slice, over the slice's frame rows."""
     k, d = frames.shape[1:]
+    rows = frames.reshape(-1, d)
     signs = np.repeat(2.0 * bits.astype(np.float64) - 1.0, k)
-    for start in range(0, len(frames), _TRACE_SLICE):
-        rows = frames[start : start + _TRACE_SLICE].reshape(-1, d)
-        acc += (rows.conj() * signs[start * k : start * k + len(rows), None]).T @ rows
+    acc += (rows.conj() * signs[:, None]).T @ rows
 
 
 def _finalize_average(acc: np.ndarray, zeros, m: int) -> np.ndarray:
@@ -151,13 +148,12 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
     acc = np.zeros((rows.shape[0], _packed_width(ens.field, ens.dim)))
     ones = np.zeros(rows.shape[0], dtype=np.intp)
-    for start in range(0, ens.m, _TRACE_SLICE):
-        stop = start + _TRACE_SLICE
-        bits = rows[:, start:stop]
+    for part in _slices(ens.m):
+        bits = rows[:, part]
         if not np.all((bits == 0) | (bits == 1)):
             raise InvalidInput("average_stack: bit entries must be 0 or 1")
         ones += np.count_nonzero(bits, axis=1)
-        _accumulate_table(acc, _pack_frames(ens.field, ens.frames[start:stop]), bits)
+        _accumulate_table(acc, _pack_frames(ens.field, ens.frames[part]), bits)
     return _finalize_average(_unpack_hermitian(ens.field, acc, ens.dim), ens.m - ones, ens.m)
 
 
@@ -166,12 +162,12 @@ def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) 
     slice's (count, w) packed table, into an (N, w) float64 sum: one
     whole-block product per _INPUT_BLOCK rows (see the sampler)."""
     signs = np.empty((_INPUT_BLOCK, len(table)))
-    for first in range(0, len(bit_rows), _INPUT_BLOCK):
-        bits = bit_rows[first : first + _INPUT_BLOCK]
+    for rows in _slices(len(bit_rows), _INPUT_BLOCK):
+        bits = bit_rows[rows]
         signs[len(bits) :] = 0.0
         np.multiply(bits, 2.0, out=signs[: len(bits)])
         signs[: len(bits)] -= 1.0
-        acc[first : first + len(bits)] += (table.T @ signs.T).T[: len(bits)]
+        acc[rows] += (table.T @ signs.T).T[: len(bits)]
 
 
 def _streamed_averages(
@@ -205,10 +201,10 @@ def _streamed_averages(
     # pruned to the `flips` highest only when a slice might not fit, so the
     # cost per projection does not grow with flips. Ties go to the lower
     # position and the cut only rises, so a score at or below it is never
-    # flipped. Greedy scores by damage, with a slice of spare rows; random
+    # flipped. Greedy scores by damage, with the first slice of m spare; random
     # scores 1 on the F corrupt_bits draws, from a cut of 0, and never prunes.
     drawn = np.sort(_random_flips(m, flips, flip_stream)) if flip_mode == "random" else None
-    capacity = flips + _TRACE_SLICE if flips and drawn is None else flips
+    capacity = flips + next(_slices(m)).stop if flips and drawn is None else flips
     store = np.empty((capacity, d // 2, d), dtype=field.dtype)
     kept_bits, scores = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
     slots, free = np.arange(capacity), np.arange(capacity)
@@ -254,9 +250,8 @@ def _streamed_averages(
         prune()
     kept_bits = kept_bits[:flips]
     flipped = np.zeros_like(acc)
-    for first in range(0, flips, _TRACE_SLICE):
-        # one chunk of the store at a time, or the gather copies every frame
-        rows = slice(first, first + _TRACE_SLICE)
+    for rows in _slices(flips):
+        # one slice of the store at a time, or the gather copies every frame
         _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
     sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
     noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
@@ -280,8 +275,7 @@ def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarr
         ones[rows] += np.count_nonzero(bits, axis=1)
         _accumulate_table(acc[rows], table, bits)
         del table, traces, bits
-    for first in range(0, len(signals), _INPUT_BLOCK):
-        rows = slice(first, first + _INPUT_BLOCK)
+    for rows in _slices(len(signals), _INPUT_BLOCK):
         yield rows, _finalize_average(_unpack_hermitian(field, acc[rows], d), m - ones[rows], m)
 
 

@@ -21,16 +21,16 @@ QR; that span is Haar-uniform. No phase fix is applied to Q: F^H F and
 
 An ensemble is drawn in blocks of _CHUNK = 8192 elements, block b from
 `path + (b,)`, so the block size is part of the reproducibility
-contract. Everything else works on slices of _TRACE_SLICE = 1024: each
-slice is one `_gaussian` draw of shape (s, d, k) that continues its
-block's stream (over R a block's slices hold what one draw of the block
-would; over C each slice takes its real and then its imaginary parts),
-and its frames overwrite its draw. QR runs in sub-batches of the 2n x n
-matrices that fit in _SUB_BATCH_BYTES = 256 KiB (256 at real n = 8, the
-whole slice at real n = 2) and factors each matrix on its own, so no
-frame depends on how the rest of its block is computed. A slice is also
-one chunk of every accumulation, so an ensemble streamed slice by slice
-gives the sums of the materialized one, bit for bit.
+contract. Everything else works on the slices of _TRACE_SLICE = 1024
+that `_slices` alone cuts: each slice is one `_gaussian` draw of shape
+(s, d, k) that continues its block's stream (over R a block's slices
+hold what one draw of the block would; over C each slice takes its real
+and then its imaginary parts), and its frames overwrite its draw. QR
+runs in sub-batches of the 2n x n matrices that fit in _SUB_BATCH_BYTES
+= 256 KiB (256 at real n = 8, the whole slice at real n = 2) and factors
+each matrix on its own, so no frame depends on the batching. A slice is
+also one chunk of every sum over projections, and every walk, held or
+streamed, cuts by `_slices`, so a streamed ensemble gives the held sums.
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on one packed table per slice, whose row j holds the unique real
@@ -68,6 +68,14 @@ _TRACE_SLICE = 1024
 _INPUT_BLOCK = 128
 # Bytes of the 2n x n matrices that one QR or F^H F call of a slice takes.
 _SUB_BATCH_BYTES = 256 << 10
+
+
+def _slices(count: int, size: int | None = None):
+    """The slices that cut [0, count) into runs of `size`, by default _TRACE_SLICE read at
+    the call, in order: the one slice rule of every walk over projections."""
+    size = size or _TRACE_SLICE
+    for start in range(0, count, size):
+        yield slice(start, min(start + size, count))
 
 
 @dataclass(frozen=True)
@@ -166,8 +174,8 @@ class MeasurementEnsemble:
         if frames.shape[0] < 1:
             raise InvalidInput("MeasurementEnsemble: need at least one projection")
         eye = np.eye(self.n)
-        for start in range(0, frames.shape[0], _TRACE_SLICE):
-            part = frames[start : start + _TRACE_SLICE]
+        for rows in _slices(frames.shape[0]):
+            part = frames[rows]
             gram = part @ part.conj().swapaxes(1, 2)
             gram -= eye
             dev = float(np.max(np.abs(gram), initial=0.0))
@@ -272,9 +280,8 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
     yielded, so a consumer that drops a slice frees its frames."""
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
-        count = min(_CHUNK, m - first)
-        for start in range(0, count, _TRACE_SLICE):
-            yield first + start, _frame_slice(field, n, min(_TRACE_SLICE, count - start), rng)
+        for rows in _slices(min(_CHUNK, m - first)):
+            yield first + rows.start, _frame_slice(field, n, rows.stop - rows.start, rng)
 
 
 def _frame_slice(field: FieldKind, n: int, count: int, rng: np.random.Generator):

@@ -1,15 +1,22 @@
 """Every module-level import in the library's modules is used there,
 every private module-level name is used somewhere in the library, every
-function reads each of its parameters, and only the kernel modules read
-the slice, block and packed-table layout.
+function reads each of its parameters, only the kernel modules read the
+slice, block and packed-table layout, and only the sampler reads the
+sizes of the slice, the block and the QR sub-batch.
 
 No linter runs on the source tree, so this catches the dead imports, the
 orphaned private helpers and the unread parameters a deletion leaves behind. `__init__.py` is
 skipped as a module whose imports must be used: its imports are the
 package's re-exports.
+
+`python tests/test_imports.py` prints the library's line counts: all
+lines (`wc -l`), code lines (neither blank, comment nor docstring;
+`__init__.py` left out) and docstring lines.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -122,3 +129,47 @@ def test_only_the_kernel_modules_read_the_layout(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert (uses(tree) | attributes) & LAYOUT_NAMES == set()
+
+
+# The sizes the sampler's `_slices`, `_frame_blocks` and `_sub_batch` cut by:
+# no other module may read them, so that changing one changes one module.
+SAMPLER_SIZES = {"_TRACE_SLICE", "_CHUNK", "_SUB_BATCH_BYTES"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "sampler.py"], ids=lambda p: p.name
+)
+def test_only_the_sampler_reads_the_slice_sizes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert (uses(tree) | attributes) & SAMPLER_SIZES == set()
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """The line numbers of the module's, classes' and functions' docstrings."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return lines
+
+
+def line_counts(path: Path) -> tuple[int, int, int]:
+    """(all lines, code lines, docstring lines) of one source file; a code
+    line holds a token other than a comment and is not in a docstring."""
+    text = path.read_text(encoding="utf-8")
+    docstrings = docstring_lines(ast.parse(text))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        # newlines, indents and the end marker are blank
+        if token.type != tokenize.COMMENT and token.string.strip():
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(text.splitlines()), len(code - docstrings), len(docstrings)
+
+
+if __name__ == "__main__":
+    counts = {p.name: line_counts(p) for p in sorted(SRC.glob("*.py"))}
+    print(f"lines {sum(c[0] for c in counts.values())}")
+    print(f"code lines {sum(c[1] for name, c in counts.items() if name != '__init__.py')}")
+    print(f"docstring lines {sum(c[2] for c in counts.values())}")

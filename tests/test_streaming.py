@@ -10,7 +10,9 @@ tests check them against the public kernels on the materialized ensemble
 block boundaries and ends on a partial block, and check that a unit's
 memory, and that of the diagnostics that stream, does not grow with m.
 `trace_table` on a held ensemble and the streamed traces are one kernel,
-`measurement._block_traces`, so their traces agree bit for bit.
+`measurement._block_traces`, so their traces agree bit for bit. Two tests
+patch the sampler's slice to 256 projections: every walk, held or
+streamed, must follow it.
 """
 
 import tracemalloc
@@ -19,7 +21,14 @@ import numpy as np
 import pytest
 
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection, UnitVector
-from bitretrieve.experiments import _check_eigenvalue_pairs, load_config, run_pointwise, run_uniform
+from bitretrieve import sampler
+from bitretrieve.experiments import (
+    _check_eigenvalue_pairs,
+    _check_soft_sandwich,
+    load_config,
+    run_pointwise,
+    run_uniform,
+)
 from bitretrieve.measurement import (
     _answers,
     _block_traces,
@@ -352,3 +361,56 @@ def test_eigenvalue_pair_check_streams_its_ensemble():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_one_patched_slice_rule_drives_every_walk(monkeypatch, field):
+    # `sampler._slices` is the only statement of the slice; a module that
+    # kept its own copy of the 1024 would cut its held or streamed sums at
+    # other points than the sampler and lose the bit-for-bit agreement.
+    monkeypatch.setattr(sampler, "_TRACE_SLICE", 256)
+    n = 4
+
+    def blocks():
+        return _frame_blocks(field, n, M, ENSEMBLE_STREAM)
+
+    assert next(blocks())[1].m == 256
+    x = RankOneProjection(sample_unit_vector(field, 2 * n, ROOT.child(0)))
+    ens = sample_ensemble(field, n, M, ENSEMBLE_STREAM)
+    bits = measure(ens, x)
+    clean, _, _ = _streamed_averages(M, blocks(), x)
+    assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
+
+    # 130 signals cross one 128-row signal block.
+    signals = np.stack(
+        [sample_unit_vector(field, 2 * n, ROOT.child(1, i)).entries for i in range(130)]
+    )
+    traces = trace_table(ens, signals)
+    expected = average_stack(ens, _answers(traces))
+    averages = [q for _, q in _streamed_stack_averages(field, M, blocks(), signals)]
+    assert np.array_equal(np.concatenate(averages), expected)
+    streamed_traces = np.empty_like(traces)
+    tables = _slice_tables(field, 2 * n, blocks())
+    for start, rows, table, (part,) in _block_traces(field, tables, signals):
+        streamed_traces[rows, start : start + len(table)] = part
+    assert np.array_equal(traces, streamed_traces)
+
+    for mode in ("greedy", "random"):
+        corrupted = corrupt_bits(bits, 0.05, mode, FLIP_STREAM, (ens, x))
+        _, _, flipped = _streamed_averages(M, blocks(), x, mode, 0.05, FLIP_STREAM)
+        assert np.array_equal(flipped, flipped_positions(bits, corrupted))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_soft_sandwich_check_takes_any_slice(monkeypatch, field):
+    # Its 500-projection ensembles span two 256-projection slices. Real
+    # frames do not depend on the slice, so the statistic is the one of the
+    # 1024-projection slices; a complex slice draws its own real and
+    # imaginary parts, so over C the check need only run.
+    cfg = load_config(experiment="diagnostics", overrides={"field": field.value, "n": 2})
+    stream = SeedStream(cfg.master_seed, (1005,))
+    full = _check_soft_sandwich(cfg, stream)
+    monkeypatch.setattr(sampler, "_TRACE_SLICE", 256)
+    sliced = _check_soft_sandwich(cfg, stream)
+    if field is FieldKind.REAL:
+        assert sliced.statistic == full.statistic
