@@ -45,6 +45,7 @@ from .sampler import (
     _pack_frames,
     _pack_hermitian,
     _packed_width,
+    _slice,
     _slices,
 )
 
@@ -95,7 +96,8 @@ def trace_table(ens: MeasurementEnsemble, vectors: np.ndarray) -> np.ndarray:
     off = ~(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= NORMALIZATION_TOL)
     if off.any():
         raise InvalidInput(f"trace_table: row {np.argmax(off)} is not a finite unit vector")
-    tables = ((part.start, _pack_frames(ens.field, ens.frames[part])) for part in _slices(ens.m))
+    parts = _slices(ens.m, _slice(ens.field, ens.n))
+    tables = ((part.start, _pack_frames(ens.field, ens.frames[part])) for part in parts)
     out = np.empty((len(vecs), ens.m))
     for start, rows, table, (traces,) in _block_traces(ens.field, tables, vecs):
         out[rows, start : start + len(table)] = traces
@@ -228,6 +230,8 @@ def _flip_count(tau: float, m: int) -> int:
     tau = float(tau)
     if not 0.0 <= tau < 1.0:
         raise InvalidInput(f"corrupt_bits: tau must lie in [0, 1), got {tau}")
+    if m == 0:
+        return 0
     # the 1e-9 absorbs float dust (0.1 * 30 = 2.9999...), but must not push
     # the count above tau * m when tau * m sits just below an integer
     flips = int(math.floor(tau * m + 1e-9))

@@ -54,6 +54,7 @@ from .sampler import (
     SeedStream,
     _pack_frames,
     _packed_width,
+    _slice,
     _slices,
     _unpack_hermitian,
 )
@@ -104,18 +105,20 @@ def empirical_average(ens: MeasurementEnsemble, bits: BitString) -> HermitianMat
     if len(bits) != ens.m:
         raise InvalidInput(f"empirical_average: {len(bits)} bits for m={ens.m} projections")
     acc = np.zeros((ens.dim, ens.dim), dtype=ens.field.dtype)
-    for part in _slices(ens.m):
+    for part in _slices(ens.m, _slice(ens.field, ens.n)):
         _accumulate_signed(acc, ens.frames[part], bits.bits[part])
     return HermitianMatrix(ens.field, _finalize_average(acc, ens.m - int(bits.bits.sum()), ens.m))
 
 
 def _accumulate_signed(acc: np.ndarray, frames: np.ndarray, bits: np.ndarray) -> None:
     """acc += sum_j (2 bits[j] - 1) F_j^H F_j for one slice's (count, k, d)
-    frame stack: one GEMM per slice, over the slice's frame rows."""
+    frame stack: one GEMM per slice, over the slice's frame rows and one
+    signed copy of them."""
     k, d = frames.shape[1:]
     rows = frames.reshape(-1, d)
-    signs = np.repeat(2.0 * bits.astype(np.float64) - 1.0, k)
-    acc += (rows.conj() * signs[:, None]).T @ rows
+    signed = np.conjugate(rows)
+    signed *= np.repeat(2.0 * bits.astype(np.float64) - 1.0, k)[:, None]
+    acc += signed.T @ rows
 
 
 def _finalize_average(acc: np.ndarray, zeros, m: int) -> np.ndarray:
@@ -148,7 +151,7 @@ def average_stack(ens: MeasurementEnsemble, bit_rows: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"average_stack: expected shape (N, {ens.m}), got {rows.shape}")
     acc = np.zeros((rows.shape[0], _packed_width(ens.field, ens.dim)))
     ones = np.zeros(rows.shape[0], dtype=np.intp)
-    for part in _slices(ens.m):
+    for part in _slices(ens.m, _slice(ens.field, ens.n)):
         bits = rows[:, part]
         if not np.all((bits == 0) | (bits == 1)):
             raise InvalidInput("average_stack: bit entries must be 0 or 1")
@@ -192,6 +195,7 @@ def _streamed_averages(
     (the clean one when nothing is flipped) and F in increasing order.
     """
     field, d = x.field, x.dim
+    size = _slice(field, d // 2)
     acc = np.zeros((d, d), dtype=field.dtype)
     ones = 0
     flips = _flip_count(tau, m) if flip_mode is not None else 0
@@ -201,10 +205,12 @@ def _streamed_averages(
     # pruned to the `flips` highest only when a slice might not fit, so the
     # cost per projection does not grow with flips. Ties go to the lower
     # position and the cut only rises, so a score at or below it is never
-    # flipped. Greedy scores by damage, with the first slice of m spare; random
-    # scores 1 on the F corrupt_bits draws, from a cut of 0, and never prunes.
+    # flipped. Greedy scores by damage, with min(flips, slice) spare rows: a
+    # slice keeps only its own `flips` highest, since a candidate below them
+    # is never flipped. Random scores 1 on the F corrupt_bits draws, from a
+    # cut of 0, and never prunes.
     drawn = np.sort(_random_flips(m, flips, flip_stream)) if flip_mode == "random" else None
-    capacity = flips + next(_slices(m)).stop if flips and drawn is None else flips
+    capacity = flips + min(flips, size) if drawn is None else flips
     store = np.empty((capacity, d // 2, d), dtype=field.dtype)
     kept_bits, scores = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
     slots, free = np.arange(capacity), np.arange(capacity)
@@ -230,6 +236,8 @@ def _streamed_averages(
             else:
                 score = np.diff(np.searchsorted(drawn, np.arange(start, start + part.m + 1)))
             new = np.flatnonzero(score > cut)
+            if len(new) > flips:
+                new = new[_most_damaging(score[new], flips)]
             if count + len(new) > capacity:
                 prune()
                 new = new[score[new] > cut]
@@ -250,7 +258,7 @@ def _streamed_averages(
         prune()
     kept_bits = kept_bits[:flips]
     flipped = np.zeros_like(acc)
-    for rows in _slices(flips):
+    for rows in _slices(flips, size):
         # one slice of the store at a time, or the gather copies every frame
         _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
     sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
@@ -287,6 +295,8 @@ def principal_eigenpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     unless every returned vector satisfies ||Hv - lambda v|| <= 1e-10 * max(1, ||H||).
     """
     vals, vecs = np.linalg.eigh(mats)
+    if not len(vals):
+        return vals[:, 0], vecs[:, :, 0], vals[:, 0]
     top = vals[:, -1]
     vectors = vecs[:, :, -1]
     margins = vals[:, -1] - vals[:, -2] if vals.shape[1] > 1 else np.full(len(vals), math.inf)

@@ -21,16 +21,25 @@ QR; that span is Haar-uniform. No phase fix is applied to Q: F^H F and
 
 An ensemble is drawn in blocks of _CHUNK = 8192 elements, block b from
 `path + (b,)`, so the block size is part of the reproducibility
-contract. Everything else works on the slices of _TRACE_SLICE = 1024
-that `_slices` alone cuts: each slice is one `_gaussian` draw of shape
-(s, d, k) that continues its block's stream (over R a block's slices
-hold what one draw of the block would; over C each slice takes its real
-and then its imaginary parts), and its frames overwrite its draw. QR
-runs in sub-batches of the 2n x n matrices that fit in _SUB_BATCH_BYTES
-= 256 KiB (256 at real n = 8, the whole slice at real n = 2) and factors
-each matrix on its own, so no frame depends on the batching. A slice is
-also one chunk of every sum over projections, and every walk, held or
-streamed, cuts by `_slices`, so a streamed ensemble gives the held sums.
+contract. Everything else works on the slices that `_slices` alone cuts,
+of `_slice(field, n)` projections: _TRACE_SLICE = 1024 while 1024 frames
+fit in _SLICE_BYTES = 8 MiB (real n <= 22, complex n <= 16), above that
+the largest power of two that fits, and at least 1, so a block splits
+into whole slices. That size is part of the contract as well: each slice
+is one `_gaussian` draw of shape (s, d, k) that continues its block's
+stream (over R a block's slices hold what one draw of the block would;
+over C each slice takes its real and then its imaginary parts), and its
+frames overwrite its draw. QR runs in sub-batches of the 2n x n matrices
+that fit in _SUB_BATCH_BYTES = 256 KiB (256 at real n = 8, the whole
+slice at real n = 2) and factors each matrix on its own, so no frame
+depends on the batching. A slice is also one chunk of every sum over
+projections, and every walk, held or streamed, cuts by `_slices`, so a
+streamed ensemble gives the held sums.
+
+Memory rule: a worker holds at most two slices of frames (its slice and
+one slice-sized temporary, the signed copy of its rows or half a complex
+draw), plus one sub-batch's temporaries (QR, F^H F, the frame check) and
+its own flip store or signal stacks.
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on one packed table per slice, whose row j holds the unique real
@@ -68,14 +77,22 @@ _TRACE_SLICE = 1024
 _INPUT_BLOCK = 128
 # Bytes of the 2n x n matrices that one QR or F^H F call of a slice takes.
 _SUB_BATCH_BYTES = 256 << 10
+# Bytes of the frames of one slice.
+_SLICE_BYTES = 8 << 20
 
 
-def _slices(count: int, size: int | None = None):
-    """The slices that cut [0, count) into runs of `size`, by default _TRACE_SLICE read at
-    the call, in order: the one slice rule of every walk over projections."""
-    size = size or _TRACE_SLICE
+def _slices(count: int, size: int):
+    """The slices that cut [0, count) into runs of `size`, in order: the one
+    slice rule of every walk over projections, which take `size` from `_slice`."""
     for start in range(0, count, size):
         yield slice(start, min(start + size, count))
+
+
+def _slice(field: FieldKind, n: int) -> int:
+    """Projections per slice: the largest power of two up to _TRACE_SLICE
+    whose n x 2n frames fit in _SLICE_BYTES, and at least 1."""
+    fit = _SLICE_BYTES // (2 * n * n * np.dtype(field.dtype).itemsize)
+    return min(_TRACE_SLICE, 1 << max(0, fit.bit_length() - 1))
 
 
 @dataclass(frozen=True)
@@ -107,13 +124,15 @@ class SeedStream:
 
 def _gaussian(field: FieldKind, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """An array of i.i.d. standard Gaussians, in a new array; for C, real and
-    imaginary parts are each standard Gaussian, drawn in one call of shape
-    (2, *shape). Every Gaussian draw of the library goes through it."""
+    imaginary parts are each standard Gaussian, the stream of one call of
+    shape (2, *shape), drawn through one real buffer of `shape`. Every
+    Gaussian draw of the library goes through it."""
     if field is FieldKind.REAL:
         return rng.standard_normal(shape)
-    parts = rng.standard_normal((2, *shape))
+    part = rng.standard_normal(shape)
     g = np.empty(shape, dtype=complex)
-    g.real, g.imag = parts
+    g.real = part
+    g.imag = rng.standard_normal(out=part)
     return g
 
 
@@ -174,12 +193,13 @@ class MeasurementEnsemble:
         if frames.shape[0] < 1:
             raise InvalidInput("MeasurementEnsemble: need at least one projection")
         eye = np.eye(self.n)
-        for rows in _slices(frames.shape[0]):
+        for rows in _slices(frames.shape[0], _sub_batch(self.field, self.n)):
             part = frames[rows]
             gram = part @ part.conj().swapaxes(1, 2)
             gram -= eye
             dev = float(np.max(np.abs(gram), initial=0.0))
-            if dev > _FRAME_TOL:
+            # so that a NaN deviation fails too
+            if not dev <= _FRAME_TOL:
                 raise InvalidInput(f"ensemble frame not orthonormal (deviation {dev:.2e})")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
@@ -242,7 +262,8 @@ def _pack_hermitian(field: FieldKind, mats: np.ndarray) -> np.ndarray:
 
 
 def _sub_batch(field: FieldKind, n: int) -> int:
-    """Matrices per QR or F^H F call: the 2n x n matrices that fit in _SUB_BATCH_BYTES."""
+    """Matrices per QR, F^H F or frame check call: the 2n x n matrices that
+    fit in _SUB_BATCH_BYTES."""
     return max(1, _SUB_BATCH_BYTES // (2 * n * n * np.dtype(field.dtype).itemsize))
 
 
@@ -280,7 +301,7 @@ def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
     yielded, so a consumer that drops a slice frees its frames."""
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
-        for rows in _slices(min(_CHUNK, m - first)):
+        for rows in _slices(min(_CHUNK, m - first), _slice(field, n)):
             yield first + rows.start, _frame_slice(field, n, rows.stop - rows.start, rng)
 
 

@@ -131,9 +131,9 @@ def test_only_the_kernel_modules_read_the_layout(path):
     assert (uses(tree) | attributes) & LAYOUT_NAMES == set()
 
 
-# The sizes the sampler's `_slices`, `_frame_blocks` and `_sub_batch` cut by:
+# The sizes the sampler's `_slice`, `_frame_blocks` and `_sub_batch` cut by:
 # no other module may read them, so that changing one changes one module.
-SAMPLER_SIZES = {"_TRACE_SLICE", "_CHUNK", "_SUB_BATCH_BYTES"}
+SAMPLER_SIZES = {"_TRACE_SLICE", "_CHUNK", "_SUB_BATCH_BYTES", "_SLICE_BYTES"}
 
 
 @pytest.mark.parametrize(

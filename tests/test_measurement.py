@@ -289,6 +289,13 @@ class TestCorruptBits:
         out = corrupt_bits(self.bits, 0.0, "random", SeedStream(1))
         assert out == self.bits
 
+    @pytest.mark.parametrize("mode", ["random", "greedy"])
+    def test_empty_string_flips_nothing(self, mode):
+        # floor(tau * 0) = 0 flips, as hamming_distance gives 0.0 for two
+        # empty strings; the count must not divide by m = 0.
+        out = corrupt_bits(BitString([]), 0.1, mode, SeedStream(1))
+        assert len(out) == 0
+
     def test_exact_flip_count(self):
         # floor(0.25 * 10) = 2 flips
         bits = BitString([0] * 10)

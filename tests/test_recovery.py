@@ -24,6 +24,7 @@ from bitretrieve.recovery import (
     flipped_projection,
     pep_recover,
     principal_eigenpair,
+    principal_eigenpairs,
     recover_from_average,
 )
 from bitretrieve.measurement import corrupt_bits
@@ -180,6 +181,12 @@ class TestPrincipalEigenpair:
         assert top == pytest.approx(mu1, abs=1e-12)
         assert margin == pytest.approx(mu1 - mu2, abs=1e-12)
         assert abs(np.vdot(vec.entries, x.vector.entries)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_stack(self):
+        # average_stack returns a (0, d, d) stack for zero bit rows
+        top, vectors, margins = principal_eigenpairs(np.zeros((0, 4, 4)))
+        assert top.shape == margins.shape == (0,)
+        assert vectors.shape == (0, 4)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(59)

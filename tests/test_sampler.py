@@ -19,6 +19,7 @@ from bitretrieve.sampler import (
     _orthonormalize_batch,
     _pack_frames,
     _pack_hermitian,
+    _slice,
     _sub_batch,
     sample_ensemble,
     sample_haar_projection,
@@ -29,16 +30,18 @@ R = FieldKind.REAL
 C = FieldKind.COMPLEX
 
 
-def whole_block_frames(field: FieldKind, n: int, count: int, stream: SeedStream) -> np.ndarray:
+def whole_block_frames(
+    field: FieldKind, n: int, count: int, stream: SeedStream, size: int = 1024
+) -> np.ndarray:
     """The frames of one sampling block as the sampler's contract states
-    them: one Gaussian draw from `stream` per 1024-projection slice, in
-    order (complex: one call of shape (2, slice, d, k), the real parts
+    them: one Gaussian draw from `stream` per slice of `size` projections,
+    in order (complex: one call of shape (2, slice, d, k), the real parts
     then the imaginary parts), one QR call over the whole block, and the
     conjugate transpose of each Q."""
     rng = stream.generator()
     draws = []
-    for start in range(0, count, 1024):
-        shape = (min(1024, count - start), 2 * n, n)
+    for start in range(0, count, size):
+        shape = (min(size, count - start), 2 * n, n)
         if field is R:
             draws.append(rng.standard_normal(shape))
         else:
@@ -48,20 +51,22 @@ def whole_block_frames(field: FieldKind, n: int, count: int, stream: SeedStream)
     return np.conjugate(np.swapaxes(q, 1, 2))
 
 
-def check_slices_match_whole_blocks(field: FieldKind, n: int, m: int) -> None:
-    """`_frame_blocks` yields one read-only slice of at most 1024 frames per
+def check_slices_match_whole_blocks(
+    field: FieldKind, n: int, m: int, size: int = _TRACE_SLICE
+) -> None:
+    """`_frame_blocks` yields one read-only slice of at most `size` frames per
     start, no two sharing memory, and a block's slices concatenated are
     `whole_block_frames` of that block."""
     stream = SeedStream(57, (2, m))
     parts = list(_frame_blocks(field, n, m, stream))
-    assert [start for start, _ in parts] == list(range(0, m, _TRACE_SLICE))
+    assert [start for start, _ in parts] == list(range(0, m, size))
     for start, part in parts:
-        assert part.m == min(_TRACE_SLICE, m - start)
+        assert part.m == min(size, m - start)
         assert part.frames.flags.c_contiguous and not part.frames.flags.writeable
     for b, first in enumerate(range(0, m, _CHUNK)):
         count = min(_CHUNK, m - first)
         frames = np.concatenate([p.frames for s, p in parts if first <= s < first + count])
-        assert np.array_equal(frames, whole_block_frames(field, n, count, stream.child(b)))
+        assert np.array_equal(frames, whole_block_frames(field, n, count, stream.child(b), size))
     for i, (_, part) in enumerate(parts):
         for _, later in parts[i + 1 :]:
             assert not np.shares_memory(part.frames, later.frames)
@@ -217,6 +222,24 @@ class TestSampleEnsemble:
         check_slices_match_whole_blocks(field, 8, m)
 
     @pytest.mark.parametrize(
+        "field, n, size", [(R, 22, 1024), (R, 23, 512), (C, 16, 1024), (C, 17, 512)]
+    )
+    def test_slice_is_sized_in_bytes(self, field, n, size):
+        # 1024 frames fit the 8 MiB slice budget up to real n = 22 and complex
+        # n = 16; above that a slice is the largest power of two that fits, so
+        # a block still splits into whole slices, and its frames are still
+        # those of one QR over the block's draw, drawn slice by slice.
+        assert _slice(field, n) == size
+        check_slices_match_whole_blocks(field, n, size + 5, size)
+
+    @pytest.mark.parametrize(
+        "field, n, size", [(R, 64, 128), (R, 128, 32), (C, 64, 64), (C, 128, 16), (R, 2048, 1)]
+    )
+    def test_large_slices_fit_the_budget(self, field, n, size):
+        # One real n = 2048 frame alone takes 64 MiB: a slice never drops to 0.
+        assert _slice(field, n) == size
+
+    @pytest.mark.parametrize(
         "field, n, ratio", [(R, 8, 0.4), (R, 2, 0.75), (C, 8, 0.4), (C, 4, 0.4)]
     )
     def test_one_block_costs_little_beyond_its_frames(self, field, n, ratio):
@@ -286,6 +309,13 @@ class TestSampleEnsemble:
         bad[:, 1, 1] = 0.5  # second row not unit
         with pytest.raises(InvalidInput):
             MeasurementEnsemble(R, 2, bad)
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_frame_validation_refuses_nan(self, field):
+        # A NaN deviation compares False against the tolerance, so a check
+        # that refused only deviations above it let NaN frames through.
+        with pytest.raises(InvalidInput, match="not orthonormal"):
+            MeasurementEnsemble(field, 1, np.full((3, 1, 2), np.nan, dtype=field.dtype))
 
     def test_held_ensemble_validates_its_last_slice(self):
         frames = sample_ensemble(R, 2, 2 * _CHUNK + 17, SeedStream(32)).frames.copy()

@@ -10,12 +10,16 @@ tests check them against the public kernels on the materialized ensemble
 block boundaries and ends on a partial block, and check that a unit's
 memory, and that of the diagnostics that stream, does not grow with m.
 `trace_table` on a held ensemble and the streamed traces are one kernel,
-`measurement._block_traces`, so their traces agree bit for bit. Two tests
-patch the sampler's slice to 256 projections: every walk, held or
-streamed, must follow it.
+`measurement._block_traces`, so their traces agree bit for bit. Three tests
+patch the sampler's slice to 256 projections, through its cap or its byte
+budget: every walk, held or streamed, must follow it. The memory tests
+hold a worker to the sampler's rule of two slices of frames plus one
+sub-batch's temporaries; `python tests/test_streaming.py` prints the
+traced peak of each phase of a slice and of one unit.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +30,10 @@ from bitretrieve.experiments import (
     _check_eigenvalue_pairs,
     _check_soft_sandwich,
     load_config,
+    run_noise,
     run_pointwise,
     run_uniform,
+    write_result,
 )
 from bitretrieve.measurement import (
     _answers,
@@ -39,6 +45,7 @@ from bitretrieve.measurement import (
     trace_table,
 )
 from bitretrieve.recovery import (
+    _accumulate_signed,
     _streamed_averages,
     _streamed_stack_averages,
     average_stack,
@@ -46,11 +53,15 @@ from bitretrieve.recovery import (
 )
 from bitretrieve.sampler import (
     _CHUNK,
+    _SUB_BATCH_BYTES,
     _TRACE_SLICE,
     MeasurementEnsemble,
     SeedStream,
     _frame_blocks,
+    _frame_slice,
+    _gaussian,
     _packed_width,
+    _slice,
     sample_ensemble,
     sample_unit_vector,
 )
@@ -185,18 +196,22 @@ def test_a_block_from_another_space_is_refused(kernel, field, n):
         kernel(blocks)
 
 
-def traced_peak(m: int) -> int:
-    """Peak bytes traced by tracemalloc (numpy buffers included) while one
-    pointwise unit runs at real n = 4."""
-    cfg = load_config(
-        experiment="pointwise", overrides={"field": "real", "n": 4, "m_grid": str(m), "trials": 1}
-    )
+def peak_of(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy buffers included) while fn() runs."""
     tracemalloc.start()
     try:
-        run_pointwise(cfg)
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(m: int) -> int:
+    """Peak bytes traced while one pointwise unit runs at real n = 4."""
+    cfg = load_config(
+        experiment="pointwise", overrides={"field": "real", "n": 4, "m_grid": str(m), "trials": 1}
+    )
+    return peak_of(lambda: run_pointwise(cfg))
 
 
 def test_pointwise_memory_does_not_grow_with_m():
@@ -204,18 +219,15 @@ def test_pointwise_memory_does_not_grow_with_m():
     assert large <= small + 2**20, (small, large)
 
 
-def unit_peak(m: int, mode: str | None, tau: float) -> int:
-    """Peak bytes traced while one pointwise or noise unit at real n = 4
-    streams its ensemble of size m and keeps its flip candidates."""
-    n = 4
-    x = RankOneProjection(sample_unit_vector(FieldKind.REAL, 2 * n, ROOT.child(0)))
-    blocks = _frame_blocks(FieldKind.REAL, n, m, ROOT.child(0, m))
-    tracemalloc.start()
-    try:
-        _streamed_averages(m, blocks, x, mode, tau, ROOT.child(0, m, m))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def unit_peak(
+    m: int, mode: str | None, tau: float, field: FieldKind = FieldKind.REAL, n: int = 4
+) -> int:
+    """Peak bytes traced while one pointwise or noise unit, at real n = 4
+    unless told otherwise, streams its ensemble of size m and keeps its flip
+    candidates."""
+    x = RankOneProjection(sample_unit_vector(field, 2 * n, ROOT.child(0)))
+    blocks = _frame_blocks(field, n, m, ROOT.child(0, m))
+    return peak_of(lambda: _streamed_averages(m, blocks, x, mode, tau, ROOT.child(0, m, m)))
 
 
 @pytest.mark.parametrize("mode, tau", [(None, 0.0), ("random", 0.01), ("greedy", 0.01)])
@@ -292,12 +304,7 @@ def uniform_peak(m: int) -> int:
     cfg = load_config(
         experiment="uniform", overrides={"field": "real", "n": 2, "m_grid": str(m), "inputs": 64}
     )
-    tracemalloc.start()
-    try:
-        run_uniform(cfg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_of(lambda: run_uniform(cfg))
 
 
 def test_uniform_memory_does_not_grow_with_m():
@@ -312,12 +319,7 @@ def uniform_inputs_peak(field: str, n: int, inputs: int) -> int:
         experiment="uniform",
         overrides={"field": field, "n": n, "m_grid": str(2 * _TRACE_SLICE), "inputs": inputs},
     )
-    tracemalloc.start()
-    try:
-        run_uniform(cfg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_of(lambda: run_uniform(cfg))
 
 
 @pytest.mark.parametrize("field, n", [("real", 4), ("complex", 4)])
@@ -354,27 +356,18 @@ def test_eigenvalue_pair_check_streams_its_ensemble():
     import scipy.special  # noqa: F401
 
     cfg = load_config(experiment="diagnostics", overrides={"field": "real", "n": 4})
-    tracemalloc.start()
-    try:
-        _check_eigenvalue_pairs(cfg, SeedStream(cfg.master_seed, (1004,)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_of(lambda: _check_eigenvalue_pairs(cfg, SeedStream(cfg.master_seed, (1004,))))
     assert peak <= 16 * 2**20, peak
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
-def test_one_patched_slice_rule_drives_every_walk(monkeypatch, field):
-    # `sampler._slices` is the only statement of the slice; a module that
-    # kept its own copy of the 1024 would cut its held or streamed sums at
-    # other points than the sampler and lose the bit-for-bit agreement.
-    monkeypatch.setattr(sampler, "_TRACE_SLICE", 256)
-    n = 4
+def check_every_walk_follows_the_slice(field: FieldKind, n: int, size: int) -> None:
+    """Held and streamed sums, traces and flip sets agree bit for bit when the
+    sampler cuts slices of `size` projections at dimension 2n."""
 
     def blocks():
         return _frame_blocks(field, n, M, ENSEMBLE_STREAM)
 
-    assert next(blocks())[1].m == 256
+    assert next(blocks())[1].m == size
     x = RankOneProjection(sample_unit_vector(field, 2 * n, ROOT.child(0)))
     ens = sample_ensemble(field, n, M, ENSEMBLE_STREAM)
     bits = measure(ens, x)
@@ -402,6 +395,34 @@ def test_one_patched_slice_rule_drives_every_walk(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_one_patched_slice_rule_drives_every_walk(monkeypatch, field):
+    # `sampler._slices` is the only statement of the slice; a module that
+    # kept its own copy of the 1024 would cut its held or streamed sums at
+    # other points than the sampler and lose the bit-for-bit agreement.
+    monkeypatch.setattr(sampler, "_TRACE_SLICE", 256)
+    check_every_walk_follows_the_slice(field, 4, 256)
+
+
+def test_patched_slice_budget_drives_every_walk(monkeypatch, tmp_path):
+    # 256 real n = 4 frames of 256 bytes fill a 64 KiB budget. A walk that
+    # cut by the 1024 cap alone would chunk its sums at other points.
+    monkeypatch.setattr(sampler, "_SLICE_BYTES", 256 * 4 * 8 * 8)
+    check_every_walk_follows_the_slice(FieldKind.REAL, 4, 256)
+    cfg = load_config(
+        experiment="noise",
+        overrides={
+            "field": "real", "n": 4, "m_grid": "3000", "trials": 3, "tau": 0.05,
+            "flip_mode": "greedy",
+        },
+    )
+    outs = []
+    for threads in (1, 2):
+        paths = write_result(run_noise(cfg, threads=threads), str(tmp_path / f"t{threads}.csv"))
+        outs.append([Path(path).read_bytes() for path in paths])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
 def test_soft_sandwich_check_takes_any_slice(monkeypatch, field):
     # Its 500-projection ensembles span two 256-projection slices. Real
     # frames do not depend on the slice, so the statistic is the one of the
@@ -414,3 +435,83 @@ def test_soft_sandwich_check_takes_any_slice(monkeypatch, field):
     sliced = _check_soft_sandwich(cfg, stream)
     if field is FieldKind.REAL:
         assert sliced.statistic == full.statistic
+
+
+def slice_frames(field: FieldKind, n: int) -> np.ndarray:
+    """A writable copy of the frames of one whole slice."""
+    return _frame_slice(field, n, _slice(field, n), ROOT.child(2).generator()).frames.copy()
+
+
+def phase_peaks(field: FieldKind, n: int) -> dict[str, int]:
+    """Traced peaks of the phases of one slice at dimension 2n, beside the
+    bytes of its frames: the Gaussian draw, the frame check of frames already
+    held, the signed sum of their rows, and a clean unit of one block."""
+    frames = slice_frames(field, n)
+    size, d = len(frames), 2 * n
+    rng = ROOT.child(3).generator()
+    bits = (np.arange(size) % 3 == 0).astype(np.uint8)
+    acc = np.zeros((d, d), dtype=field.dtype)
+    return {
+        "frames": frames.nbytes,
+        "draw": peak_of(lambda: _gaussian(field, (size, d, n), rng)),
+        "frame check": peak_of(lambda: MeasurementEnsemble(field, n, frames)),
+        "signed sum": peak_of(lambda: _accumulate_signed(acc, frames, bits)),
+        "unit": unit_peak(_CHUNK, None, 0.0, field, n),
+    }
+
+
+def test_complex_draw_holds_half_a_slice_beside_its_output():
+    # The real and the imaginary parts pass through one real buffer: 1.5x
+    # the output, against 2x for one (2, *shape) draw beside the output.
+    peaks = phase_peaks(FieldKind.COMPLEX, 4)
+    assert peaks["draw"] <= 1.6 * peaks["frames"], peaks
+
+
+@pytest.mark.parametrize("field, n", [(FieldKind.REAL, 8), (FieldKind.COMPLEX, 4)])
+def test_frame_check_holds_one_sub_batch(field, n):
+    # One sub-batch's Gram products, and over C its conjugate copy. Measured
+    # before the bound was set: 259 KiB at real n = 8 and 513 KiB at complex
+    # n = 4, against 1,026 and 769 KiB for one check over the whole slice.
+    copies = 2 if field is FieldKind.COMPLEX else 1
+    peaks = phase_peaks(field, n)
+    assert peaks["frame check"] <= copies * _SUB_BATCH_BYTES + 32 * 2**10, peaks
+
+
+def test_complex_signed_sum_holds_one_signed_copy():
+    # 674 KiB for a 512 KiB slice at complex n = 4, against 1,186 KiB when
+    # the conjugate and the signed product were two copies.
+    peaks = phase_peaks(FieldKind.COMPLEX, 4)
+    assert peaks["signed sum"] <= 1.4 * peaks["frames"], peaks
+
+
+def test_clean_complex_unit_holds_two_slices():
+    # Two slices of frames and one sub-batch's temporaries: 1,327 KiB
+    # measured, against 1,711 KiB when the draw, the frame check and the
+    # signed sum each held a third slice-sized temporary.
+    peaks = phase_peaks(FieldKind.COMPLEX, 4)
+    assert peaks["unit"] <= 2 * peaks["frames"] + _SUB_BATCH_BYTES + 64 * 2**10, peaks
+
+
+def test_unit_memory_is_bounded_in_n():
+    # At real n = 64 a 1024-projection slice takes 64 MiB of frames; a slice
+    # sized to the 8 MiB budget holds 128. Measured before the bound was
+    # set: 16.3 MiB for m = 256, against 32.4 MiB with one 256-frame slice.
+    peak = unit_peak(256, None, 0.0, FieldKind.REAL, 64)
+    assert peak <= 2 * sampler._SLICE_BYTES + _SUB_BATCH_BYTES + 2**20, peak
+
+
+def test_greedy_store_is_at_most_twice_the_flips():
+    # floor(0.001 * 8192) = 8 flips of 512-byte complex n = 4 frames. The store
+    # keeps min(flips, slice) spare rows: 16 rows, against 1,032 when it kept a
+    # whole slice spare. Measured before the bound was set: 20 KiB above a
+    # clean unit, against 569 KiB.
+    clean = unit_peak(_CHUNK, None, 0.0, FieldKind.COMPLEX, 4)
+    peak = unit_peak(_CHUNK, "greedy", 0.001, FieldKind.COMPLEX, 4)
+    assert peak - clean <= 2 * 8 * 512 + 32 * 2**10, (clean, peak)
+
+
+if __name__ == "__main__":
+    for field, n in [(FieldKind.REAL, 8), (FieldKind.COMPLEX, 4)]:
+        peaks = phase_peaks(field, n)
+        phases = ", ".join(f"{name} {peak // 1024} KiB" for name, peak in peaks.items())
+        print(f"{field.value} n = {n}: {phases}")
