@@ -103,6 +103,28 @@ CONFIGS = {
         "noise", "--field", "real", "--n", "2", "--m-grid", "16401",
         "--trials", "2", "--tau", "0.05", "--flip-mode", "greedy", "--seed", "17",
     ),
+    # Above the sampler's 8 MiB slice budget: 512-projection slices (real
+    # n = 23-32, complex n = 17-22) and small QR sub-batches, over 1100
+    # projections, so the last slice is partial.
+    "pointwise-real-n24": (
+        "pointwise", "--field", "real", "--n", "24", "--m-grid", "1100",
+        "--trials", "2", "--seed", "20",
+    ),
+    "pointwise-complex-n17": (
+        "pointwise", "--field", "complex", "--n", "17", "--m-grid", "1100",
+        "--trials", "2", "--seed", "21",
+    ),
+    # 150 greedy flips over 128-projection slices: more flips than a slice,
+    # so the flip store keeps a whole slice of spare rows.
+    "noise-real-greedy-n64": (
+        "noise", "--field", "real", "--n", "64", "--m-grid", "3000",
+        "--trials", "1", "--tau", "0.05", "--flip-mode", "greedy", "--seed", "22",
+    ),
+    # 512-projection tables against 130 signals, the last 128-signal block partial.
+    "uniform-real-n32": (
+        "uniform", "--field", "real", "--n", "32", "--m-grid", "1100",
+        "--inputs", "130", "--seed", "23",
+    ),
 }
 
 GOLDEN = {
@@ -118,9 +140,17 @@ GOLDEN = {
         ".csv": "77da00e8043d69da1fb482ad9501fcf399d37218e6e4a13b425e0aa110ccc735",
         ".noise.csv": "30e28038e7ae8b0eabbb25b131e123276c4044f853505b9c7cd267bf3e6aa53f",
     },
+    "noise-real-greedy-n64": {
+        ".csv": "56113aef681d9fb838ffdaceeac5825fcdbefda748f2ab873fedda6862bde266",
+        ".noise.csv": "bfcbaf6ee50c97151866263424c28e1e3dfb66cc925c54043ec86b283be88684",
+    },
     "noise-real-random": {
         ".csv": "fbe159abc6a338ff3693037af7860f8f43e5cfff9401cac11721ce728d074c7e",
         ".noise.csv": "e699dc3a5dad8119e0928926a10ce436347afe3c3069573fbad5f2fa973947a0",
+    },
+    "pointwise-complex-n17": {
+        ".bounds.csv": "648c336b1d73b3df39be5f768d403e631b7a8fdfc4e261726de3eea1322138ce",
+        ".csv": "240304d2254e59ee440e66bbd06ee2997f94cfadf6fb4b145739cf554af4fa35",
     },
     "pointwise-real": {
         ".bounds.csv": "7d796736596498493efb8e7549006d5ed9bf9df68292c64f588de6889600f603",
@@ -129,6 +159,10 @@ GOLDEN = {
     "pointwise-real-block": {
         ".bounds.csv": "0f33a1c3cb94a16d2018c60dbee530aadb7d23768303d2d48355e0563c9e20d3",
         ".csv": "e521a4f0872b56973f70e121086ed4733b9086fb689fdeb14ccf8c0e99aae954",
+    },
+    "pointwise-real-n24": {
+        ".bounds.csv": "14279fd7061d95c996b71d7a9f3b7a8be70917a1dd084deb1ce30362828948ac",
+        ".csv": "3601299379a0b7a51e59650718b98ae6b69f0ccb59a496c23d25419b96448595",
     },
     "uniform-complex": {
         ".bounds.csv": "de7141d2f23b8030ebb47bd2f676d821ebaafa6edd626a3869573ad46601da71",
@@ -144,6 +178,11 @@ GOLDEN = {
         ".bounds.csv": "cd038271980f164f6579e68b9c29f125f4535837f91e4ed30384d92169dfb308",
         ".csv": "c9417a8fb07487a795d2f50066f27059e656c4be5d5ccad8bb9c0ba33e606fab",
         ".max.csv": "cae06e7594c7f0a561e1927621814f2c939306313d075f0a7a34f05feb68671b",
+    },
+    "uniform-real-n32": {
+        ".bounds.csv": "0d807da6ef7840329c5150a3d025e02e6771e02eac29b4c1b78800b39744c300",
+        ".csv": "46d118d6edf2946fa6078957833fccf2193153a706659691292067dcf00aa69c",
+        ".max.csv": "d2d7fd378450329fd41d7e2e9601c8d8fdc54764d897ec1256e74bed6bfcc30f",
     },
     "uniform-real-partial": {
         ".bounds.csv": "c88f4fb565bd570d5d2479d3c48d0796735baeb07064081c6a9f558743b5edf7",
