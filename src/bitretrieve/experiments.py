@@ -627,15 +627,24 @@ def _eigen_pair_cell_probs(cfg: ExperimentConfig, grid: int) -> np.ndarray:
     """Probability of each grid cell (x in cell a, y in cell b) under the
     eigenvalue-pair density, by 32 x 32-node Gauss-Legendre quadrature over
     every cell at once. The density vanishes off the y < x triangle, so the
-    cells above the diagonal come out 0."""
+    cells above the diagonal come out 0. It has a kink there over R, so a
+    diagonal cell is integrated over its triangle alone, by the collapsed
+    (Duffy) rule x = a + w u, y = a + w u v of Jacobian w^2 u."""
     den = eigen_density(cfg.field, cfg.n)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     nodes = (nodes + 1.0) / 2.0
     weights = weights / 2.0
+    pairs = weights[:, None] * weights[None, :]
     width = 1.0 / grid
-    cell_nodes = np.arange(grid)[:, None] * width + nodes * width
+    corners = np.arange(grid) * width
+    cell_nodes = corners[:, None] + nodes * width
     vals = eigen_density_grid(den, cell_nodes[:, None, :, None], cell_nodes[None, :, None, :])
-    return (weights[:, None] * weights[None, :] * vals).sum(axis=(2, 3)) * width * width
+    probs = (pairs * vals).sum(axis=(2, 3)) * width * width
+    u, v = nodes[:, None], nodes[None, :]
+    corner = corners[:, None, None]
+    triangles = eigen_density_grid(den, corner + width * u, corner + width * u * v)
+    np.fill_diagonal(probs, (pairs * u * triangles).sum(axis=(1, 2)) * width * width)
+    return probs
 
 
 def _check_eigenvalue_pairs(cfg: ExperimentConfig, root: SeedStream) -> list[CheckResult]:
@@ -666,7 +675,9 @@ def _check_eigenvalue_pairs(cfg: ExperimentConfig, root: SeedStream) -> list[Che
     counts = np.zeros((grid, grid))
     np.add.at(counts, (idx1, idx2), 1)
     keep = probs * n_samples >= 200.0
-    expected = np.concatenate([probs[keep] * n_samples, [max(1e-9, (1 - probs[keep].sum()) * n_samples)]])
+    # the pooled bucket's own cells, so no quadrature error lands in it
+    pooled = max(1e-9, probs[~keep].sum() * n_samples)
+    expected = np.concatenate([probs[keep] * n_samples, [pooled]])
     observed = np.concatenate([counts[keep], [counts[~keep].sum()]])
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = expected.shape[0] - 1

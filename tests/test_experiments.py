@@ -779,3 +779,15 @@ class TestMallocThresholds:
         assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
         assert opened == [None]
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [3, 8, 32, 64, 128])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_eigen_pair_cells_hold_the_whole_mass(field, n):
+    # Every n here runs the chi-square fit. Over R the density has a kink on
+    # the diagonal: a Gauss rule over the whole diagonal cells lost 2.2e-5
+    # of the mass at n = 3, 5.5e-5 at n = 8 and 3.9e-4 at n = 64, and the
+    # pooled bucket took all of it.
+    cfg = load_config(experiment="diagnostics", overrides={"field": field, "n": n})
+    probs = experiments._eigen_pair_cell_probs(cfg, 6)
+    assert abs(probs.sum() - 1.0) <= 1e-8, probs.sum()
