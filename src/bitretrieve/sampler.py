@@ -34,7 +34,9 @@ that fit in _SUB_BATCH_BYTES = 256 KiB (256 at real n = 8, the whole
 slice at real n = 2) and factors each matrix on its own, so no frame
 depends on the batching. A slice is also one chunk of every sum over
 projections, and every walk, held or streamed, cuts by `_slices`, so a
-streamed ensemble gives the held sums.
+streamed ensemble gives the held sums. One walk, `_frame_slices`, draws
+the slices: `_frame_blocks` validates each one for the streamed consumers,
+and `sample_ensemble` validates its assembled array once.
 
 Memory rule: a worker holds at most two slices of frames (its slice and
 one slice-sized temporary, the signed copy of its rows or half a complex
@@ -293,41 +295,53 @@ def _unpack_hermitian(field: FieldKind, packed: np.ndarray, d: int) -> np.ndarra
     return out
 
 
-def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
-    """Yield (start, part) for each slice of the ensemble that
-    `sample_ensemble(field, n, m, stream)` returns, in order: `part` is the
-    MeasurementEnsemble of elements [start, start + part.m), validated where
-    it is drawn. The generator keeps no reference to a slice it has
-    yielded, so a consumer that drops a slice frees its frames."""
+def _frame_slices(field: FieldKind, n: int, m: int, stream: SeedStream):
+    """Yield (start, frames) for each slice of the ensemble that
+    `sample_ensemble(field, n, m, stream)` returns, in order: the (count, n,
+    2n) orthonormalized frames of elements [start, start + count), not yet
+    validated. The generator keeps no reference to a slice it has yielded."""
     for b, first in enumerate(range(0, m, _CHUNK)):
         rng = stream.child(b).generator()
         for rows in _slices(min(_CHUNK, m - first), _slice(field, n)):
             yield first + rows.start, _frame_slice(field, n, rows.stop - rows.start, rng)
 
 
-def _frame_slice(field: FieldKind, n: int, count: int, rng: np.random.Generator):
-    """The next `count` projections of a block's generator, as a validated
-    MeasurementEnsemble: one (count, 2n, n) draw, orthonormalized one
-    `_sub_batch` at a time, each sub-batch's conj(Q^T) written over its own
-    draw."""
+def _frame_blocks(field: FieldKind, n: int, m: int, stream: SeedStream):
+    """(start, part) for each slice of `_frame_slices`, in order: `part` is
+    the MeasurementEnsemble of its frames, validated where it is drawn. The
+    iterator keeps no reference to a slice it has given out, so a consumer
+    that drops a slice frees its frames."""
+
+    def validated(item):
+        start, frames = item
+        return start, MeasurementEnsemble(field, n, frames)
+
+    return map(validated, _frame_slices(field, n, m, stream))
+
+
+def _frame_slice(field: FieldKind, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The frames of the next `count` projections of a block's generator:
+    one (count, 2n, n) draw, orthonormalized one `_sub_batch` at a time, each
+    sub-batch's conj(Q^T) written over its own draw."""
     g = _gaussian(field, (count, 2 * n, n), rng)
     frames = g.reshape(count, n, 2 * n)
     step = _sub_batch(field, n)
     for first in range(0, count, step):
         part = slice(first, first + step)
         np.conjugate(np.swapaxes(_orthonormalize_batch(g[part]), 1, 2), out=frames[part])
-    return MeasurementEnsemble(field, n, frames)
+    return frames
 
 
 def sample_ensemble(field: FieldKind, n: int, m: int, stream: SeedStream) -> MeasurementEnsemble:
     """m independent Haar-uniform rank-n projections in dimension 2n: the
-    slices of `_frame_blocks`, so the same however the work is scheduled."""
+    slices of `_frame_slices`, so the same however the work is scheduled,
+    validated once, as one ensemble."""
     if n < 1:
         raise InvalidInput(f"sample_ensemble: n must be >= 1, got {n}")
     if m < 1:
         raise InvalidInput(f"sample_ensemble: m must be >= 1, got {m}")
     frames = np.empty((m, n, 2 * n), dtype=field.dtype)
-    for start, part in _frame_blocks(field, n, m, stream):
-        frames[start : start + part.m] = part.frames
+    for start, part in _frame_slices(field, n, m, stream):
+        frames[start : start + len(part)] = part
         del part  # or the last slice stays alive through the validation below
     return MeasurementEnsemble(field, n, frames)

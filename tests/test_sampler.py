@@ -349,6 +349,21 @@ class TestSampleEnsemble:
                 next(blocks)
             assert calls == [min(_TRACE_SLICE, m - s) for s in starts[:skewed_call]]
 
+    def test_held_ensemble_checks_each_frame_once(self, monkeypatch):
+        # Checking every slice as it was drawn and then the assembled array
+        # checked each frame twice.
+        checked = []
+        check = MeasurementEnsemble.__post_init__
+
+        def counting(self):
+            checked.append(len(self.frames))
+            check(self)
+
+        monkeypatch.setattr(MeasurementEnsemble, "__post_init__", counting)
+        m = 2 * _CHUNK + 17
+        sample_ensemble(R, 2, m, SeedStream(33))
+        assert checked == [m]
+
     def test_compression_blocks(self):
         ens = sample_ensemble(R, 3, 10, SeedStream(12))
         top = ens.compression(2)

@@ -438,8 +438,8 @@ def test_soft_sandwich_check_takes_any_slice(monkeypatch, field):
 
 
 def slice_frames(field: FieldKind, n: int) -> np.ndarray:
-    """A writable copy of the frames of one whole slice."""
-    return _frame_slice(field, n, _slice(field, n), ROOT.child(2).generator()).frames.copy()
+    """The frames of one whole slice, writable."""
+    return _frame_slice(field, n, _slice(field, n), ROOT.child(2).generator())
 
 
 def phase_peaks(field: FieldKind, n: int) -> dict[str, int]:
