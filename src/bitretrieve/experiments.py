@@ -470,7 +470,7 @@ def _run_fixed_signal(
 
     def worker(unit: tuple[int, int]) -> tuple[TrialRecord, tuple]:
         t, m = unit
-        blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(t, m))
+        blocks = functools.partial(_frame_blocks, cfg.field, cfg.n, m, root.child(t, m))
         mode = cfg.flip_mode if noisy else None
         clean_avg, noisy_avg, _ = _streamed_averages(
             m, blocks, x, mode, cfg.tau, root.child(t, m, m)
@@ -596,7 +596,7 @@ def _check_expectation_structure(cfg: ExperimentConfig, root: SeedStream) -> Che
     m = 50000
     consts = theory_constants(cfg.field, cfg.n)
     x = RankOneProjection(sample_unit_vector(cfg.field, 2 * cfg.n, root.child(0, 0)))
-    blocks = _frame_blocks(cfg.field, cfg.n, m, root.child(1))
+    blocks = functools.partial(_frame_blocks, cfg.field, cfg.n, m, root.child(1))
     qhat, _, _ = _streamed_averages(m, blocks, x)
     vals, vecs = np.linalg.eigh(qhat.matrix)
     top_dev = abs(float(vals[-1]) - consts.mu1)

@@ -173,6 +173,53 @@ def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) 
         acc[rows] += (table.T @ signs.T).T[: len(bits)]
 
 
+# Frame bytes that greedy mode's flip store may hold. A unit whose
+# flips + min(flips, slice) rows would not fit keeps positions, damages and
+# bits only, and replays its blocks to gather the flipped frames.
+_FLIP_STORE_BYTES = 16 << 20
+
+
+class _FlippedSum:
+    """sum_F (2 b_j - 1) F_j^H F_j over flipped frames handed in position
+    order, one full buffer of `min(flips, size)` frames per
+    `_accumulate_signed` call: the GEMMs that `_slices(flips, size)` cuts
+    over the flipped frames, with one buffer of them held."""
+
+    def __init__(self, acc: np.ndarray, flips: int, size: int):
+        d = acc.shape[0]
+        self.total = np.zeros_like(acc)
+        self.frames = np.empty((min(flips, size), d // 2, d), dtype=acc.dtype)
+        self.bits = np.empty(len(self.frames), dtype=np.uint8)
+        self.held = self.ones = self.added = 0
+
+    def add(self, frames: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> None:
+        """Append frames[rows] (rows increasing, in range) with their bits."""
+        taken = 0
+        while taken < len(rows):
+            end = min(len(self.bits), self.held + len(rows) - taken)
+            part = slice(taken, taken + end - self.held)
+            # mode="clip" writes straight into the buffer; "raise" would copy first
+            np.take(frames, rows[part], axis=0, out=self.frames[self.held : end], mode="clip")
+            self.bits[self.held : end] = bits[part]
+            taken, self.held = part.stop, end
+            if end == len(self.bits):
+                self.flush()
+
+    def flush(self) -> None:
+        """Add the held frames into the sum."""
+        held = slice(0, self.held)
+        _accumulate_signed(self.total, self.frames[held], self.bits[held])
+        self.ones += int(self.bits[held].sum())
+        self.added += self.held
+        self.held = 0
+
+    def finish(self) -> tuple[np.ndarray, int]:
+        """Add what is still held; the signed sum and sum_F (2 b_j - 1)."""
+        if self.held:
+            self.flush()
+        return self.total, 2 * self.ones - self.added
+
+
 def _streamed_averages(
     m: int,
     blocks,
@@ -182,59 +229,69 @@ def _streamed_averages(
     flip_stream: SeedStream | None = None,
 ) -> tuple[HermitianMatrix, HermitianMatrix, np.ndarray]:
     """The clean and the corrupted empirical average of one ensemble of m
-    elements, in one pass over its slices. `blocks` yields (start, part) in
-    order, as `sampler._frame_blocks` does, each part a validated slice in
-    the space of x. Each is measured against x, added into one signed
-    accumulator and dropped, so the pass holds one slice whatever m is.
+    elements, in one pass over its slices. `blocks()` yields (start, part)
+    in order, as `sampler._frame_blocks` does, each part a validated slice
+    in the space of x, and yields the same slices when called again. Each
+    is measured against x, added into one signed accumulator and dropped,
+    so the pass holds one slice whatever m is.
 
     With a flip mode, the set F that `corrupt_bits(bits, tau, flip_mode,
-    flip_stream, (ensemble, x))` would flip is chosen on the way, keeping
-    only its candidates' frames, and the noisy average is a sparse update
-    of the clean one: acc - 2 sum_F s_j P_j and zeros + sum_F s_j, s_j =
-    2 b_j - 1, in index order. Returns the clean average, the corrupted one
-    (the clean one when nothing is flipped) and F in increasing order.
+    flip_stream, (ensemble, x))` would flip is chosen on the way, and the
+    noisy average is a sparse update of the clean one: acc - 2 sum_F s_j P_j
+    and zeros + sum_F s_j, s_j = 2 b_j - 1, the flipped sum taken one slice
+    of F's frames at a time in position order. Random mode knows F before
+    the pass and gathers its frames on the way. Greedy mode keeps its
+    candidates' frames while its store fits _FLIP_STORE_BYTES; past that it
+    calls `blocks()` a second time to gather F's frames. Returns the clean
+    average, the corrupted one (the clean one when nothing is flipped) and
+    F in increasing order.
     """
     field, d = x.field, x.dim
     size = _slice(field, d // 2)
     acc = np.zeros((d, d), dtype=field.dtype)
     ones = 0
     flips = _flip_count(tau, m) if flip_mode is not None else 0
-    # The flip candidates in position order: positions, scores, bits, and
-    # each one's row in a preallocated frame store. A slice appends every
-    # score above `cut`, the least one the last pruning kept; the store is
-    # pruned to the `flips` highest only when a slice might not fit, so the
-    # cost per projection does not grow with flips. Ties go to the lower
-    # position and the cut only rises, so a score at or below it is never
-    # flipped. Greedy scores by damage, with min(flips, slice) spare rows: a
-    # slice keeps only its own `flips` highest, since a candidate below them
-    # is never flipped. Random scores 1 on the F corrupt_bits draws, from a
-    # cut of 0, and never prunes.
     drawn = np.sort(_random_flips(m, flips, flip_stream)) if flip_mode == "random" else None
-    capacity = flips + min(flips, size) if drawn is None else flips
-    store = np.empty((capacity, d // 2, d), dtype=field.dtype)
+    gather = _FlippedSum(acc, flips, size) if drawn is not None and flips else None
+    greedy = drawn is None and flips > 0
+    # Greedy mode's candidates in position order: positions, damages, bits,
+    # and, while the store fits its budget, each one's row in a preallocated
+    # frame store. A slice appends every damage above `cut`, the least one
+    # the last pruning kept; the candidates are pruned to the `flips`
+    # highest only when a slice might not fit, so the cost per projection
+    # does not grow with flips. Ties go to the lower position and the cut
+    # only rises, so a damage at or below it is never flipped. A slice keeps
+    # only its own `flips` highest, since a candidate below them is never
+    # flipped, so min(flips, slice) spare rows suffice.
+    capacity = flips + min(flips, size) if greedy else 0
+    stored = greedy and capacity * d * d // 2 * field.dtype.itemsize <= _FLIP_STORE_BYTES
+    store = np.empty((capacity, d // 2, d), dtype=field.dtype) if stored else None
     kept_bits, scores = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
-    slots, free = np.arange(capacity), np.arange(capacity)
     positions = np.empty(capacity, dtype=np.intp)
-    count, cut = 0, -1.0 if drawn is None else 0.0
+    slots, free = np.arange(capacity if stored else 0), np.arange(capacity if stored else 0)
+    columns = (positions, scores, kept_bits) + ((slots,) if stored else ())
+    count, cut = 0, -1.0
 
     def prune():
         nonlocal count, cut, free
         keep = _most_damaging(scores[:count], flips)
-        free = np.concatenate([slots[:count][~keep], free])
-        for column in (positions, scores, kept_bits, slots):
+        if stored:
+            free = np.concatenate([slots[:count][~keep], free])
+        for column in columns:
             column[:flips] = column[:count][keep]
         count, cut = flips, float(scores[:flips].min())
 
-    for start, part in blocks:
+    for start, part in blocks():
         traces = trace_values(part, x)
         bits = _answers(traces)
         _accumulate_signed(acc, part.frames, bits)
         ones += int(bits.sum())
-        if flips:
-            if drawn is None:
-                score = _damage(traces)
-            else:
-                score = np.diff(np.searchsorted(drawn, np.arange(start, start + part.m + 1)))
+        if gather is not None:
+            lo, hi = np.searchsorted(drawn, (start, start + part.m))
+            rows = drawn[lo:hi] - start
+            gather.add(part.frames, rows, bits[rows])
+        elif greedy:
+            score = _damage(traces)
             new = np.flatnonzero(score > cut)
             if len(new) > flips:
                 new = new[_most_damaging(score[new], flips)]
@@ -242,11 +299,12 @@ def _streamed_averages(
                 prune()
                 new = new[score[new] > cut]
             end = count + len(new)
-            slots[count:end], free = free[: len(new)], free[len(new) :]
             positions[count:end] = start + new
             scores[count:end] = score[new]
             kept_bits[count:end] = bits[new]
-            store[slots[count:end]] = part.frames[new]
+            if stored:
+                slots[count:end], free = free[: len(new)], free[len(new) :]
+                store[slots[count:end]] = part.frames[new]
             count = end
         # drop the slice now, or it stays alive through the next one's draw
         del part, traces, bits
@@ -254,16 +312,29 @@ def _streamed_averages(
     clean = HermitianMatrix(field, _finalize_average(acc, zeros, m))
     if not flips:
         return clean, clean, np.empty(0, dtype=np.intp)
-    if count > flips:
-        prune()
-    kept_bits = kept_bits[:flips]
-    flipped = np.zeros_like(acc)
-    for rows in _slices(flips, size):
-        # one slice of the store at a time, or the gather copies every frame
-        _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
-    sign_sum = 2 * int(kept_bits.sum()) - len(kept_bits)
+    if greedy:
+        if count > flips:
+            prune()
+        positions, kept_bits = positions[:flips], kept_bits[:flips]
+    else:
+        positions = drawn
+    if stored:
+        flipped = np.zeros_like(acc)
+        for rows in _slices(flips, size):
+            # one slice of the store at a time, or the gather copies every frame
+            _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
+        sign_sum = 2 * int(kept_bits.sum()) - flips
+    else:
+        if greedy:
+            # the replay: the same slices again, for the frames at F
+            gather = _FlippedSum(acc, flips, size)
+            for start, part in blocks():
+                lo, hi = np.searchsorted(positions, (start, start + part.m))
+                gather.add(part.frames, positions[lo:hi] - start, kept_bits[lo:hi])
+                del part
+        flipped, sign_sum = gather.finish()
     noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
-    return clean, noisy, positions[:flips]
+    return clean, noisy, positions
 
 
 def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray):

@@ -48,10 +48,12 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from bitretrieve import experiments, recovery
 from bitretrieve.cli import main
 from bitretrieve.experiments import load_config, run_diagnostics
 
@@ -247,6 +249,32 @@ def child_digests(argv: tuple[str, ...], blas_threads: int, directory: Path) -> 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_digests(name, threads, tmp_path):
     assert csv_digests(CONFIGS[name], threads, tmp_path) == GOLDEN[name]
+
+
+# Greedy configs whose flip store the budget decides: the n = 64 one's
+# 150 + 128 rows of 64 KiB frames exceed the 16 MiB budget, the others fit.
+STORED_OR_REPLAYED = ("noise-complex-greedy-block", "noise-real-greedy-block", "noise-real-greedy-n64")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("budget, walks", [(0, 2), (1 << 30, 1)], ids=["replayed", "stored"])
+@pytest.mark.parametrize("name", STORED_OR_REPLAYED)
+def test_flip_store_budget_keeps_the_digests(name, budget, walks, threads, monkeypatch, tmp_path):
+    # With no budget every greedy unit keeps positions, damages and bits
+    # only, and walks its ensemble a second time to gather the flipped
+    # frames; with a budget of 1 GiB every unit keeps its frames and walks
+    # its ensemble once. Both give the pinned bytes.
+    paths = []
+
+    def counted(field, n, m, stream):
+        paths.append(stream.path)
+        return frame_blocks(field, n, m, stream)
+
+    frame_blocks = experiments._frame_blocks
+    monkeypatch.setattr(experiments, "_frame_blocks", counted)
+    monkeypatch.setattr(recovery, "_FLIP_STORE_BYTES", budget)
+    assert csv_digests(CONFIGS[name], threads, tmp_path) == GOLDEN[name]
+    assert set(Counter(paths).values()) == {walks}, paths
 
 
 def test_digests_hold_at_two_blas_threads(tmp_path):

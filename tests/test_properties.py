@@ -15,6 +15,7 @@ depends on how many rows follow it. A config gives the same
 written. The sample sizes reach the accuracy they are computed for.
 """
 
+import functools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitretrieve import cli
+from bitretrieve import cli, recovery
 from bitretrieve.core import FieldKind, RankOneProjection, UnitVector, rank_one_distance
 from bitretrieve.experiments import (
     EXPERIMENTS,
@@ -63,8 +64,17 @@ taus = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(field=fields, n=st.integers(1, 3), m=st.integers(1, 300), tau=taus, mode=modes, seed=seeds)
-def test_corruption_flips_at_most_tau(field, n, m, tau, mode, seed):
+@given(
+    field=fields,
+    n=st.integers(1, 3),
+    m=st.integers(1, 300),
+    tau=taus,
+    mode=modes,
+    seed=seeds,
+    budget=st.sampled_from([0, recovery._FLIP_STORE_BYTES]),
+)
+def test_corruption_flips_at_most_tau(field, n, m, tau, mode, seed, budget):
+    # A zero budget sends every greedy unit down the replay path.
     root = SeedStream(seed)
     stream = root.child(1, m)
     x = RankOneProjection(sample_unit_vector(field, 2 * n, root.child(0)))
@@ -74,8 +84,9 @@ def test_corruption_flips_at_most_tau(field, n, m, tau, mode, seed):
     flipped = np.flatnonzero(bits.bits != corrupted.bits)
     assert hamming_distance(bits, corrupted) == len(flipped) / m
     assert len(flipped) / m <= tau < (len(flipped) + 1) / m
-    blocks = _frame_blocks(field, n, m, stream)
-    _, _, streamed = _streamed_averages(m, blocks, x, mode, tau, root.child(1, m, m))
+    blocks = functools.partial(_frame_blocks, field, n, m, stream)
+    with mock.patch.object(recovery, "_FLIP_STORE_BYTES", budget):
+        _, _, streamed = _streamed_averages(m, blocks, x, mode, tau, root.child(1, m, m))
     assert np.array_equal(streamed, flipped)
 
 
@@ -115,7 +126,8 @@ def test_streamed_average_is_the_empirical_average(field, n, m, seed):
     root = SeedStream(seed)
     x = RankOneProjection(sample_unit_vector(field, 2 * n, root.child(0)))
     ens = sample_ensemble(field, n, m, root.child(1))
-    clean, _, _ = _streamed_averages(m, _frame_blocks(field, n, m, root.child(1)), x)
+    blocks = functools.partial(_frame_blocks, field, n, m, root.child(1))
+    clean, _, _ = _streamed_averages(m, blocks, x)
     assert np.array_equal(clean.matrix, empirical_average(ens, measure(ens, x)).matrix)
 
 

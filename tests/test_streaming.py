@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from bitretrieve.core import FieldKind, InvalidInput, RankOneProjection, UnitVector
-from bitretrieve import sampler
+from bitretrieve import recovery, sampler
 from bitretrieve.experiments import (
     _check_eigenvalue_pairs,
     _check_soft_sandwich,
@@ -81,17 +81,23 @@ def signal(field: FieldKind) -> RankOneProjection:
 
 
 def blocks_of(field: FieldKind, frames: np.ndarray):
-    """The (start, part) slices of a materialized frame stack, each one
-    validated as a MeasurementEnsemble, as `_frame_blocks` yields them."""
-    return (
+    """A factory of the (start, part) slices of a materialized frame stack,
+    each one validated as a MeasurementEnsemble, as `_frame_blocks` yields
+    them."""
+    return lambda: (
         (s, MeasurementEnsemble(field, N, frames[s : s + _TRACE_SLICE].copy()))
         for s in range(0, len(frames), _TRACE_SLICE)
     )
 
 
+def ensemble_blocks(field: FieldKind = FieldKind.REAL, n: int = N, m: int = M, stream=ENSEMBLE_STREAM):
+    """A factory of `_frame_blocks(field, n, m, stream)`, as the runners pass one."""
+    return lambda: _frame_blocks(field, n, m, stream)
+
+
 def streamed(field, x, mode=None, tau=0.0, blocks=None):
     if blocks is None:
-        blocks = _frame_blocks(field, N, M, ENSEMBLE_STREAM)
+        blocks = ensemble_blocks(field)
     return _streamed_averages(M, blocks, x, mode, tau, FLIP_STREAM)
 
 
@@ -165,7 +171,7 @@ def test_every_block_is_validated():
 
 
 def averages(blocks):
-    return _streamed_averages(5, blocks, signal(FieldKind.REAL))
+    return _streamed_averages(5, lambda: blocks, signal(FieldKind.REAL))
 
 
 def stack_averages(blocks):
@@ -226,7 +232,7 @@ def unit_peak(
     unless told otherwise, streams its ensemble of size m and keeps its flip
     candidates."""
     x = RankOneProjection(sample_unit_vector(field, 2 * n, ROOT.child(0)))
-    blocks = _frame_blocks(field, n, m, ROOT.child(0, m))
+    blocks = ensemble_blocks(field, n, m, ROOT.child(0, m))
     return peak_of(lambda: _streamed_averages(m, blocks, x, mode, tau, ROOT.child(0, m, m)))
 
 
@@ -238,6 +244,22 @@ def test_streamed_unit_holds_one_block_at_a_time(mode, tau):
     assert large <= small + 2**20, (small, large)
 
 
+@pytest.mark.parametrize("mode", ["greedy", "random"])
+def test_noise_unit_memory_does_not_grow_with_m(monkeypatch, mode):
+    # Real n = 8 frames of 1 KiB, tau = 0.05: 819 flips at m = 2 * 8192 and
+    # 6553 at 16 * 8192. With no budget greedy mode keeps no frame, and
+    # random mode keeps none beyond one slice of flipped frames. Measured
+    # before the bound was set, when both modes held a frame per flip: the
+    # peak grew from 3.8 to 9.8 MiB (greedy) and from 3.0 to 8.8 MiB
+    # (random); now from 2.8 to 3.3 and from 3.0 to 3.2 MiB, the growth
+    # being the flipped-frame buffer filling up to one slice. Random mode's
+    # 1 MiB position permutation at the large m is freed before the pass.
+    monkeypatch.setattr(recovery, "_FLIP_STORE_BYTES", 0)
+    small = unit_peak(2 * _CHUNK, mode, 0.05, FieldKind.REAL, 8)
+    large = unit_peak(16 * _CHUNK, mode, 0.05, FieldKind.REAL, 8)
+    assert large <= small + 2**20, (small, large)
+
+
 def flip_peak(mode: str) -> int:
     """Peak bytes traced while one noise unit at real n = 4, tau = 0.25 and
     m = 16 * 8192 streams its ensemble and keeps its flip candidates."""
@@ -245,10 +267,13 @@ def flip_peak(mode: str) -> int:
 
 
 def test_greedy_flip_store_costs_no_more_than_random_flips():
-    # Both modes end up holding the same floor(tau m) = 32768 frames (8 MiB);
-    # greedy mode must not copy them again with every block.
+    # Greedy mode's store of floor(tau m) + 1024 = 33792 frames (8.25 MiB)
+    # fits its budget, while random mode holds one buffer of flipped frames;
+    # beyond its store greedy mode must cost no more than random mode, so it
+    # must not copy the store again with every block.
     random, greedy = flip_peak("random"), flip_peak("greedy")
-    assert greedy <= random + 2 * 2**20, (random, greedy)
+    store = (32768 + _TRACE_SLICE) * 4 * 8 * 8
+    assert greedy <= random + store + 2 * 2**20, (random, greedy, store)
 
 
 @pytest.mark.parametrize("mode", ["random", "greedy"])
@@ -371,7 +396,7 @@ def check_every_walk_follows_the_slice(field: FieldKind, n: int, size: int) -> N
     x = RankOneProjection(sample_unit_vector(field, 2 * n, ROOT.child(0)))
     ens = sample_ensemble(field, n, M, ENSEMBLE_STREAM)
     bits = measure(ens, x)
-    clean, _, _ = _streamed_averages(M, blocks(), x)
+    clean, _, _ = _streamed_averages(M, blocks, x)
     assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
 
     # 130 signals cross one 128-row signal block.
@@ -390,7 +415,7 @@ def check_every_walk_follows_the_slice(field: FieldKind, n: int, size: int) -> N
 
     for mode in ("greedy", "random"):
         corrupted = corrupt_bits(bits, 0.05, mode, FLIP_STREAM, (ens, x))
-        _, _, flipped = _streamed_averages(M, blocks(), x, mode, 0.05, FLIP_STREAM)
+        _, _, flipped = _streamed_averages(M, blocks, x, mode, 0.05, FLIP_STREAM)
         assert np.array_equal(flipped, flipped_positions(bits, corrupted))
 
 
