@@ -8,7 +8,8 @@ Usage:
                 [--flip-mode MODE]
 
 Flags override config-file keys of the same name, parsed alike. `main` fixes
-the C library's mmap and trim thresholds for its process. Exit codes:
+the C library's mmap and trim thresholds for its process and holds it to one
+malloc arena, which the worker threads share. Exit codes:
 
 0   success (for diagnostics: every check passed).
 1   a failure during the run: a failed diagnostic, a theory relation
@@ -76,15 +77,18 @@ def _print_diagnostics(report: DiagnosticsReport) -> None:
 
 def _fix_malloc_thresholds() -> None:
     """Fix glibc's mmap and trim thresholds at the ceilings its dynamic rule
-    reaches; the dynamic ones give each slice's freed buffers back to the
-    kernel. The setting is process-wide and for good, so only the CLI makes
-    it. A C library without `mallopt` is left alone."""
+    reaches, since the dynamic ones give each slice's freed buffers back to
+    the kernel, and hold it to one malloc arena, so that the worker threads
+    share the main heap instead of each keeping pages in an arena of its
+    own. The settings are process-wide and for good, so only the CLI makes
+    them. A C library without `mallopt` is left alone."""
     libc = ctypes.CDLL(None) if sys.platform != "win32" else None  # CDLL(None) is POSIX-only
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, in bytes
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def main(argv: list[str] | None = None) -> int:

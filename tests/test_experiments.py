@@ -1,3 +1,4 @@
+import ctypes
 import platform
 import subprocess
 import sys
@@ -763,6 +764,20 @@ class TestMallocThresholds:
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
         assert proc.returncode == 0, proc.stderr
         assert faults < 30_000, faults
+
+    def test_cli_holds_the_process_to_one_malloc_arena(self, monkeypatch, capsys):
+        # M_ARENA_MAX (-8) = 1: the worker threads share the main heap, so no
+        # thread keeps freed pages in an arena of its own after a run.
+        calls = []
+
+        def mallopt(option, value):
+            calls.append((option, value))
+            return 1
+
+        libc = SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: libc, c_int=ctypes.c_int))
+        assert main(["theory", "--n", "2"]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]
 
     def test_run_without_mallopt_writes_the_same_bytes(self, monkeypatch, tmp_path):
         # Only cli's own name for ctypes is replaced: experiments reaches the
