@@ -190,7 +190,7 @@ class _FlippedSum:
         self.total = np.zeros_like(acc)
         self.frames = np.empty((min(flips, size), d // 2, d), dtype=acc.dtype)
         self.bits = np.empty(len(self.frames), dtype=np.uint8)
-        self.held = self.ones = self.added = 0
+        self.held = self.ones = 0
 
     def add(self, frames: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> None:
         """Append frames[rows] (rows increasing, in range) with their bits."""
@@ -210,14 +210,13 @@ class _FlippedSum:
         held = slice(0, self.held)
         _accumulate_signed(self.total, self.frames[held], self.bits[held])
         self.ones += int(self.bits[held].sum())
-        self.added += self.held
         self.held = 0
 
     def finish(self) -> tuple[np.ndarray, int]:
-        """Add what is still held; the signed sum and sum_F (2 b_j - 1)."""
+        """Add what is still held; the signed sum and the count of 1 bits."""
         if self.held:
             self.flush()
-        return self.total, 2 * self.ones - self.added
+        return self.total, self.ones
 
 
 def _streamed_averages(
@@ -268,7 +267,7 @@ def _streamed_averages(
     store = np.empty((capacity, d // 2, d), dtype=field.dtype) if stored else None
     kept_bits, scores = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
     positions = np.empty(capacity, dtype=np.intp)
-    slots, free = np.arange(capacity if stored else 0), np.arange(capacity if stored else 0)
+    slots, free = (np.arange(capacity), np.arange(capacity)) if stored else (None, None)
     columns = (positions, scores, kept_bits) + ((slots,) if stored else ())
     count, cut = 0, -1.0
 
@@ -323,7 +322,7 @@ def _streamed_averages(
         for rows in _slices(flips, size):
             # one slice of the store at a time, or the gather copies every frame
             _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
-        sign_sum = 2 * int(kept_bits.sum()) - flips
+        flipped_ones = int(kept_bits.sum())
     else:
         if greedy:
             # the replay: the same slices again, for the frames at F
@@ -332,7 +331,8 @@ def _streamed_averages(
                 lo, hi = np.searchsorted(positions, (start, start + part.m))
                 gather.add(part.frames, positions[lo:hi] - start, kept_bits[lo:hi])
                 del part
-        flipped, sign_sum = gather.finish()
+        flipped, flipped_ones = gather.finish()
+    sign_sum = 2 * flipped_ones - flips
     noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
     return clean, noisy, positions
 

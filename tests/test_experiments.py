@@ -775,7 +775,8 @@ class TestMallocThresholds:
             return 1
 
         libc = SimpleNamespace(mallopt=mallopt)
-        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: libc, c_int=ctypes.c_int))
+        fake = SimpleNamespace(CDLL=lambda name: libc, c_int=ctypes.c_int)
+        monkeypatch.setattr(cli, "ctypes", fake)
         assert main(["theory", "--n", "2"]) == 0
         assert calls == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]
 

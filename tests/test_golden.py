@@ -253,7 +253,9 @@ def test_csv_digests(name, threads, tmp_path):
 
 # Greedy configs whose flip store the budget decides: the n = 64 one's
 # 150 + 128 rows of 64 KiB frames exceed the 16 MiB budget, the others fit.
-STORED_OR_REPLAYED = ("noise-complex-greedy-block", "noise-real-greedy-block", "noise-real-greedy-n64")
+STORED_OR_REPLAYED = (
+    "noise-complex-greedy-block", "noise-real-greedy-block", "noise-real-greedy-n64",
+)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -90,7 +90,7 @@ def blocks_of(field: FieldKind, frames: np.ndarray):
     )
 
 
-def ensemble_blocks(field: FieldKind = FieldKind.REAL, n: int = N, m: int = M, stream=ENSEMBLE_STREAM):
+def ensemble_blocks(field: FieldKind, n: int = N, m: int = M, stream=ENSEMBLE_STREAM):
     """A factory of `_frame_blocks(field, n, m, stream)`, as the runners pass one."""
     return lambda: _frame_blocks(field, n, m, stream)
 
