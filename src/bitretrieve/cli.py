@@ -9,7 +9,8 @@ Usage:
 
 Flags override config-file keys of the same name, parsed alike. `main` fixes
 the C library's mmap and trim thresholds for its process and holds it to one
-malloc arena, which the worker threads share. Exit codes:
+malloc arena (glibc's M_ARENA_MAX = 1), which the worker threads share. Exit
+codes:
 
 0   success (for diagnostics: every check passed).
 1   a failure during the run: a failed diagnostic, a theory relation
@@ -78,10 +79,10 @@ def _print_diagnostics(report: DiagnosticsReport) -> None:
 def _fix_malloc_thresholds() -> None:
     """Fix glibc's mmap and trim thresholds at the ceilings its dynamic rule
     reaches, since the dynamic ones give each slice's freed buffers back to
-    the kernel, and hold it to one malloc arena, so that the worker threads
-    share the main heap instead of each keeping pages in an arena of its
-    own. The settings are process-wide and for good, so only the CLI makes
-    them. A C library without `mallopt` is left alone."""
+    the kernel, and set M_ARENA_MAX to 1, so that the worker threads share
+    the main heap instead of each keeping pages in an arena of its own.
+    The settings are process-wide and for good, so only the CLI makes them.
+    A C library without `mallopt` is left alone."""
     libc = ctypes.CDLL(None) if sys.platform != "win32" else None  # CDLL(None) is POSIX-only
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is not None:
