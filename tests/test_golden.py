@@ -94,6 +94,12 @@ CONFIGS = {
         "noise", "--field", "real", "--n", "4", "--m-grid", "200,800",
         "--trials", "3", "--tau", "0.05", "--flip-mode", "random", "--seed", "14",
     ),
+    # 820 random flips over the 17 slices of three sampling blocks, the last
+    # block partial.
+    "noise-real-random-block": (
+        "noise", "--field", "real", "--n", "2", "--m-grid", "16401",
+        "--trials", "2", "--tau", "0.05", "--flip-mode", "random", "--seed", "24",
+    ),
     "noise-complex-greedy": (
         "noise", "--field", "complex", "--n", "3", "--m-grid", "300,900",
         "--trials", "3", "--tau", "0.05", "--flip-mode", "greedy", "--seed", "15",
@@ -153,6 +159,10 @@ GOLDEN = {
     "noise-real-random": {
         ".csv": "fbe159abc6a338ff3693037af7860f8f43e5cfff9401cac11721ce728d074c7e",
         ".noise.csv": "e699dc3a5dad8119e0928926a10ce436347afe3c3069573fbad5f2fa973947a0",
+    },
+    "noise-real-random-block": {
+        ".csv": "661792a6de105d535a63125a7eac722293146ad6af6973183e0b4bb1a6344945",
+        ".noise.csv": "db4aeea3de15410a191b92f11bc5efc85985a915c73be456ce796307371fc158",
     },
     "pointwise-complex-n17": {
         ".bounds.csv": "648c336b1d73b3df39be5f768d403e631b7a8fdfc4e261726de3eea1322138ce",
