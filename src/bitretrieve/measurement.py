@@ -277,23 +277,27 @@ def corrupt_bits(
     (each flip moves tr(Q X) by (1 - 2 tr(P_j X))/m, so these are the
     most damaging bits for the recovery functional) and requires
     context=(ensemble, X). Exact-count flipping guarantees the Hamming
-    distance to the original is flips/m <= tau.
+    distance to the original is flips/m <= tau. The mode and the context
+    are checked even when nothing is flipped; an empty string, which no
+    ensemble matches, needs no context.
     """
     m = len(bits)
     flips = _flip_count(tau, m)
+    if mode not in ("random", "greedy"):
+        raise InvalidInput(f"corrupt_bits: unknown mode {mode!r}")
+    if mode == "greedy" and m:
+        if context is None:
+            raise InvalidInput("corrupt_bits: greedy mode requires context=(ensemble, X)")
+        if context[0].m != m:
+            raise InvalidInput(
+                f"corrupt_bits: context ensemble has m={context[0].m}, bits have m={m}"
+            )
     if flips == 0:
         return BitString(bits.bits.copy())
     if mode == "random":
         idx = _random_flips(m, flips, stream)
-    elif mode == "greedy":
-        if context is None:
-            raise InvalidInput("corrupt_bits: greedy mode requires context=(ensemble, X)")
-        ens, x = context
-        if ens.m != m:
-            raise InvalidInput(f"corrupt_bits: context ensemble has m={ens.m}, bits have m={m}")
-        idx = _most_damaging(_damage(trace_values(ens, x)), flips)
     else:
-        raise InvalidInput(f"corrupt_bits: unknown mode {mode!r}")
+        idx = _most_damaging(_damage(trace_values(*context)), flips)
     out = bits.bits.copy()
     out[idx] ^= 1
     return BitString(out)

@@ -353,3 +353,18 @@ class TestCorruptBits:
     def test_rejects_unknown_mode(self):
         with pytest.raises(InvalidInput):
             corrupt_bits(self.bits, 0.2, "adversarial", SeedStream(9))
+
+    # floor(tau m) = 0 below: the mode and the context are checked before
+    # the string is returned unflipped.
+    def test_rejects_unknown_mode_when_nothing_flips(self):
+        with pytest.raises(InvalidInput, match="unknown mode"):
+            corrupt_bits(BitString([0, 1] * 50), 0.001, "bogus", SeedStream(1))
+
+    def test_greedy_requires_context_when_nothing_flips(self):
+        with pytest.raises(InvalidInput, match="requires context"):
+            corrupt_bits(self.bits, 0.0, "greedy", SeedStream(7))
+
+    def test_greedy_context_must_match_when_nothing_flips(self):
+        with pytest.raises(InvalidInput, match="m=40"):
+            bits, context = BitString([0, 1] * 50), (self.ens, self.x)
+            corrupt_bits(bits, 0.001, "greedy", SeedStream(7), context)
