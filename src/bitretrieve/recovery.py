@@ -175,48 +175,8 @@ def _accumulate_table(acc: np.ndarray, table: np.ndarray, bit_rows: np.ndarray) 
 
 # Frame bytes that greedy mode's flip store may hold. A unit whose
 # flips + min(flips, slice) rows would not fit keeps positions, damages and
-# bits only, and replays its blocks to gather the flipped frames.
+# bits only, and replays its blocks for the flipped frames.
 _FLIP_STORE_BYTES = 16 << 20
-
-
-class _FlippedSum:
-    """sum_F (2 b_j - 1) F_j^H F_j over flipped frames handed in position
-    order, one full buffer of `min(flips, size)` frames per
-    `_accumulate_signed` call: the GEMMs that `_slices(flips, size)` cuts
-    over the flipped frames, with one buffer of them held."""
-
-    def __init__(self, acc: np.ndarray, flips: int, size: int):
-        d = acc.shape[0]
-        self.total = np.zeros_like(acc)
-        self.frames = np.empty((min(flips, size), d // 2, d), dtype=acc.dtype)
-        self.bits = np.empty(len(self.frames), dtype=np.uint8)
-        self.held = self.ones = 0
-
-    def add(self, frames: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> None:
-        """Append frames[rows] (rows increasing, in range) with their bits."""
-        taken = 0
-        while taken < len(rows):
-            end = min(len(self.bits), self.held + len(rows) - taken)
-            part = slice(taken, taken + end - self.held)
-            # mode="clip" writes straight into the buffer; "raise" would copy first
-            np.take(frames, rows[part], axis=0, out=self.frames[self.held : end], mode="clip")
-            self.bits[self.held : end] = bits[part]
-            taken, self.held = part.stop, end
-            if end == len(self.bits):
-                self.flush()
-
-    def flush(self) -> None:
-        """Add the held frames into the sum."""
-        held = slice(0, self.held)
-        _accumulate_signed(self.total, self.frames[held], self.bits[held])
-        self.ones += int(self.bits[held].sum())
-        self.held = 0
-
-    def finish(self) -> tuple[np.ndarray, int]:
-        """Add what is still held; the signed sum and the count of 1 bits."""
-        if self.held:
-            self.flush()
-        return self.total, self.ones
 
 
 def _streamed_averages(
@@ -237,38 +197,46 @@ def _streamed_averages(
     With a flip mode, the set F that `corrupt_bits(bits, tau, flip_mode,
     flip_stream, (ensemble, x))` would flip is chosen on the way, and the
     noisy average is a sparse update of the clean one: acc - 2 sum_F s_j P_j
-    and zeros + sum_F s_j, s_j = 2 b_j - 1, the flipped sum taken one slice
-    of F's frames at a time in position order. Random mode knows F before
-    the pass and gathers its frames on the way. Greedy mode keeps its
-    candidates' frames while its store fits _FLIP_STORE_BYTES; past that it
-    calls `blocks()` a second time to gather F's frames. Returns the clean
+    and zeros + sum_F s_j, s_j = 2 b_j - 1. Each slice's flipped frames are
+    summed where they are met, by one `_accumulate_signed` call per slice
+    that holds flips, in slice order. Random mode knows F before the pass
+    and sums them on the way. Greedy mode keeps its candidates' frames, and
+    the slice each came from, while its store fits _FLIP_STORE_BYTES; past
+    that it calls `blocks()` a second time for F's frames. Returns the clean
     average, the corrupted one (the clean one when nothing is flipped) and
     F in increasing order.
     """
     field, d = x.field, x.dim
-    size = _slice(field, d // 2)
-    acc = np.zeros((d, d), dtype=field.dtype)
-    ones = 0
+    acc, flipped = np.zeros((2, d, d), dtype=field.dtype)
+    ones = flipped_ones = 0
     flips = _flip_count(tau, m) if flip_mode is not None else 0
     drawn = np.sort(_random_flips(m, flips, flip_stream)) if flip_mode == "random" else None
-    gather = _FlippedSum(acc, flips, size) if drawn is not None and flips else None
     greedy = drawn is None and flips > 0
+
+    def add_flipped(frames, bits):
+        # an empty product could turn a -0.0 entry into +0.0, so none is added
+        nonlocal flipped_ones
+        if len(bits):
+            _accumulate_signed(flipped, frames, bits)
+            flipped_ones += int(bits.sum())
+
     # Greedy mode's candidates in position order: positions, damages, bits,
     # and, while the store fits its budget, each one's row in a preallocated
-    # frame store. A slice appends every damage above `cut`, the least one
-    # the last pruning kept; the candidates are pruned to the `flips`
-    # highest only when a slice might not fit, so the cost per projection
-    # does not grow with flips. Ties go to the lower position and the cut
-    # only rises, so a damage at or below it is never flipped. A slice keeps
-    # only its own `flips` highest, since a candidate below them is never
-    # flipped, so min(flips, slice) spare rows suffice.
-    capacity = flips + min(flips, size) if greedy else 0
+    # frame store and the start of its slice. A slice appends every damage
+    # above `cut`, the least one the last pruning kept; the candidates are
+    # pruned to the `flips` highest only when a slice might not fit, so the
+    # cost per projection does not grow with flips. Ties go to the lower
+    # position and the cut only rises, so a damage at or below it is never
+    # flipped. A slice keeps only its own `flips` highest, since a candidate
+    # below them is never flipped, so min(flips, slice) spare rows suffice.
+    capacity = flips + min(flips, _slice(field, d // 2)) if greedy else 0
     stored = greedy and capacity * d * d // 2 * field.dtype.itemsize <= _FLIP_STORE_BYTES
     store = np.empty((capacity, d // 2, d), dtype=field.dtype) if stored else None
     kept_bits, scores = np.empty(capacity, dtype=np.uint8), np.empty(capacity)
     positions = np.empty(capacity, dtype=np.intp)
     slots, free = (np.arange(capacity), np.arange(capacity)) if stored else (None, None)
-    columns = (positions, scores, kept_bits) + ((slots,) if stored else ())
+    origins = np.empty(capacity if stored else 0, dtype=np.intp)
+    columns = (positions, scores, kept_bits) + ((slots, origins) if stored else ())
     count, cut = 0, -1.0
 
     def prune():
@@ -285,10 +253,9 @@ def _streamed_averages(
         bits = _answers(traces)
         _accumulate_signed(acc, part.frames, bits)
         ones += int(bits.sum())
-        if gather is not None:
-            lo, hi = np.searchsorted(drawn, (start, start + part.m))
-            rows = drawn[lo:hi] - start
-            gather.add(part.frames, rows, bits[rows])
+        if drawn is not None:
+            rows = drawn[slice(*np.searchsorted(drawn, (start, start + part.m)))] - start
+            add_flipped(part.frames[rows], bits[rows])
         elif greedy:
             score = _damage(traces)
             new = np.flatnonzero(score > cut)
@@ -304,6 +271,7 @@ def _streamed_averages(
             if stored:
                 slots[count:end], free = free[: len(new)], free[len(new) :]
                 store[slots[count:end]] = part.frames[new]
+                origins[count:end] = start
             count = end
         # drop the slice now, or it stays alive through the next one's draw
         del part, traces, bits
@@ -318,23 +286,18 @@ def _streamed_averages(
     else:
         positions = drawn
     if stored:
-        flipped = np.zeros_like(acc)
-        for rows in _slices(flips, size):
-            # one slice of the store at a time, or the gather copies every frame
-            _accumulate_signed(flipped, store[slots[:flips][rows]], kept_bits[rows])
-        flipped_ones = int(kept_bits.sum())
-    else:
-        if greedy:
-            # the replay: the same slices again, for the frames at F
-            gather = _FlippedSum(acc, flips, size)
-            for start, part in blocks():
-                lo, hi = np.searchsorted(positions, (start, start + part.m))
-                gather.add(part.frames, positions[lo:hi] - start, kept_bits[lo:hi])
-                del part
-        flipped, flipped_ones = gather.finish()
-    sign_sum = 2 * flipped_ones - flips
-    noisy = HermitianMatrix(field, _finalize_average(acc - 2.0 * flipped, zeros + sign_sum, m))
-    return clean, noisy, positions
+        # the store's rows of one slice at a time, or the gather copies every frame
+        cuts = np.flatnonzero(np.diff(origins[:flips])) + 1
+        for rows, bits in zip(np.split(slots[:flips], cuts), np.split(kept_bits, cuts)):
+            add_flipped(store[rows], bits)
+    elif greedy:
+        # the replay: the same slices again, for the frames at F
+        for start, part in blocks():
+            lo, hi = np.searchsorted(positions, (start, start + part.m))
+            add_flipped(part.frames[positions[lo:hi] - start], kept_bits[lo:hi])
+            del part
+    noisy = _finalize_average(acc - 2.0 * flipped, zeros + 2 * flipped_ones - flips, m)
+    return clean, HermitianMatrix(field, noisy), positions
 
 
 def _streamed_stack_averages(field: FieldKind, m: int, blocks, signals: np.ndarray):

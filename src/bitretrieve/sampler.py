@@ -41,9 +41,9 @@ and `sample_ensemble` validates its assembled array once.
 Memory rule: a worker holds at most two slices of frames (its slice and
 one slice-sized temporary, the signed copy of its rows or half a complex
 draw), plus one sub-batch's temporaries (QR, F^H F, the frame check) and
-its own signal stacks, or its noise unit's flip state: a slice of flipped
-frames, and in greedy mode a store of frames within a fixed byte budget
-(see recovery).
+its own signal stacks, or its noise unit's flip state: each slice's
+flipped frames are summed where they are met, and greedy mode keeps a
+store of frames within a fixed byte budget (see recovery).
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on one packed table per slice, whose row j holds the unique real

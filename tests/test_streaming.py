@@ -46,6 +46,7 @@ from bitretrieve.measurement import (
 )
 from bitretrieve.recovery import (
     _accumulate_signed,
+    _finalize_average,
     _streamed_averages,
     _streamed_stack_averages,
     average_stack,
@@ -62,6 +63,7 @@ from bitretrieve.sampler import (
     _gaussian,
     _packed_width,
     _slice,
+    _slices,
     sample_ensemble,
     sample_unit_vector,
 )
@@ -128,6 +130,34 @@ def test_flip_set_and_sparse_update_match_corrupt_bits(field, mode):
     assert np.array_equal(clean.matrix, empirical_average(ens, bits).matrix)
     recomputed = empirical_average(ens, corrupted).matrix
     assert np.max(np.abs(noisy.matrix - recomputed)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "mode, budget",
+    [("random", 0), ("greedy", 0), ("greedy", recovery._FLIP_STORE_BYTES)],
+    ids=["random", "greedy-replayed", "greedy-stored"],
+)
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_flipped_sum_is_taken_per_slice(field, mode, budget, monkeypatch):
+    # The 820 flips fall in all 17 slices. Each slice's flipped frames are
+    # one `_accumulate_signed` call, in slice order, whichever path took
+    # them, so the noisy average is this held sum bit for bit.
+    monkeypatch.setattr(recovery, "_FLIP_STORE_BYTES", budget)
+    x = signal(field)
+    ens = sample_ensemble(field, N, M, ENSEMBLE_STREAM)
+    held = measure(ens, x)
+    flipped = flipped_positions(held, corrupt_bits(held, 0.05, mode, FLIP_STREAM, (ens, x)))
+    _, noisy, streamed_flips = streamed(field, x, mode, 0.05)
+    assert np.array_equal(streamed_flips, flipped)
+    bits = held.bits
+    acc, flipped_sum = np.zeros((2, 2 * N, 2 * N), dtype=field.dtype)
+    for part in _slices(M, _slice(field, N)):
+        _accumulate_signed(acc, ens.frames[part], bits[part])
+        rows = flipped[(flipped >= part.start) & (flipped < part.stop)]
+        if len(rows):
+            _accumulate_signed(flipped_sum, ens.frames[rows], bits[rows])
+    zeros = M - int(bits.sum()) + 2 * int(bits[flipped].sum()) - len(flipped)
+    assert np.array_equal(noisy.matrix, _finalize_average(acc - 2.0 * flipped_sum, zeros, M))
 
 
 @pytest.mark.parametrize("mode", ["random", "greedy"])
@@ -248,11 +278,11 @@ def test_streamed_unit_holds_one_block_at_a_time(mode, tau):
 def test_noise_unit_memory_does_not_grow_with_m(monkeypatch, mode):
     # Real n = 8 frames of 1 KiB, tau = 0.05: 819 flips at m = 2 * 8192 and
     # 6553 at 16 * 8192. With no budget greedy mode keeps no frame, and
-    # random mode keeps none beyond one slice of flipped frames. Measured
-    # before the bound was set, when both modes held a frame per flip: the
-    # peak grew from 3.8 to 9.8 MiB (greedy) and from 3.0 to 8.8 MiB
-    # (random); now from 2.8 to 3.3 and from 3.0 to 3.2 MiB, the growth
-    # being the flipped-frame buffer filling up to one slice. Random mode's
+    # neither mode keeps one beyond a slice's flipped frames, summed where
+    # they are met. Measured before the bound was set, when both modes held
+    # a frame per flip: the peak grew from 3.8 to 9.8 MiB (greedy) and from
+    # 3.0 to 8.8 MiB (random); now from 2.2 to 2.3 and from 2.2 to 2.2 MiB,
+    # the growth being the flip positions, damages and bits. Random mode's
     # 1 MiB position permutation at the large m is freed before the pass.
     monkeypatch.setattr(recovery, "_FLIP_STORE_BYTES", 0)
     small = unit_peak(2 * _CHUNK, mode, 0.05, FieldKind.REAL, 8)
@@ -268,9 +298,10 @@ def flip_peak(mode: str) -> int:
 
 def test_greedy_flip_store_costs_no_more_than_random_flips():
     # Greedy mode's store of floor(tau m) + 1024 = 33792 frames (8.25 MiB)
-    # fits its budget, while random mode holds one buffer of flipped frames;
-    # beyond its store greedy mode must cost no more than random mode, so it
-    # must not copy the store again with every block.
+    # fits its budget, while random mode holds no more than one slice's
+    # flipped frames; beyond its store greedy mode must cost no more than
+    # random mode, so it must not copy the store again with every block.
+    # Measured: 10.6 MiB against 1.2 MiB.
     random, greedy = flip_peak("random"), flip_peak("greedy")
     store = (32768 + _TRACE_SLICE) * 4 * 8 * 8
     assert greedy <= random + store + 2 * 2**20, (random, greedy, store)
@@ -280,7 +311,8 @@ def test_greedy_flip_store_costs_no_more_than_random_flips():
 def test_flipped_frames_are_held_once(mode):
     # The floor(tau m) = 32768 flipped frames take 8 MiB. Gathering them for
     # the flipped sum all at once held a second copy: 2.3x their bytes,
-    # against 1.3x when they are gathered one slice at a time.
+    # against 1.3x for greedy mode's store summed one slice at a time, and
+    # 0.16x for random mode, which keeps no flipped frame past its slice.
     frames, peak = 32768 * 4 * 8 * 8, flip_peak(mode)
     assert peak <= 1.6 * frames, (peak, frames)
 
