@@ -9,9 +9,10 @@ orphaned private helpers and the unread parameters a deletion leaves behind. `__
 skipped as a module whose imports must be used: its imports are the
 package's re-exports.
 
-`python tests/test_imports.py` prints the library's line counts: all
-lines (`wc -l`), code lines (neither blank, comment nor docstring;
-`__init__.py` left out) and docstring lines.
+`python tests/test_imports.py` prints the library's line counts for each
+module and in total: all lines (`wc -l`), code lines (neither blank,
+comment nor docstring; `__init__.py`'s re-exports shown in parentheses and
+left out of the total) and docstring lines.
 """
 
 import ast
@@ -170,6 +171,10 @@ def line_counts(path: Path) -> tuple[int, int, int]:
 
 if __name__ == "__main__":
     counts = {p.name: line_counts(p) for p in sorted(SRC.glob("*.py"))}
-    print(f"lines {sum(c[0] for c in counts.values())}")
-    print(f"code lines {sum(c[1] for name, c in counts.items() if name != '__init__.py')}")
-    print(f"docstring lines {sum(c[2] for c in counts.values())}")
+    print(f"{'':16}{'lines':>7}{'code':>7}{'docstring':>11}")
+    for name, (lines, code, docs) in counts.items():
+        code = f"({code})" if name == "__init__.py" else code
+        print(f"{name:16}{lines:>7}{code:>7}{docs:>11}")
+    counts["__init__.py"] = (counts["__init__.py"][0], 0, counts["__init__.py"][2])
+    lines, code, docs = (sum(column) for column in zip(*counts.values()))
+    print(f"{'total':16}{lines:>7}{code:>7}{docs:>11}")
