@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FieldKind, InvalidInput, RankOneProjection, UnitVector, rank_one_distance
-from .measurement import _streamed_disagreements, soft_hamming, trace_values
+from .measurement import FLIP_MODES, _streamed_disagreements, soft_hamming, trace_values
 from .recovery import _scores, _streamed_averages, _streamed_stack_averages
 from .sampler import SeedStream, _frame_blocks, sample_ensemble, sample_unit_vector
 from .theory import (
@@ -103,7 +103,6 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("pointwise", "uniform", "noise", "diagnostics", "theory")
-FLIP_MODES = ("random", "greedy")
 CSV_HEADER = ("trial", "m", "error", "qdev", "hamming_gap", "degenerate", "seed_path")
 
 

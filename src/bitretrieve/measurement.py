@@ -263,6 +263,9 @@ def _most_damaging(damage: np.ndarray, count: int) -> np.ndarray:
     return keep
 
 
+FLIP_MODES = ("random", "greedy")
+
+
 def corrupt_bits(
     bits: BitString,
     tau: float,
@@ -283,7 +286,7 @@ def corrupt_bits(
     """
     m = len(bits)
     flips = _flip_count(tau, m)
-    if mode not in ("random", "greedy"):
+    if mode not in FLIP_MODES:
         raise InvalidInput(f"corrupt_bits: unknown mode {mode!r}")
     if mode == "greedy" and m:
         if context is None:

@@ -286,7 +286,7 @@ def _streamed_averages(
     else:
         positions = drawn
     if stored:
-        # the store's rows of one slice at a time, or the gather copies every frame
+        # one slice's rows at a time: gathering the whole store would copy every frame
         cuts = np.flatnonzero(np.diff(origins[:flips])) + 1
         for rows, bits in zip(np.split(slots[:flips], cuts), np.split(kept_bits, cuts)):
             add_flipped(store[rows], bits)

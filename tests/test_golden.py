@@ -277,9 +277,10 @@ STORED_OR_REPLAYED = (
 @pytest.mark.parametrize("name", STORED_OR_REPLAYED)
 def test_flip_store_budget_keeps_the_digests(name, budget, walks, threads, monkeypatch, tmp_path):
     # With no budget every greedy unit keeps positions, damages and bits
-    # only, and walks its ensemble a second time to gather the flipped
-    # frames; with a budget of 1 GiB every unit keeps its frames and walks
-    # its ensemble once. Both give the pinned bytes.
+    # only, and walks its ensemble a second time for the flipped frames;
+    # with a budget of 1 GiB every unit keeps its frames and walks its
+    # ensemble once. Both group the flipped frames by the same slices, so
+    # both give the pinned bytes.
     paths = []
 
     def counted(field, n, m, stream):
