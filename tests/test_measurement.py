@@ -365,6 +365,6 @@ class TestCorruptBits:
             corrupt_bits(self.bits, 0.0, "greedy", SeedStream(7))
 
     def test_greedy_context_must_match_when_nothing_flips(self):
+        bits, context = BitString([0, 1] * 50), (self.ens, self.x)
         with pytest.raises(InvalidInput, match="m=40"):
-            bits, context = BitString([0, 1] * 50), (self.ens, self.x)
             corrupt_bits(bits, 0.001, "greedy", SeedStream(7), context)
