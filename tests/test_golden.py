@@ -141,6 +141,17 @@ CONFIGS = {
         "uniform", "--field", "real", "--n", "32", "--m-grid", "1100",
         "--inputs", "130", "--seed", "23",
     ),
+    # The largest Gram-Schmidt and the smallest QR matrix size of the sampler
+    # (real n = 8 and complex n = 6), each over m = 1025, so the last slice
+    # holds one matrix.
+    "pointwise-real-n8": (
+        "pointwise", "--field", "real", "--n", "8", "--m-grid", "1025",
+        "--trials", "2", "--seed", "25",
+    ),
+    "pointwise-complex-n6": (
+        "pointwise", "--field", "complex", "--n", "6", "--m-grid", "1025",
+        "--trials", "2", "--seed", "26",
+    ),
 }
 
 GOLDEN = {
@@ -176,6 +187,10 @@ GOLDEN = {
         ".bounds.csv": "7d796736596498493efb8e7549006d5ed9bf9df68292c64f588de6889600f603",
         ".csv": "27a722fb831600e5d03c29ebd8bb96d0367b058d4cd3054411fa6fe76d4c2f81",
     },
+    "pointwise-complex-n6": {
+        ".bounds.csv": "e87c54a2d552102948be27477f20ef8ff6b1b6b1ba10ac43a0a56d3f9aff3ba3",
+        ".csv": "367aa0f1f840c3e554c6311a999c4debdc48f5387011ec4e7bc2acf74f8aa995",
+    },
     "pointwise-real-block": {
         ".bounds.csv": "0f33a1c3cb94a16d2018c60dbee530aadb7d23768303d2d48355e0563c9e20d3",
         ".csv": "e521a4f0872b56973f70e121086ed4733b9086fb689fdeb14ccf8c0e99aae954",
@@ -183,6 +198,10 @@ GOLDEN = {
     "pointwise-real-n24": {
         ".bounds.csv": "14279fd7061d95c996b71d7a9f3b7a8be70917a1dd084deb1ce30362828948ac",
         ".csv": "3601299379a0b7a51e59650718b98ae6b69f0ccb59a496c23d25419b96448595",
+    },
+    "pointwise-real-n8": {
+        ".bounds.csv": "dcb4650a1903f64e0c18415598456a4d3cc9494eb16f365e5df2411a49a1fb9d",
+        ".csv": "28f15b7d28ff57821f8160b259b87ac1af05d7911bedb83448c7a402f2a3b473",
     },
     "uniform-complex": {
         ".bounds.csv": "de7141d2f23b8030ebb47bd2f676d821ebaafa6edd626a3869573ad46601da71",
