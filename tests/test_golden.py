@@ -48,6 +48,7 @@ two BLAS threads. Another stack may need a fresh capture; run
 this file as a script to print one.
 """
 
+import csv
 import hashlib
 import os
 import subprocess
@@ -268,10 +269,22 @@ def csv_digests(argv: tuple[str, ...], threads: int, directory: Path) -> dict[st
     return written_digests(directory)
 
 
-def child_digests(argv: tuple[str, ...], blas_threads: int, directory: Path) -> dict[str, str]:
-    """Run the CLI in a child process whose BLAS thread variables all ask for
-    `blas_threads`, and hash every CSV it wrote."""
+def child_env(blas_threads: int, src: str | None = None) -> dict[str, str]:
+    """This process's environment with every BLAS thread variable at
+    `blas_threads`, and the library imported from `src` if one is given."""
     env = dict(os.environ, **{var: str(blas_threads) for var in BLAS_VARIABLES})
+    if src is not None:
+        env["PYTHONPATH"] = src
+    return env
+
+
+def child_digests(
+    argv: tuple[str, ...], blas_threads: int, directory: Path, src: str | None = None
+) -> dict[str, str]:
+    """Run the CLI in a child process whose BLAS thread variables all ask for
+    `blas_threads`, from the library at `src` if one is given, and hash
+    every CSV it wrote."""
+    env = child_env(blas_threads, src)
     command = [sys.executable, "-m", "bitretrieve", *argv, "--out", str(directory / "run.csv")]
     proc = subprocess.run(command, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -335,6 +348,44 @@ def test_diagnostics_pin(field):
     assert diagnostics_pin(field) == DIAGNOSTICS[field]
 
 
+def is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_moves(before: Path, after: Path) -> str:
+    """How one CSV moved between two runs of a config: the largest absolute
+    move of each float column (every cell a float, not every cell an
+    integer) and the number of changed cells in every other column."""
+    old, new = ([*csv.reader(path.open(newline=""))] for path in (before, after))
+    if old[0] != new[0] or len(old) != len(new):
+        return "header or row count changed"
+    floats, others = [], []
+    for i, name in enumerate(old[0]):
+        pairs = [(a[i], b[i]) for a, b in zip(old[1:], new[1:])]
+        cells = [cell for pair in pairs for cell in pair]
+        if all(map(is_float, cells)) and not all(c.lstrip("-").isdigit() for c in cells):
+            move = max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
+            floats.append(f"{name} {move:.3g}")
+        else:
+            others.append(f"{name} {sum(a != b for a, b in pairs)}")
+    return f"moved by {', '.join(floats) or '-'}; cells changed: {', '.join(others) or '-'}"
+
+
+def diagnostics_moves(before: tuple[tuple, ...], after: tuple[tuple, ...]) -> list[str]:
+    """How each diagnostics check moved between two pins: its statistic's
+    absolute move, and whether its verdict or detail changed."""
+    return [
+        f"{a[0]}: statistic moved by {abs(float(a[2]) - float(b[2])):.3g},"
+        f" verdict {'changed' if a[1] != b[1] else 'held'},"
+        f" detail {'changed' if a[4] != b[4] else 'held'}"
+        for a, b in zip(before, after)
+    ]
+
+
 if __name__ == "__main__":
     # Print fresh GOLDEN and DIAGNOSTICS mappings to paste above, after a
     # comment naming every pinned entry they change. Every config runs in
@@ -342,12 +393,39 @@ if __name__ == "__main__":
     # variables at 1 and at 2, and the diagnostics at both BLAS settings; any
     # difference stops the script before it prints. From the repository root:
     #   PYTHONPATH=src python tests/test_golden.py
+    # With `--moves OTHER_SRC` it runs every config, and the diagnostics, once
+    # on another `src/` tree and once on this one, and prints how each CSV
+    # and each check moved (`csv_moves`, `diagnostics_moves`), for a re-pin's
+    # record.
     import ast
     import itertools
     import tempfile
 
+    def child_diagnostics(field: str, blas_threads: int, src: str | None = None) -> tuple:
+        command = [sys.executable, __file__, "--diagnostics", field]
+        env = child_env(blas_threads, src)
+        out = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+        return ast.literal_eval(out.stdout)
+
     if sys.argv[1:2] == ["--diagnostics"]:
         print(repr(diagnostics_pin(sys.argv[2])))
+        raise SystemExit
+
+    if sys.argv[1:2] == ["--moves"]:
+        other = str(Path(sys.argv[2]).resolve())
+        for name in sorted(CONFIGS):
+            with tempfile.TemporaryDirectory() as tmp:
+                before, after = Path(tmp, "before"), Path(tmp, "after")
+                before.mkdir(), after.mkdir()
+                child_digests(CONFIGS[name], 1, before, other)
+                child_digests(CONFIGS[name], 1, after)
+                for path in sorted(before.glob("run*.csv")):
+                    moves = csv_moves(path, after / path.name)
+                    print(f"{name} {path.name[len('run'):]}: {moves}")
+        for field in ("complex", "real"):
+            before, after = child_diagnostics(field, 1, other), child_diagnostics(field, 1)
+            for line in diagnostics_moves(before, after):
+                print(f"diagnostics {field} {line}")
         raise SystemExit
 
     golden = {}
@@ -364,10 +442,7 @@ if __name__ == "__main__":
     for field in ("complex", "real"):
         pins = []
         for blas in (1, 2):
-            env = dict(os.environ, **{var: str(blas) for var in BLAS_VARIABLES})
-            command = [sys.executable, __file__, "--diagnostics", field]
-            out = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
-            pins.append(ast.literal_eval(out.stdout))
+            pins.append(child_diagnostics(field, blas))
         if pins[0] != pins[1]:
             raise SystemExit(f"diagnostics over {field}: BLAS threads 1 and 2 differ")
         diagnostics[field] = pins[0]
