@@ -15,9 +15,14 @@ every stream for a given numpy version. One rule, `_gaussian`, makes
 every Gaussian draw: over R one call of the shape, over C one call of
 shape (2, *shape), the real parts first.
 
-A projection is the span of a d x k Gaussian matrix, orthonormalized by
-QR; that span is Haar-uniform. No phase fix is applied to Q: F^H F and
-||F x|| depend only on the span, which is all the library reads.
+A projection is the span of a d x k Gaussian matrix; that span is
+Haar-uniform, and any orthonormal basis of it serves. The rule that picks
+the basis: a matrix of at most _GRAM_SCHMIDT_BYTES = 1 KiB (real n <= 8,
+complex n <= 5 for the 2n x n draws) by classical Gram-Schmidt with one
+reorthogonalization, run with the batch as the last axis, and a larger
+one by LAPACK's QR, whose per-matrix call cost the small ones would pay
+several times over. No phase fix is applied: F^H F and ||F x|| depend
+only on the span, which is all the library reads.
 
 An ensemble is drawn in blocks of _CHUNK = 8192 elements, block b from
 `path + (b,)`, so the block size is part of the reproducibility
@@ -29,25 +34,27 @@ into whole slices. That size is part of the contract as well: each slice
 is one `_gaussian` draw of shape (s, d, k) that continues its block's
 stream (over R a block's slices hold what one draw of the block would;
 over C each slice takes its real and then its imaginary parts), and its
-frames overwrite its draw. QR runs in sub-batches of the 2n x n matrices
-that fit in _SUB_BATCH_BYTES = 256 KiB (256 at real n = 8, the whole
-slice at real n = 2) and factors each matrix on its own, so no frame
-depends on the batching. A slice is also one chunk of every sum over
-projections, and every walk, held or streamed, cuts by `_slices`, so a
-streamed ensemble gives the held sums. One walk, `_frame_slices`, draws
+frames overwrite its draw. Orthonormalization runs in sub-batches of the
+2n x n matrices that fit in _SUB_BATCH_BYTES = 256 KiB (256 at real
+n = 8, the whole slice at real n = 2), and no frame depends on the
+batching: QR factors each matrix on its own, and so, in effect, does
+`_gram_schmidt`. A slice is also one chunk of every sum over projections,
+and every walk, held or streamed, cuts by `_slices`, so a streamed
+ensemble gives the held sums. One walk, `_frame_slices`, draws
 the slices: `_frame_blocks` validates each one for the streamed consumers,
 and `sample_ensemble` validates its assembled array once.
 
 Memory rule: a worker holds at most two slices of frames (its slice and
 one slice-sized temporary, the signed copy of its rows or half a complex
-draw), plus one sub-batch's temporaries (QR, F^H F, the frame check) and
-its own signal stacks, or its noise unit's flip state: each slice's
-flipped frames are summed where they are met, and greedy mode keeps a
-store of frames within a fixed byte budget (see recovery).
+draw), plus one sub-batch's temporaries (the orthonormalization, F^H F,
+the frame check) and its own signal stacks, or its noise unit's flip
+state: each slice's flipped frames are summed where they are met, and
+greedy mode keeps a store of frames within a fixed byte budget (see
+recovery).
 
 The stacked kernels (many signals or bit strings against one ensemble)
 run on one packed table per slice, whose row j holds the unique real
-entries of P_j, formed by `_pack_frames` from F^H F over the QR's
+entries of P_j, formed by `_pack_frames` from F^H F over the same
 sub-batches. `_packed_index` alone states that layout, and
 `_pack_hermitian` and `_unpack_hermitian` map any Hermitian stack to and
 from it. Rows of signals or of bits meet a table _INPUT_BLOCK = 128 at a
@@ -79,8 +86,11 @@ _FRAME_TOL = 1e-12
 _CHUNK = 8192
 _TRACE_SLICE = 1024
 _INPUT_BLOCK = 128
-# Bytes of the 2n x n matrices that one QR or F^H F call of a slice takes.
+# Bytes of the 2n x n matrices that one orthonormalization or F^H F call of a
+# slice takes.
 _SUB_BATCH_BYTES = 256 << 10
+# Bytes of the largest matrix that Gram-Schmidt orthonormalizes instead of QR.
+_GRAM_SCHMIDT_BYTES = 1 << 10
 # Bytes of the frames of one slice.
 _SLICE_BYTES = 8 << 20
 
@@ -148,12 +158,44 @@ def sample_unit_vector(field: FieldKind, d: int, stream: SeedStream) -> UnitVect
 
 
 def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
-    """The thin Q factor of each matrix in a (m, d, k) stack, from one
-    batched QR call, in a new array, with no phase fix."""
+    """An orthonormal basis of the columns of each matrix in a (m, d, k)
+    stack, as a (m, d, k) array that shares no memory with `g`, by the
+    sampler's orthonormalization rule (module docstring): `_gram_schmidt`
+    for a matrix of at most _GRAM_SCHMIDT_BYTES, one batched QR above."""
+    if g.itemsize * g.shape[1] * g.shape[2] <= _GRAM_SCHMIDT_BYTES:
+        return _gram_schmidt(g)
     q, r = np.linalg.qr(g)
     if not np.all(np.diagonal(r, axis1=1, axis2=2)):
         raise InvalidInput("orthonormalization hit a rank-deficient Gaussian draw")
     return q
+
+
+def _gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """Classical Gram-Schmidt with one reorthogonalization over a (m, d, k)
+    stack, on one copy that holds the batch as its last, contiguous axis,
+    so that each projection and each normalization is one call over the
+    whole stack. Every sum runs along the matrix, elementwise across the
+    batch, so a matrix's basis does not depend on its batch; a lone matrix
+    runs as two copies of itself, since with one the sums would take
+    another order."""
+    m, d, k = g.shape
+    q = np.empty((k, d, max(m, 2)), dtype=g.dtype)
+    q[...] = g.transpose(2, 1, 0)
+    complex_ = np.iscomplexobj(q)
+    qc = np.empty_like(q) if complex_ else q  # conj(q), for the coefficients
+    for j in range(k):
+        col = q[j]
+        for _ in range(2 if j else 0):
+            col -= np.einsum("lib,lb->ib", q[:j], np.einsum("lib,ib->lb", qc[:j], col))
+        if complex_:
+            np.conjugate(col, out=qc[j])
+        norm = np.sqrt(np.einsum("ib,ib->b", qc[j], col).real)
+        if not np.all(norm):
+            raise InvalidInput("orthonormalization hit a rank-deficient Gaussian draw")
+        col /= norm
+        if complex_:
+            np.conjugate(col, out=qc[j])
+    return q[..., :m].transpose(2, 1, 0)
 
 
 def sample_haar_projection(
@@ -266,8 +308,8 @@ def _pack_hermitian(field: FieldKind, mats: np.ndarray) -> np.ndarray:
 
 
 def _sub_batch(field: FieldKind, n: int) -> int:
-    """Matrices per QR, F^H F or frame check call: the 2n x n matrices that
-    fit in _SUB_BATCH_BYTES."""
+    """Matrices per orthonormalization, F^H F or frame check call: the
+    2n x n matrices that fit in _SUB_BATCH_BYTES."""
     return max(1, _SUB_BATCH_BYTES // (2 * n * n * np.dtype(field.dtype).itemsize))
 
 

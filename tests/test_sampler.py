@@ -36,8 +36,9 @@ def whole_block_frames(
     """The frames of one sampling block as the sampler's contract states
     them: one Gaussian draw from `stream` per slice of `size` projections,
     in order (complex: one call of shape (2, slice, d, k), the real parts
-    then the imaginary parts), one QR call over the whole block, and the
-    conjugate transpose of each Q."""
+    then the imaginary parts), one orthonormalization by the sampler's rule
+    over the whole block, and the conjugate transpose of each basis. Each
+    frame's projection is also checked against the one LAPACK's QR gives."""
     rng = stream.generator()
     draws = []
     for start in range(0, count, size):
@@ -47,7 +48,11 @@ def whole_block_frames(
         else:
             parts = rng.standard_normal((2, *shape))
             draws.append(parts[0] + 1j * parts[1])
-    q = np.linalg.qr(np.concatenate(draws))[0]
+    g = np.concatenate(draws)
+    q = _orthonormalize_batch(g)
+    reference = np.linalg.qr(g)[0]
+    moved = q @ q.conj().swapaxes(1, 2) - reference @ reference.conj().swapaxes(1, 2)
+    assert np.max(np.abs(moved)) <= 1e-13
     return np.conjugate(np.swapaxes(q, 1, 2))
 
 
@@ -185,10 +190,30 @@ class TestOrthonormalize:
 
     @pytest.mark.parametrize("field", [R, C])
     def test_rejects_zero_column(self, field):
-        g = np.random.default_rng(5).standard_normal((3, 6, 2)).astype(field.dtype)
-        g[1, :, 1] = 0.0
-        with pytest.raises(InvalidInput):
-            _orthonormalize_batch(g)
+        # At n = 2, and at the largest Gram-Schmidt and the smallest QR size
+        # of the field, for a lone matrix and in a batch of three.
+        largest = {R: 8, C: 5}[field]
+        for n, m in itertools.product((2, largest, largest + 1), (1, 3)):
+            g = np.random.default_rng(5).standard_normal((m, 2 * n, n)).astype(field.dtype)
+            g[m // 2, :, 1] = 0.0
+            with pytest.raises(InvalidInput, match="rank-deficient"):
+                _orthonormalize_batch(g)
+
+    @pytest.mark.parametrize("field, n", [(R, 2), (C, 2), (R, 8), (C, 5)])
+    def test_basis_does_not_depend_on_the_batch(self, field, n):
+        # Real n = 2 and the largest Gram-Schmidt size of each field: every
+        # row orthonormalized in batches of any size, down to one matrix, is
+        # that row of one call over the whole stack, bit for bit.
+        itemsize = np.dtype(field.dtype).itemsize
+        if n > 2:
+            assert 2 * n * n * itemsize <= sampler._GRAM_SCHMIDT_BYTES
+            assert 2 * (n + 1) ** 2 * itemsize > sampler._GRAM_SCHMIDT_BYTES
+        count = 1100
+        g = sampler._gaussian(field, (count, 2 * n, n), SeedStream(60, (n,)).generator())
+        whole = _orthonormalize_batch(g)
+        for size in (1, 2, 3, 255, 256, 257, 1023):
+            parts = [_orthonormalize_batch(g[s : s + size]) for s in range(0, count, size)]
+            assert np.array_equal(np.concatenate(parts), whole), size
 
 
 class TestSampleEnsemble:
@@ -207,17 +232,19 @@ class TestSampleEnsemble:
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("m", [17, _TRACE_SLICE, _TRACE_SLICE + 1, _CHUNK, 2 * _CHUNK + 17])
     def test_sliced_blocks_match_one_whole_block_qr(self, field, m):
-        # The sampler yields each block one 1024-matrix slice at a time; QR
-        # factors each matrix alone, so the slices of a block, concatenated,
-        # are the frames one QR over the whole block's draw gives, bit for bit.
+        # The sampler yields each block one 1024-matrix slice at a time; no
+        # basis depends on its batch, so the slices of a block, concatenated,
+        # are the frames one orthonormalization of the whole block's draw
+        # gives, bit for bit.
         check_slices_match_whole_blocks(field, 2, m)
 
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("m", [_TRACE_SLICE + 1, 2 * _CHUNK + 17])
     def test_sub_batched_slices_match_one_whole_block_qr(self, field, m):
-        # At n = 8 a slice is orthonormalized in sub-batches of 256 (real) or
-        # 128 (complex) matrices; the frames are still those of one QR over
-        # the whole block's draw, bit for bit.
+        # At n = 8 a slice is orthonormalized in sub-batches of 256 (real,
+        # Gram-Schmidt) or 128 (complex, QR) matrices; the frames are still
+        # those of one orthonormalization of the whole block's draw, bit for
+        # bit.
         assert _sub_batch(field, 8) < _TRACE_SLICE
         check_slices_match_whole_blocks(field, 8, m)
 
@@ -228,7 +255,8 @@ class TestSampleEnsemble:
         # 1024 frames fit the 8 MiB slice budget up to real n = 22 and complex
         # n = 16; above that a slice is the largest power of two that fits, so
         # a block still splits into whole slices, and its frames are still
-        # those of one QR over the block's draw, drawn slice by slice.
+        # those of one orthonormalization of the block's draw, drawn slice by
+        # slice.
         assert _slice(field, n) == size
         check_slices_match_whole_blocks(field, n, size + 5, size)
 
@@ -324,8 +352,8 @@ class TestSampleEnsemble:
             MeasurementEnsemble(R, 2, frames)
 
     def test_every_drawn_block_is_validated(self, monkeypatch):
-        # One QR call per 1024-matrix slice, made when the slice is asked
-        # for. The first or the last slice of the third block returns a frame
+        # One orthonormalization call per 1024-matrix slice, made when the
+        # slice is asked for. The first or the last slice of the third block returns a frame
         # off the unit sphere; the sampler must refuse that slice before any
         # consumer reads it, having yielded every slice before it.
         m = 2 * _CHUNK + _TRACE_SLICE + 17
