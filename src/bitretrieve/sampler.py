@@ -185,12 +185,13 @@ def _gram_schmidt(g: np.ndarray) -> np.ndarray:
     qc = np.empty_like(q) if complex_ else q  # conj(q), for the coefficients
     for j in range(k):
         col = q[j]
-        for _ in range(2 if j else 0):
-            col -= np.einsum("lib,lb->ib", q[:j], np.einsum("lib,ib->lb", qc[:j], col))
+        if j:
+            for _ in range(2):
+                col -= np.einsum("lib,lb->ib", q[:j], np.einsum("lib,ib->lb", qc[:j], col))
         if complex_:
             np.conjugate(col, out=qc[j])
         norm = np.sqrt(np.einsum("ib,ib->b", qc[j], col).real)
-        if not np.all(norm):
+        if not norm.all():
             raise InvalidInput("orthonormalization hit a rank-deficient Gaussian draw")
         col /= norm
         if complex_:
