@@ -159,9 +159,9 @@ def sample_unit_vector(field: FieldKind, d: int, stream: SeedStream) -> UnitVect
 
 def _orthonormalize_batch(g: np.ndarray) -> np.ndarray:
     """An orthonormal basis of the columns of each matrix in a (m, d, k)
-    stack, as a (m, d, k) array that shares no memory with `g`, by the
-    sampler's orthonormalization rule (module docstring): `_gram_schmidt`
-    for a matrix of at most _GRAM_SCHMIDT_BYTES, one batched QR above."""
+    stack, in a new array, by the sampler's orthonormalization rule (module
+    docstring): `_gram_schmidt` for a matrix of at most
+    _GRAM_SCHMIDT_BYTES, one batched QR above."""
     if g.itemsize * g.shape[1] * g.shape[2] <= _GRAM_SCHMIDT_BYTES:
         return _gram_schmidt(g)
     q, r = np.linalg.qr(g)
@@ -181,20 +181,20 @@ def _gram_schmidt(g: np.ndarray) -> np.ndarray:
     m, d, k = g.shape
     q = np.empty((k, d, max(m, 2)), dtype=g.dtype)
     q[...] = g.transpose(2, 1, 0)
-    complex_ = np.iscomplexobj(q)
-    qc = np.empty_like(q) if complex_ else q  # conj(q), for the coefficients
+    is_complex = np.iscomplexobj(q)
+    qc = np.empty_like(q) if is_complex else q  # conj(q), for the coefficients
     for j in range(k):
         col = q[j]
         if j:
             for _ in range(2):
                 col -= np.einsum("lib,lb->ib", q[:j], np.einsum("lib,ib->lb", qc[:j], col))
-        if complex_:
+        if is_complex:
             np.conjugate(col, out=qc[j])
         norm = np.sqrt(np.einsum("ib,ib->b", qc[j], col).real)
         if not norm.all():
             raise InvalidInput("orthonormalization hit a rank-deficient Gaussian draw")
         col /= norm
-        if complex_:
+        if is_complex:
             np.conjugate(col, out=qc[j])
     return q[..., :m].transpose(2, 1, 0)
 

@@ -366,7 +366,7 @@ def csv_moves(before: Path, after: Path) -> str:
     """How one CSV moved between two runs of a config: the largest absolute
     move of each float column (every cell a float, not every cell an
     integer) and the number of changed cells in every other column."""
-    old, new = ([*csv.reader(path.open(newline=""))] for path in (before, after))
+    old, new = ([*csv.reader(path.read_text().splitlines())] for path in (before, after))
     if old[0] != new[0] or len(old) != len(new):
         return "header or row count changed"
     floats, others = [], []
@@ -422,15 +422,16 @@ if __name__ == "__main__":
         for name in sorted(CONFIGS):
             with tempfile.TemporaryDirectory() as tmp:
                 before, after = Path(tmp, "before"), Path(tmp, "after")
-                before.mkdir(), after.mkdir()
+                before.mkdir()
+                after.mkdir()
                 child_digests(CONFIGS[name], 1, before, other)
                 child_digests(CONFIGS[name], 1, after)
                 for path in sorted(before.glob("run*.csv")):
                     moves = csv_moves(path, after / path.name)
                     print(f"{name} {path.name[len('run'):]}: {moves}")
         for field in ("complex", "real"):
-            before, after = child_diagnostics(field, 1, other), child_diagnostics(field, 1)
-            for line in diagnostics_moves(before, after):
+            old, new = child_diagnostics(field, 1, other), child_diagnostics(field, 1)
+            for line in diagnostics_moves(old, new):
                 print(f"diagnostics {field} {line}")
         raise SystemExit
 
@@ -446,9 +447,7 @@ if __name__ == "__main__":
         golden[name] = runs[1, 1]
     diagnostics = {}
     for field in ("complex", "real"):
-        pins = []
-        for blas in (1, 2):
-            pins.append(child_diagnostics(field, blas))
+        pins = [child_diagnostics(field, blas) for blas in (1, 2)]
         if pins[0] != pins[1]:
             raise SystemExit(f"diagnostics over {field}: BLAS threads 1 and 2 differ")
         diagnostics[field] = pins[0]

@@ -274,12 +274,14 @@ class TestSampleEnsemble:
         # Bounds the traced peak of drawing a block's first slice, against
         # the frame bytes of a whole block. Each slice is drawn by its own
         # call, so only that slice's draw (which its frames overwrite), its
-        # Gram buffers and the QR buffers of one sub-batch live: 0.25-0.34
-        # at real n = 8, 0.32 at complex n = 4 and 0.31 at complex n = 8,
-        # against 0.455-0.545, 0.49 and 0.45 when QR took the whole slice,
-        # whose draw, QR's copy and Q are each an eighth of the block. At
-        # real n = 2 the slice is one sub-batch: 0.546. A complex block
-        # that held the real half of its draw took 0.95-0.99.
+        # Gram buffers and the orthonormalization buffers of one sub-batch
+        # live: 0.16-0.26 at real n = 8 and 0.27 at complex n = 4 (both
+        # Gram-Schmidt) and 0.19 at complex n = 8 (QR), against 0.21-0.31
+        # and 0.32 when QR took every size, and 0.455-0.545, 0.49 and 0.45
+        # when QR took the whole slice, whose draw, QR's copy and Q are each
+        # an eighth of the block. At real n = 2 the slice is one sub-batch:
+        # 0.38 (0.547 by QR). A complex block that held the real half of its
+        # draw took 0.95-0.99.
         blocks = _frame_blocks(field, n, _CHUNK, SeedStream(58))
         tracemalloc.start()
         try:
@@ -353,9 +355,10 @@ class TestSampleEnsemble:
 
     def test_every_drawn_block_is_validated(self, monkeypatch):
         # One orthonormalization call per 1024-matrix slice, made when the
-        # slice is asked for. The first or the last slice of the third block returns a frame
-        # off the unit sphere; the sampler must refuse that slice before any
-        # consumer reads it, having yielded every slice before it.
+        # slice is asked for. The first or the last slice of the third block
+        # returns a frame off the unit sphere; the sampler must refuse that
+        # slice before any consumer reads it, having yielded every slice
+        # before it.
         m = 2 * _CHUNK + _TRACE_SLICE + 17
         starts = list(range(0, m, _TRACE_SLICE))
         third_block = 2 * _CHUNK // _TRACE_SLICE + 1
